@@ -384,9 +384,9 @@ def execute(inst: Instance) -> dict:
     """Run the configured solver; return the report dictionary."""
     g = inst.cfg.get
     method = g("solver", "method")
+    t0 = time.perf_counter()
     u_ref = reference_primal(inst.decomp)
     u_scale = float(np.linalg.norm(u_ref)) or 1.0
-    t0 = time.perf_counter()
     gamma = None
     rows: list[tuple] = []
 

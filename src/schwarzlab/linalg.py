@@ -15,10 +15,12 @@ import numpy as np
 import scipy.io
 import scipy.linalg
 import scipy.sparse
+import scipy.sparse.linalg
 
 __all__ = [
     "SparseMatrix",
     "DenseFactorization",
+    "SparseFactorization",
     "WeightedInnerProduct",
     "SingularMatrixError",
     "GmresBreakdownError",
@@ -181,33 +183,58 @@ class DenseFactorization:
         b = np.asarray(b, dtype=np.complex128)
         if b.shape[0] != self.size:
             raise ValueError("right-hand side has wrong length")
-        return scipy.linalg.lu_solve((self.lu, self.piv), b)
+        # non-finite values pass through, for the solvers to report
+        return scipy.linalg.lu_solve((self.lu, self.piv), b, check_finite=False)
 
 
-def factorize(A) -> DenseFactorization:
-    """Dense LU with partial pivoting; rejects singular-to-tolerance pivots.
+@dataclass(frozen=True)
+class SparseFactorization:
+    """Sparse LU (SuperLU, fill-reducing column order) of a square matrix."""
 
-    Accepts a SparseMatrix, a scipy sparse matrix, or a dense array.
+    size: int
+    lu: scipy.sparse.linalg.SuperLU = field(repr=False)
+
+    def solve(self, b) -> np.ndarray:
+        b = np.asarray(b, dtype=np.complex128)
+        if b.shape[0] != self.size:
+            raise ValueError("right-hand side has wrong length")
+        return self.lu.solve(b)
+
+
+def _check_pivots(pivots: np.ndarray, scale: float) -> None:
+    if len(pivots) and (scale == 0.0 or np.min(pivots) <= PIVOT_TOL * scale):
+        raise SingularMatrixError(
+            "matrix is singular to tolerance (smallest pivot "
+            f"{np.min(pivots):.3e} vs scale {scale:.3e})")
+
+
+def factorize(A) -> DenseFactorization | SparseFactorization:
+    """LU with partial pivoting; rejects singular-to-tolerance pivots.
+
+    A SparseMatrix or scipy sparse matrix gets a sparse LU, a dense array a
+    dense LU. Either way a pivot of magnitude at most PIVOT_TOL * max|A|
+    raises SingularMatrixError, and `solve` takes 1-D or 2-D right-hand sides.
     """
     if isinstance(A, SparseMatrix):
-        dense = A.to_dense()
-    elif scipy.sparse.issparse(A):
-        dense = A.toarray().astype(np.complex128)
-    else:
-        dense = np.asarray(A, dtype=np.complex128)
-    if dense.ndim != 2 or dense.shape[0] != dense.shape[1]:
+        A = A.csr
+    sparse = scipy.sparse.issparse(A)
+    A = scipy.sparse.csc_array(A, dtype=np.complex128) if sparse else np.asarray(A, np.complex128)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("factorize expects a square matrix")
-    n = dense.shape[0]
-    scale = float(np.max(np.abs(dense))) if n else 0.0
+    n = A.shape[0]
+    scale = float(abs(A).max()) if n else 0.0
+    if sparse:
+        try:
+            lu = scipy.sparse.linalg.splu(A)
+        except RuntimeError as exc:     # SuperLU: "Factor is exactly singular"
+            raise SingularMatrixError(f"matrix is singular ({exc})") from exc
+        _check_pivots(np.abs(lu.U.diagonal()), scale)
+        return SparseFactorization(size=n, lu=lu)
     with warnings.catch_warnings():
         # the pivot check below turns exact singularity into an exception
         warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(dense, check_finite=False)
-    pivots = np.abs(np.diagonal(lu))
-    if n and (scale == 0.0 or np.min(pivots) <= PIVOT_TOL * scale):
-        raise SingularMatrixError(
-            "matrix is singular to tolerance (smallest pivot "
-            f"{np.min(pivots) if n else 0.0:.3e} vs scale {scale:.3e})")
+        lu, piv = scipy.linalg.lu_factor(A, check_finite=False)
+    _check_pivots(np.abs(np.diagonal(lu)), scale)
     return DenseFactorization(size=n, lu=lu, piv=piv)
 
 
@@ -215,10 +242,11 @@ class WeightedInnerProduct:
     """Inner product <x, y> = y^H W x with W symmetric positive definite.
 
     mode "M" uses W itself, mode "M_inverse" uses W^{-1} (solved through a
-    cached factorization; W is never inverted explicitly).
+    factorization of W; W is never inverted explicitly). A factorization of
+    W that the caller already holds can be passed to avoid a second one.
     """
 
-    def __init__(self, weight, mode: str = "M"):
+    def __init__(self, weight, mode: str = "M", factorization=None):
         if mode not in ("M", "M_inverse"):
             raise ValueError("mode must be 'M' or 'M_inverse'")
         if isinstance(weight, SparseMatrix):
@@ -229,9 +257,13 @@ class WeightedInnerProduct:
             dense = np.asarray(weight, dtype=np.complex128)
         if np.max(np.abs(dense - dense.T)) > 1e-12 * max(np.max(np.abs(dense)), 1.0):
             raise ValueError("weight must be symmetric")
+        if factorization is not None and factorization.size != dense.shape[0]:
+            raise ValueError("factorization does not match the weight's size")
         self.mode = mode
         self._w = dense
-        self._fac = factorize(dense) if mode == "M_inverse" else None
+        self._fac = None
+        if mode == "M_inverse":
+            self._fac = factorization if factorization is not None else factorize(dense)
 
     @property
     def dim(self) -> int:
@@ -252,8 +284,9 @@ class WeightedInnerProduct:
         return float(np.sqrt(max(value, 0.0)))
 
 
-def _euclidean_ip(n: int) -> WeightedInnerProduct:
-    return WeightedInnerProduct(np.eye(n), mode="M")
+def _weighted_norm(x: np.ndarray, Wx: np.ndarray) -> float:
+    # clip tiny negative round-off before the square root
+    return float(np.sqrt(max(np.vdot(x, Wx).real, 0.0)))
 
 
 def gmres(
@@ -266,30 +299,36 @@ def gmres(
 ) -> tuple[np.ndarray, list[float]]:
     """Full (restart-free) GMRES in a weighted inner product.
 
-    Arnoldi with modified Gram-Schmidt plus one reorthogonalization pass.
-    Returns the iterate and the history of relative weighted residual norms
-    (history[0] is 1.0 for a nonzero right-hand side).
+    W must be Hermitian positive definite (None means W = I). The basis V
+    is stored together with Z = W V, so the weight is applied once per
+    Krylov vector, plus once for the initial residual and once for |b|_W.
+    Arnoldi orthogonalizes by two passes of block classical Gram-Schmidt:
+    h = V^H W w, then w -= V h and W w -= Z h. Returns the iterate and the
+    history of relative weighted residual norms (history[0] is 1.0 for a
+    nonzero right-hand side).
     """
     b = np.asarray(b, dtype=np.complex128)
     n = b.shape[0]
-    if ip is None:
-        ip = _euclidean_ip(n)
+    weigh = ip.apply_weight if ip is not None else (lambda v: v)
     if maxit is None:
         maxit = n
     maxit = min(maxit, n)
 
     x = np.zeros(n, dtype=np.complex128) if x0 is None else np.asarray(x0, np.complex128).copy()
     r = b - apply(x) if x0 is not None else b.copy()
-    beta = ip.norm(r)
-    bnorm = ip.norm(b)
+    Wr = weigh(r)
+    beta = _weighted_norm(r, Wr)
+    bnorm = ip.norm(b) if ip is not None else _weighted_norm(b, b)
     ref = bnorm if bnorm > 0.0 else 1.0
     history = [beta / ref]
     if beta / ref <= tol or n == 0:
         return x, history
 
     V = np.zeros((maxit + 1, n), dtype=np.complex128)
+    Z = np.zeros((maxit + 1, n), dtype=np.complex128)
     H = np.zeros((maxit + 1, maxit), dtype=np.complex128)
     V[0] = r / beta
+    Z[0] = Wr / beta
     # Givens rotation data and transformed rhs
     cs = np.zeros(maxit, dtype=np.complex128)
     sn = np.zeros(maxit, dtype=np.complex128)
@@ -298,14 +337,16 @@ def gmres(
 
     k_used = 0
     for k in range(maxit):
-        w = apply(V[k])
-        # modified Gram-Schmidt with one reorthogonalization pass
+        # copies: both are updated in place below
+        w = np.array(apply(V[k]), dtype=np.complex128)
+        Ww = np.array(weigh(w), dtype=np.complex128)
+        # classical Gram-Schmidt, two passes; V^H W w = conj(V conj(W w))
         for _pass in range(2):
-            for j in range(k + 1):
-                h = ip.dot(w, V[j])
-                H[j, k] += h
-                w = w - h * V[j]
-        hk1 = ip.norm(w)
+            h = np.conj(V[:k + 1] @ np.conj(Ww))
+            H[:k + 1, k] += h
+            w -= h @ V[:k + 1]
+            Ww -= h @ Z[:k + 1]
+        hk1 = _weighted_norm(w, Ww)
         H[k + 1, k] = hk1
 
         # apply stored rotations to the new column
@@ -330,6 +371,7 @@ def gmres(
         if res <= tol or hk1 <= 1e-14 * beta:
             break
         V[k + 1] = w / hk1
+        Z[k + 1] = Ww / hk1
 
     y = scipy.linalg.solve_triangular(H[:k_used, :k_used], g[:k_used], check_finite=False)
     x = x + V[:k_used].T @ y

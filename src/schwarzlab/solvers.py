@@ -110,7 +110,8 @@ def richardson(dual: DualSystem, cfg: IterationConfig,
     Logs the relative dual residual, the multiplier error against a deflated
     direct reference, the recovered primal error, and (optionally) the
     per-iteration energy-decay defect. Fifty consecutive non-decreasing
-    residuals flag divergence; the partial run is preserved.
+    residuals, or a non-finite residual or error, flag divergence; the
+    partial run is preserved.
     """
     report = ConvergenceReport(method="richardson", beta=cfg.beta, seed=cfg.seed)
     d = dual.rhs_d()
@@ -137,6 +138,10 @@ def richardson(dual: DualSystem, cfg: IterationConfig,
         report.p_history.append(dual.pseudo_energy(lam)[2])
         if cfg.log_energy:
             report.energy_defects.append(_energy_defect(dual, mu, cfg.beta))
+        if not np.isfinite([residual, report.error_norms[-1],
+                            report.primal_errors[-1]]).all():
+            report.diverged = True
+            break
         if residual <= cfg.tol:
             report.converged = True
             break
@@ -205,6 +210,9 @@ def primal_iterate(decomp: Decomposition, aug: AugmentedLocal,
         err = float(np.linalg.norm(u - u_ref)) / u_scale
         report.primal_errors.append(err)
         report.residuals.append(err)
+        if not np.isfinite(err):
+            report.diverged = True
+            break
         if err <= cfg.tol:
             report.converged = True
             break
@@ -229,12 +237,12 @@ def gmres_dual(dual: DualSystem, tol: float = 1e-10,
                maxit: int | None = None,
                gamma: float | None = None) -> ConvergenceReport:
     """Full GMRES on (I - X^T S) lambda = d in the M^-1 inner product."""
-    ip = WeightedInnerProduct(dual.M, mode="M_inverse")
+    ip = WeightedInnerProduct(dual.M, mode="M_inverse", factorization=dual._M_fac)
     lam, history = gmres(dual.apply_K, dual.rhs_d(), ip=ip, tol=tol, maxit=maxit)
     report = ConvergenceReport(method="gmres", beta=1.0, seed=None)
     report.residuals = history
     report.converged = bool(history and history[-1] <= tol)
-    report.diverged = not report.converged
+    report.diverged = False     # the GMRES residual never increases
     report.iterations = len(history) - 1
     report.lam = lam
     report.u = dual.primal_recover(lam)

@@ -99,6 +99,17 @@ class TestRichardson:
         assert rep.diverged and not rep.converged
         assert rep.iterations < 500
 
+    def test_non_finite_load_stops_at_once(self):
+        dec, system, trace, imp, X, dual = dual_stack()
+        lam_ref = dual.solve_direct()
+        u_ref = primal_reference(dec)
+        dual.f = dual.f.copy()
+        dual.f[3] = np.nan
+        cfg = IterationConfig(beta=0.5, tol=1e-10, maxit=500, seed=0)
+        rep = richardson(dual, cfg, lam_ref=lam_ref, u_ref=u_ref)
+        assert rep.diverged and not rep.converged
+        assert rep.iterations == 0
+
 
 class TestPrimalIteration:
     def test_matches_dual_iterates(self):
@@ -120,6 +131,17 @@ class TestPrimalIteration:
         rep = primal_iterate(dec, dual.aug, trace, imp, X, ext,
                              dec.f_concat, cfg, u0=u_ref, u_ref=u_ref)
         assert rep.converged and rep.iterations <= 1
+
+    def test_non_finite_load_stops_at_once(self):
+        dec, system, trace, imp, X, dual = dual_stack()
+        ext = build_extension(trace)
+        f = dec.f_concat.copy()
+        f[3] = np.nan
+        cfg = IterationConfig(beta=0.5, tol=1e-10, maxit=500, seed=0)
+        rep = primal_iterate(dec, dual.aug, trace, imp, X, ext, f, cfg,
+                             u_ref=primal_reference(dec))
+        assert rep.diverged and not rep.converged
+        assert rep.iterations == 0
 
 
 class TestGmres:
@@ -144,6 +166,13 @@ class TestGmres:
         u = dual.primal_recover(rep.lam)
         u_ref = primal_reference(dec)
         assert np.linalg.norm(u - u_ref) <= 1e-8 * np.linalg.norm(u_ref)
+
+    def test_maxit_is_not_divergence(self):
+        _dec, _sys, _tr, _imp, _X, dual = dual_stack()
+        rep = gmres_dual(dual, tol=1e-12, maxit=3)
+        assert rep.iterations == 3
+        assert not rep.converged and not rep.diverged
+        assert all(b <= a for a, b in zip(rep.residuals, rep.residuals[1:]))
 
 
 class TestGamma:
