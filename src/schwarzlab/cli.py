@@ -20,7 +20,8 @@ from pathlib import Path
 import click
 import numpy as np
 
-from .decomp import Decomposition, build_restrictions, check_assembling, partition_grid
+from .decomp import (ASSEMBLY_TOL, Decomposition, build_restrictions, check_assembling,
+                     partition_grid)
 from .facets import build_facets, check_admissibility, redundancy_basis
 from .formulations import (DualSystem, build_dual_system, exceptional_system,
                            fetih_assembling_deviation, fetih_build, fetih_solve)
@@ -300,7 +301,8 @@ def interface_checks(inst: Instance, n_random: int = 20,
                      seed: int = 0) -> dict[str, dict]:
     """Pass/fail battery over the constructed operators.
 
-    Covers assembling exactness, facet admissibility, the involution and
+    Covers assembling exactness (against the canonical re-accumulation and
+    the mesh-order assembly), facet admissibility, the involution and
     conformity-fixing properties of the exchange, isometry of the exchange in
     the impedance metric, the redundancy dimension against its cycle count,
     and the pseudo-energy balance on random multipliers.
@@ -312,12 +314,13 @@ def interface_checks(inst: Instance, n_random: int = 20,
         checks[name] = {"value": float(value), "tolerance": float(tol),
                         "passed": bool(value <= tol)}
 
+    asm = check_assembling(inst.decomp)
     if inst.fetih is not None:
         record("assembling_deviation", fetih_assembling_deviation(inst.fetih), 0.0)
     else:
-        asm = check_assembling(inst.decomp)
         record("assembling_deviation",
                max(asm.max_dev_matrix, asm.max_dev_load), 0.0)
+    record("mesh_order_deviation", asm.mesh_order_dev, ASSEMBLY_TOL)
 
     if inst.system is not None:
         adm = check_admissibility(inst.system, inst.decomp.multiplicities)

@@ -31,6 +31,7 @@ __all__ = [
 ]
 
 _PARTS = ("A0", "A1", "A2")
+ASSEMBLY_TOL = 1e-14    # allowed mesh-order deviation of the re-accumulation
 
 
 @dataclass(frozen=True)
@@ -269,7 +270,7 @@ class AssemblingReport:
 
 
 def check_assembling(decomp: Decomposition, local_parts=None, f_locals=None,
-                     tol: float = 1e-14) -> AssemblingReport:
+                     tol: float = ASSEMBLY_TOL) -> AssemblingReport:
     """Re-accumulate the assembled sum and compare with the global problem.
 
     Against the decomposition's own canonical global matrices the deviation

@@ -18,7 +18,7 @@ import scipy.sparse
 
 from .decomp import Decomposition
 from .facets import Facet, FacetSystem, build_bilateral
-from .linalg import DenseFactorization, SingularMatrixError, factorize, gmres
+from .linalg import SingularMatrixError, SparseFactorization, factorize, gmres
 from .traces import (ExchangeOperator, ImpedanceOperator, TraceOperator,
                      build_exchange, build_impedance, build_trace)
 
@@ -38,16 +38,17 @@ __all__ = [
 
 
 class AugmentedLocal:
-    """Per-subdomain factorizations of A_i + alpha * T_i^T M_i T_i."""
+    """Per-subdomain sparse LU factorizations of A_i + alpha * T_i^T M_i T_i."""
 
-    def __init__(self, blocks: list[np.ndarray], offsets: np.ndarray, alpha: complex):
+    def __init__(self, blocks: list[scipy.sparse.sparray], offsets: np.ndarray,
+                 alpha: complex):
         self.alpha = complex(alpha)
         self.offsets = offsets
         self.matrices = blocks
-        self.factors: list[DenseFactorization] = []
+        self.factors: list[SparseFactorization] = []
         for i, block in enumerate(blocks):
             try:
-                self.factors.append(factorize(block))
+                self.factors.append(factorize(scipy.sparse.csc_array(block)))
             except SingularMatrixError as exc:
                 raise SingularMatrixError(
                     f"augmented operator of subdomain {i} is singular; the "
@@ -56,15 +57,12 @@ class AugmentedLocal:
     @classmethod
     def build(cls, decomp: Decomposition, trace: TraceOperator,
               impedance: ImpedanceOperator, alpha: complex) -> "AugmentedLocal":
-        blocks = []
-        for i in range(decomp.n_sub):
-            A_i = decomp.local_A(i).toarray()
-            r0, r1 = trace.row_offsets[i], trace.row_offsets[i + 1]
-            c0, c1 = decomp.offsets[i], decomp.offsets[i + 1]
-            T_i = trace.matrix[r0:r1, c0:c1].toarray()
-            M_i = impedance.subdomain_block(i)
-            blocks.append(A_i + alpha * (T_i.T @ (M_i @ T_i)))
-        return cls(blocks, decomp.offsets, alpha)
+        # T and M are block-diagonal by subdomain, so A + alpha T^T M T is too
+        T, M = trace.matrix, scipy.sparse.csr_array(impedance.matrix)
+        aug = (decomp.A_blockdiag() + alpha * (T.T @ M @ T)).tocsc()
+        offsets = decomp.offsets
+        blocks = [aug[a:b, a:b] for a, b in zip(offsets[:-1], offsets[1:])]
+        return cls(blocks, offsets, alpha)
 
     def apply_inv(self, g) -> np.ndarray:
         """Blockwise solve of the augmented system on the product space."""
@@ -79,8 +77,6 @@ class AugmentedLocal:
 def augmented_factorize(decomp: Decomposition, trace: TraceOperator,
                         impedance: ImpedanceOperator, alpha: complex) -> AugmentedLocal:
     """Factor the augmented subdomain operators; fails on singular blocks."""
-    if alpha not in (1.0 + 0.0j, 1j):
-        alpha = complex(alpha)
     return AugmentedLocal.build(decomp, trace, impedance, alpha)
 
 
@@ -88,15 +84,15 @@ class DualSystem:
     """The interface equation (I - X^T S) lambda = d and its building blocks."""
 
     def __init__(self, decomp: Decomposition, aug: AugmentedLocal,
-                 T: scipy.sparse.csr_array, M: np.ndarray, X: np.ndarray,
-                 alpha: complex, f: np.ndarray, a4: bool = True,
+                 T: scipy.sparse.csr_array, M: np.ndarray | scipy.sparse.sparray,
+                 X: np.ndarray, alpha: complex, f: np.ndarray, a4: bool = True,
                  trace: TraceOperator | None = None,
                  system: FacetSystem | None = None,
                  impedance: ImpedanceOperator | None = None):
         self.decomp = decomp
         self.aug = aug
         self.T = T
-        self.M = np.asarray(M)
+        self.M = M if scipy.sparse.issparse(M) else np.asarray(M)
         self.X = np.asarray(X)
         self.alpha = complex(alpha)
         self.f = np.asarray(f, dtype=np.complex128)
@@ -105,7 +101,8 @@ class DualSystem:
         self.system = system
         self.impedance = impedance
         self.dim = T.shape[0]
-        self._M_fac = factorize(self.M) if self.dim else None
+        self._Tt = T.T.tocsr()
+        self._M_fac = impedance._fac if impedance is not None else factorize(self.M)
         self._A_csr = decomp.A_blockdiag()
         if not a4:
             self._M_eff = self.M + self.X.T @ self.M @ self.X
@@ -115,33 +112,31 @@ class DualSystem:
     # -- norms -------------------------------------------------------------
 
     def norm_Minv(self, lam) -> float:
-        if self.dim == 0:
-            return 0.0
         value = float(np.vdot(lam, self._M_fac.solve(np.asarray(lam, np.complex128))).real)
         return float(np.sqrt(max(value, 0.0)))
 
     # -- operator applications --------------------------------------------
 
+    def _outgoing(self, v) -> np.ndarray:
+        """2 alpha M T v (or alpha (M + X^T M X) T v) for an augmented solve v."""
+        if self.a4:
+            return 2.0 * self.alpha * (self.M @ (self.T @ v))
+        return self.alpha * (self._M_eff @ (self.T @ v))
+
     def apply_S(self, lam) -> np.ndarray:
         lam = np.asarray(lam, dtype=np.complex128)
-        v = self.aug.apply_inv(self.T.T @ lam)
-        if self.a4:
-            return -lam + 2.0 * self.alpha * (self.M @ (self.T @ v))
-        return -lam + self.alpha * (self._M_eff @ (self.T @ v))
+        return -lam + self._outgoing(self.aug.apply_inv(self._Tt @ lam))
 
     def apply_K(self, lam) -> np.ndarray:
         """K = I - X^T S."""
         return np.asarray(lam, np.complex128) - self.X.T @ self.apply_S(lam)
 
     def rhs_d(self) -> np.ndarray:
-        v = self.aug.apply_inv(self.f)
-        if self.a4:
-            return 2.0 * self.alpha * (self.X.T @ (self.M @ (self.T @ v)))
-        return self.alpha * (self.X.T @ (self._M_eff @ (self.T @ v)))
+        return self.X.T @ self._outgoing(self.aug.apply_inv(self.f))
 
     def primal_recover(self, lam) -> np.ndarray:
         """u = (A + alpha T^T M T)^{-1} (f + T^T lambda)."""
-        return self.aug.apply_inv(self.f + self.T.T @ np.asarray(lam, np.complex128))
+        return self.aug.apply_inv(self.f + self._Tt @ np.asarray(lam, np.complex128))
 
     # -- diagnostics -------------------------------------------------------
 
@@ -151,26 +146,19 @@ class DualSystem:
         p is the subdomain loss Re<A v, conj(v)> (coercive, alpha = 1) or
         Im<A v, conj(v)> (wave, alpha = i) with v the augmented solve of
         T^T lam; the two sides agree identically, which is what makes the
-        scattering operator non-expansive.
+        scattering operator non-expansive. S lam is formed from the same v.
         """
         lam = np.asarray(lam, dtype=np.complex128)
-        v = self.aug.apply_inv(self.T.T @ lam)
+        v = self.aug.apply_inv(self._Tt @ lam)
         quad = complex(np.vdot(v, self._A_csr @ v))
         p = quad.imag if self.alpha == 1j else quad.real
-        s = self.apply_S(lam)
-        lhs = self.norm_Minv(s) ** 2 + 4.0 * p
+        lhs = self.norm_Minv(-lam + self._outgoing(v)) ** 2 + 4.0 * p
         rhs = self.norm_Minv(lam) ** 2
         return lhs, rhs, p
 
     def materialize_K(self) -> np.ndarray:
-        """Dense I - X^T S via column-by-column application."""
-        K = np.empty((self.dim, self.dim), dtype=np.complex128)
-        e = np.zeros(self.dim, dtype=np.complex128)
-        for j in range(self.dim):
-            e[j] = 1.0
-            K[:, j] = self.apply_K(e)
-            e[j] = 0.0
-        return K
+        """Dense I - X^T S, applied to the identity as one block of columns."""
+        return self.apply_K(np.eye(self.dim, dtype=np.complex128))
 
     def solve_direct(self, deflate=None) -> np.ndarray:
         """Dense reference multiplier; minimum-norm when Z is nontrivial.
@@ -224,10 +212,10 @@ def exceptional_exchange(decomp: Decomposition) -> ExchangeOperator:
     if problem.wave:
         raise ValueError("the one-step reflection needs the coercive regime "
                          "(real symmetric positive definite operators)")
-    A = decomp.A_blockdiag().toarray().real
+    A = decomp.A_blockdiag().real
     R = decomp.R_stacked().csr.real
     Ahat_fac = factorize(problem.A_hat())
-    RtA = R.T @ A
+    RtA = (R.T @ A).toarray()
     X = 2.0 * (R @ Ahat_fac.solve(RtA.astype(np.complex128)).real) - np.eye(A.shape[0])
     return ExchangeOperator("exceptional", X, None)
 
@@ -240,9 +228,9 @@ def exceptional_system(decomp: Decomposition) -> DualSystem:
     """
     X = exceptional_exchange(decomp)
     n_u = decomp.offsets[-1]
-    A = decomp.A_blockdiag().toarray().real
+    A = decomp.A_blockdiag().real
     T = scipy.sparse.identity(n_u, format="csr")
-    blocks = [2.0 * decomp.local_A(i).toarray() for i in range(decomp.n_sub)]
+    blocks = [2.0 * decomp.local_A(i) for i in range(decomp.n_sub)]
     aug = AugmentedLocal(blocks, decomp.offsets, 1.0)
     return DualSystem(decomp, aug, T, A, X.matrix, 1.0, decomp.f_concat, a4=True)
 
@@ -400,17 +388,17 @@ def fetih_build(decomp: Decomposition, system: FacetSystem,
 
     blocks, terms = [], []
     for i in range(decomp.n_sub):
-        base = decomp.local_A(i).toarray().astype(np.complex128)
-        term = np.zeros_like(base)
         c0, c1 = decomp.offsets[i], decomp.offsets[i + 1]
+        term = scipy.sparse.csr_array((c1 - c0, c1 - c0), dtype=np.complex128)
         for fidx in perp:
             F = system.facets[fidx]
             if i not in F.subdomains:
                 continue
             r0, r1 = trace.slot_range(i, fidx)
-            T_iF = trace.matrix[r0:r1, c0:c1].toarray()
-            term += 1j * signs[i] * (T_iF.T @ (impedance.facet_blocks[fidx] @ T_iF))
-        blocks.append(base + term)
+            T_iF = trace.matrix[r0:r1, c0:c1]
+            M_F = scipy.sparse.csr_array(impedance.facet_blocks[fidx])
+            term = term + 1j * signs[i] * (T_iF.T @ M_F @ T_iF)
+        blocks.append(decomp.local_A(i) + term)
         terms.append(term)
     aug = AugmentedLocal(blocks, decomp.offsets, 1j)
 
@@ -444,14 +432,15 @@ def fetih_solve(fetih: FetiH, tol: float = 1e-10,
     Returns (u, lambda, residual history).
     """
     B = fetih.B
+    Bt = B.T.tocsr()
     aug = fetih.aug
 
     def apply(lam):
-        return B @ aug.apply_inv(B.T @ lam)
+        return B @ aug.apply_inv(Bt @ lam)
 
     rhs = B @ aug.apply_inv(fetih.f)
     lam, history = gmres(apply, rhs, tol=tol, maxit=maxit)
-    u = aug.apply_inv(fetih.f - B.T @ lam)
+    u = aug.apply_inv(fetih.f - Bt @ lam)
     return u, lam, history
 
 

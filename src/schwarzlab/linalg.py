@@ -222,7 +222,7 @@ def factorize(A) -> DenseFactorization | SparseFactorization:
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("factorize expects a square matrix")
     n = A.shape[0]
-    scale = float(abs(A).max()) if n else 0.0
+    scale = float(np.abs(A.data if sparse else A).max()) if A.size else 0.0
     if sparse:
         try:
             lu = scipy.sparse.linalg.splu(A)

@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 
 from .decomp import Decomposition
 from .formulations import AugmentedLocal, DualSystem
@@ -200,6 +201,7 @@ def primal_iterate(decomp: Decomposition, aug: AugmentedLocal,
     X = exchange.matrix
     f = np.asarray(f, dtype=np.complex128)
 
+    Tt = T.T.tocsr()
     u = aug.apply_inv(f) if u0 is None else np.asarray(u0, np.complex128).copy()
     if u_ref is None:
         u_ref = reference_primal(decomp)
@@ -226,7 +228,7 @@ def primal_iterate(decomp: Decomposition, aug: AugmentedLocal,
         if it == cfg.maxit:
             break
         incoming = alpha * (M @ (X @ (T @ u))) - X.T @ extension.apply_T(A @ u - f)
-        u = (1.0 - cfg.beta) * u + cfg.beta * aug.apply_inv(f + T.T @ incoming)
+        u = (1.0 - cfg.beta) * u + cfg.beta * aug.apply_inv(f + Tt @ incoming)
 
     report.iterations = len(report.primal_errors) - 1
     report.u = u
@@ -263,7 +265,7 @@ def estimate_gamma(dual: DualSystem,
     """
     if K is None:
         K = dual.materialize_K()
-    w, V = np.linalg.eigh(dual.M)
+    w, V = np.linalg.eigh(dual.M.toarray() if scipy.sparse.issparse(dual.M) else dual.M)
     if w[0] <= 0.0:
         raise ValueError("impedance weight must be positive definite")
     M_half = (V * np.sqrt(w)) @ V.T

@@ -189,10 +189,6 @@ class ImpedanceOperator:
         value = float(np.vdot(lam, self.apply(lam)).real)
         return float(np.sqrt(max(value, 0.0)))
 
-    def subdomain_block(self, i: int) -> np.ndarray:
-        r0, r1 = self.trace.row_offsets[i], self.trace.row_offsets[i + 1]
-        return self.matrix[r0:r1, r0:r1]
-
 
 def build_impedance(trace: TraceOperator, variant: str, sigma: float,
                     weights=None) -> ImpedanceOperator:
@@ -385,12 +381,13 @@ class ExtensionOperator:
     """E with T E = I: places each trace value at its unique local dof."""
 
     matrix: scipy.sparse.csr_array = field(repr=False)
+    transpose: scipy.sparse.csr_array = field(repr=False)    # E^T = T, formed once
 
     def apply(self, lam) -> np.ndarray:
         return self.matrix @ np.asarray(lam, dtype=np.complex128)
 
     def apply_T(self, g) -> np.ndarray:
-        return self.matrix.T @ np.asarray(g, dtype=np.complex128)
+        return self.transpose @ np.asarray(g, dtype=np.complex128)
 
 
 def build_extension(trace: TraceOperator) -> ExtensionOperator:
@@ -402,4 +399,4 @@ def build_extension(trace: TraceOperator) -> ExtensionOperator:
     if not trace.surjective:
         raise ValueError("extension needs a surjective trace; bilateral systems "
                          "with cross points (multiplicity > 2) are rank-deficient")
-    return ExtensionOperator(matrix=trace.matrix.T.tocsr())
+    return ExtensionOperator(matrix=trace.matrix.T.tocsr(), transpose=trace.matrix)

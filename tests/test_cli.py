@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from schwarzlab import decomp
 from schwarzlab.cli import (build_instance, execute, interface_checks,
                             load_config, main, validate)
 
@@ -171,6 +172,23 @@ class TestVerifyCommand:
         assert result.exit_code == 0, result.output
         assert "PASS assembling_deviation" in result.output
         assert "FAIL" not in result.output
+
+    def test_mesh_order_fault_exits_four(self, tmp_path, monkeypatch):
+        contributions = decomp.element_contributions
+
+        def faulty(*args, **kwargs):
+            batch = contributions(*args, **kwargs)
+            batch.K[0, 0, 0] += 1e-3     # one local stiffness entry
+            return batch
+
+        monkeypatch.setattr(decomp, "element_contributions", faulty)
+        result = run_cli(["verify", "--preset", "loisel"]
+                         + [f"--set={s}" for s in FAST],
+                         tmp_path, monkeypatch)
+        assert result.exit_code == 4, result.output
+        # the canonical re-accumulation is consistent; only the mesh order sees it
+        assert "PASS assembling_deviation" in result.output
+        assert "FAIL mesh_order_deviation" in result.output
 
     def test_verify_writes_report(self, tmp_path, monkeypatch):
         result = run_cli(["verify", "--preset", "loisel"]

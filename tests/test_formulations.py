@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schwarzlab.decomp import check_assembling
 from schwarzlab.facets import build_facets, redundancy_basis
@@ -7,7 +9,7 @@ from schwarzlab.formulations import (augmented_factorize, build_dual_system,
                                      exceptional_exchange, exceptional_system,
                                      fetih_assembling_deviation, fetih_build,
                                      fetih_solve, twin_scalar)
-from schwarzlab.linalg import SingularMatrixError
+from schwarzlab.linalg import SingularMatrixError, SparseFactorization
 from schwarzlab.traces import (build_exchange, build_impedance, build_trace)
 
 from conftest import make_instance, primal_reference
@@ -28,7 +30,41 @@ class TestAugmented:
         imp = build_impedance(trace, "lumped_mass", 1.0)
         aug = augmented_factorize(dec, trace, imp, 1.0)
         for block in aug.matrices:
-            assert np.linalg.eigvalsh(block.real).min() > 0.0
+            assert np.linalg.eigvalsh(block.toarray().real).min() > 0.0
+
+    def test_every_local_factor_is_sparse(self, coercive_2x2):
+        _, prob, dec = coercive_2x2
+        trace = build_trace(build_facets(dec, "globs"), dec)
+        imp = build_impedance(trace, "lumped_mass", 1.0)
+        X = build_exchange(trace, imp, "weighted")
+        _, _, dec_d = make_instance(4, 4, 2, 2, boundary="dirichlet")
+        system_d = build_facets(dec_d, "bilateral_non_redundant")
+        imp_d = build_impedance(build_trace(system_d, dec_d), "lumped_mass", 1.0)
+        for aug in (build_dual_system(dec, trace, imp, X, prob.alpha).aug,
+                    exceptional_system(dec).aug,
+                    fetih_build(dec_d, system_d, imp_d).aug):
+            assert len(aug.factors) == 4
+            assert all(isinstance(f, SparseFactorization) for f in aug.factors)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.booleans(), st.sampled_from(["bilateral_max", "globs"]),
+       st.sampled_from([0, 1, 3]), st.integers(0, 2**32 - 1))
+def test_sparse_apply_inv_matches_dense(wave, facets, ncols, seed):
+    # ncols = 0 draws a 1-D right-hand side
+    _, _, dec = make_instance(6, 6, 2, 2, wave=wave, kappa=2.0 if wave else 0.0,
+                              eta=2.0 if wave else 1.0)
+    trace = build_trace(build_facets(dec, facets), dec)
+    imp = build_impedance(trace, "lumped_mass", 2.0)
+    aug = augmented_factorize(dec, trace, imp, 1j if wave else 1.0)
+    rng = np.random.default_rng(seed)
+    shape = (dec.offsets[-1], ncols) if ncols else (dec.offsets[-1],)
+    g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    ref = np.concatenate([np.linalg.solve(block.toarray(), dec.block(g, i))
+                          for i, block in enumerate(aug.matrices)])
+    out = aug.apply_inv(g)
+    assert out.shape == g.shape
+    assert np.linalg.norm(out - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 class TestScattering:
@@ -116,7 +152,47 @@ class TestRhsAndRecovery:
         assert nullity == redundancy_basis(system, trace).dimension
 
 
+class TestBlockApplication:
+    @pytest.mark.parametrize("facet_variant,exchange_variant,a4", [
+        ("bilateral_max", "swap", True),
+        ("globs", "weighted", True),
+        ("globs", "glob_local", False),
+    ])
+    def test_materialize_K_matches_columns(self, helmholtz_2x2, facet_variant,
+                                           exchange_variant, a4):
+        _, prob, dec = helmholtz_2x2
+        trace = build_trace(build_facets(dec, facet_variant), dec)
+        imp = build_impedance(trace, "lumped_mass", 2.0)
+        X = build_exchange(trace, imp, exchange_variant)
+        dual = build_dual_system(dec, trace, imp, X, prob.alpha, a4=a4)
+        columns = np.column_stack([dual.apply_K(e) for e in np.eye(dual.dim)])
+        K = dual.materialize_K()
+        assert np.max(np.abs(K - columns)) <= 1e-13 * max(1.0, np.max(np.abs(columns)))
+
+    def test_impedance_factorization_reused(self, helmholtz_2x2):
+        _, prob, dec = helmholtz_2x2
+        trace = build_trace(build_facets(dec, "globs"), dec)
+        imp = build_impedance(trace, "lumped_mass", 2.0)
+        X = build_exchange(trace, imp, "weighted")
+        dual = build_dual_system(dec, trace, imp, X, prob.alpha)
+        assert dual._M_fac is imp._fac
+
+
 class TestPseudoEnergy:
+    def test_one_block_solve_per_call(self, helmholtz_2x2):
+        _, prob, dec = helmholtz_2x2
+        trace = build_trace(build_facets(dec, "globs"), dec)
+        imp = build_impedance(trace, "lumped_mass", 2.0)
+        X = build_exchange(trace, imp, "weighted")
+        dual = build_dual_system(dec, trace, imp, X, prob.alpha)
+        solves = []
+        apply_inv = dual.aug.apply_inv
+        dual.aug.apply_inv = lambda g: solves.append(g) or apply_inv(g)
+        lam = np.random.default_rng(4).standard_normal(dual.dim) + 0j
+        lhs, rhs, _p = dual.pseudo_energy(lam)
+        assert len(solves) == 1
+        assert abs(lhs - rhs) <= 1e-10 * rhs
+
     def test_twin_zero_scattering_split(self):
         ts = twin_scalar(a=(1.0, 1.0), m=1.0, alpha=1.0)
         rng = np.random.default_rng(1)
