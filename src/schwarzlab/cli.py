@@ -22,6 +22,7 @@ import numpy as np
 
 from .decomp import (ASSEMBLY_TOL, Decomposition, build_restrictions, check_assembling,
                      partition_grid)
+from .facets import VARIANTS as FACET_VARIANTS
 from .facets import build_facets, check_admissibility, redundancy_basis
 from .formulations import (DualSystem, build_dual_system, exceptional_system,
                            fetih_assembling_deviation, fetih_build, fetih_solve)
@@ -29,14 +30,24 @@ from .linalg import save_matrix_market
 from .meshfem import assemble, build_mesh
 from .solvers import (IterationConfig, estimate_gamma, gmres_dual, primal_iterate,
                       reference_primal, richardson)
-from .traces import (build_exchange, build_extension, build_impedance, build_trace)
+from .traces import IMPEDANCE_VARIANTS, build_exchange, build_impedance, build_trace
+from .traces import EXCHANGE_VARIANTS as _INTERFACE_EXCHANGES
+
+__all__ = [
+    "RunConfig",
+    "Instance",
+    "load_config",
+    "validate",
+    "build_instance",
+    "interface_checks",
+    "execute",
+    "write_outputs",
+    "resolve_outdir",
+    "main",
+]
 
 PROBLEM_TYPES = ("laplace", "reaction_diffusion", "helmholtz")
-FACET_VARIANTS = ("bilateral_max", "bilateral_properly_closed",
-                  "bilateral_non_redundant", "globs")
-EXCHANGE_VARIANTS = ("swap", "multiplicity", "weighted", "glob_local",
-                     "global", "exceptional")
-IMPEDANCE_VARIANTS = ("scalar", "lumped_mass", "diagonal", "glob_block")
+EXCHANGE_VARIANTS = _INTERFACE_EXCHANGES + ("exceptional",)
 METHODS = ("richardson", "gmres", "primal", "fetih")
 
 GAMMA_DIM_LIMIT = 400    # dense materialization budget for gamma estimates
@@ -438,11 +449,10 @@ def execute(inst: Instance) -> dict:
             rep.primal_errors = [float(np.linalg.norm(rep.u - u_ref)) / u_scale]
             rows = [(i, r, "", "") for i, r in enumerate(rep.residuals)]
         else:  # primal
-            extension = build_extension(inst.trace)
             cfg_it = IterationConfig(beta=g("solver", "beta"), tol=g("solver", "tol"),
                                      maxit=g("solver", "maxit"), seed=None)
             rep = primal_iterate(inst.decomp, dual.aug, inst.trace, inst.impedance,
-                                 inst.exchange, extension, inst.decomp.f_concat,
+                                 inst.exchange, inst.decomp.f_concat,
                                  cfg_it, u_ref=u_ref)
             rows = [(i, e, e, "") for i, e in enumerate(rep.primal_errors)]
         report_core = {
@@ -487,14 +497,11 @@ def write_outputs(report: dict, outdir: Path, inst: Instance | None = None,
         json.dump(report, handle, indent=2, default=_json_default)
         handle.write("\n")
     if dump_operators and inst is not None:
-        from .linalg import SparseMatrix
         save_matrix_market(outdir / "A_hat.mtx", inst.problem.A_hat())
         for i in range(inst.decomp.n_sub):
-            save_matrix_market(outdir / f"A_{i}.mtx",
-                               SparseMatrix.from_csr(inst.decomp.local_A(i)))
+            save_matrix_market(outdir / f"A_{i}.mtx", inst.decomp.local_A(i))
         if inst.trace is not None:
-            save_matrix_market(outdir / "T.mtx",
-                               SparseMatrix.from_csr(inst.trace.matrix))
+            save_matrix_market(outdir / "T.mtx", inst.trace.matrix)
 
 
 def _json_default(value):
@@ -516,6 +523,9 @@ def resolve_outdir(cfg: RunConfig) -> Path:
 
 
 def _load_or_exit(config, preset, sets) -> RunConfig:
+    if config is None and preset is None:
+        click.echo("give a config file or --preset", err=True)
+        raise SystemExit(2)
     overrides = {}
     for item in sets:
         dotted, _, value = item.partition("=")
@@ -548,9 +558,6 @@ def main():
               help="override a single config value")
 def run(config, preset, sets):
     """Build the configured instance, solve it, and write report + history."""
-    if config is None and preset is None:
-        click.echo("give a config file or --preset", err=True)
-        raise SystemExit(2)
     cfg = _load_or_exit(config, preset, sets)
     inst = build_instance(cfg)
     report = execute(inst)
@@ -573,9 +580,6 @@ def run(config, preset, sets):
 @click.option("--set", "sets", multiple=True, metavar="SECTION.KEY=VALUE")
 def verify(config, preset, sets):
     """Run the invariant battery on the configured instance; no solve."""
-    if config is None and preset is None:
-        click.echo("give a config file or --preset", err=True)
-        raise SystemExit(2)
     cfg = _load_or_exit(config, preset, sets)
     inst = build_instance(cfg)
     checks = interface_checks(inst)
@@ -609,9 +613,6 @@ def verify(config, preset, sets):
               help="sweep a key over listed values; repeat for a Cartesian grid")
 def sweep(config, preset, sets, varies):
     """Cartesian sweep: one subdirectory per parameter combination."""
-    if config is None and preset is None:
-        click.echo("give a config file or --preset", err=True)
-        raise SystemExit(2)
     axes = []
     for item in varies:
         dotted, _, values = item.partition("=")

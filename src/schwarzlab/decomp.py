@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse
 
-from .linalg import SparseMatrix
+from .linalg import accumulate
 from .meshfem import GlobalProblem, StructuredMesh, element_contributions, point_source_dof
 
 __all__ = [
@@ -85,22 +85,6 @@ def _multiplicities(n: int, maps) -> Multiplicities:
                           interface_dofs=np.flatnonzero(mu >= 2))
 
 
-def _accumulate_vector(rows, vals, n):
-    out = np.zeros(n, dtype=np.complex128)
-    if len(rows) == 0:
-        return out
-    rows = np.asarray(rows, dtype=np.int64)
-    vals = np.asarray(vals, dtype=np.complex128)
-    order = np.lexsort((np.arange(len(rows)), rows))
-    r, v = rows[order], vals[order]
-    boundary = np.empty(len(r), dtype=bool)
-    boundary[0] = True
-    boundary[1:] = r[1:] != r[:-1]
-    starts = np.flatnonzero(boundary)
-    out[r[starts]] = np.add.reduceat(v, starts)
-    return out
-
-
 class Decomposition:
     """Restrictions, local operators, loads, and multiplicities.
 
@@ -114,7 +98,7 @@ class Decomposition:
         self.problem = problem
         self.source_problem = source_problem if source_problem is not None else problem
         self.maps = [np.asarray(g, dtype=np.int64) for g in maps]
-        self.local_parts = local_parts      # list of dicts name -> SparseMatrix
+        self.local_parts = local_parts      # list of dicts name -> csr_array
         self.f_locals = [np.asarray(fl, dtype=np.complex128) for fl in f_locals]
         self.partition = partition
         self.n = int(problem.n)
@@ -130,30 +114,23 @@ class Decomposition:
 
     # -- restriction operators --------------------------------------------
 
-    def R_matrix(self, i: int) -> SparseMatrix:
+    def R_matrix(self, i: int) -> scipy.sparse.csr_array:
         g = self.maps[i]
-        csr = scipy.sparse.csr_array(
+        return scipy.sparse.csr_array(
             (np.ones(len(g), dtype=np.complex128), (np.arange(len(g)), g)),
             shape=(len(g), self.n))
-        return SparseMatrix.from_csr(csr)
 
-    def R_stacked(self) -> SparseMatrix:
+    def R_stacked(self) -> scipy.sparse.csr_array:
         """The compound restriction R: global space -> product space U."""
         rows = np.arange(self.offsets[-1])
         cols = np.concatenate(self.maps) if self.maps else np.empty(0, dtype=np.int64)
-        csr = scipy.sparse.csr_array(
+        return scipy.sparse.csr_array(
             (np.ones(len(rows), dtype=np.complex128), (rows, cols)),
             shape=(self.offsets[-1], self.n))
-        return SparseMatrix.from_csr(csr)
 
     def apply_R(self, vhat) -> np.ndarray:
         vhat = np.asarray(vhat, dtype=np.complex128)
         return np.concatenate([vhat[g] for g in self.maps])
-
-    def apply_RT(self, u) -> np.ndarray:
-        u = np.asarray(u, dtype=np.complex128)
-        rows = np.concatenate(self.maps)
-        return _accumulate_vector(rows, u, self.n)
 
     def block(self, u, i: int) -> np.ndarray:
         return np.asarray(u)[self.offsets[i]:self.offsets[i + 1]]
@@ -163,10 +140,7 @@ class Decomposition:
     def local_A(self, i: int) -> scipy.sparse.csr_array:
         """Combined complex local operator per the problem's wave flag."""
         parts = self.local_parts[i]
-        return self.problem.combine(parts["A0"].csr, parts["A1"].csr, parts["A2"].csr)
-
-    def local_part(self, i: int, name: str) -> SparseMatrix:
-        return self.local_parts[i][name]
+        return self.problem.combine(parts["A0"], parts["A1"], parts["A2"])
 
     def A_blockdiag(self) -> scipy.sparse.csr_array:
         """Block-diagonal operator on the product space U."""
@@ -187,17 +161,15 @@ class Decomposition:
         for name in _PARTS:
             rows, cols, vals = [], [], []
             for i in range(self.n_sub):
-                coo = scipy.sparse.coo_array(local_parts[i][name].csr)
+                coo = scipy.sparse.coo_array(local_parts[i][name])
                 g = self.maps[i]
                 rows.append(g[coo.row])
                 cols.append(g[coo.col])
                 vals.append(coo.data)
-            summed[name] = SparseMatrix.from_triplets(
-                np.concatenate(rows), np.concatenate(cols), np.concatenate(vals),
-                (self.n, self.n))
-        f_rows = np.concatenate(self.maps)
-        f_vals = np.concatenate(f_locals)
-        f_hat = _accumulate_vector(f_rows, f_vals, self.n)
+            summed[name] = accumulate(np.concatenate(rows), np.concatenate(cols),
+                                      np.concatenate(vals), (self.n, self.n))
+        f_hat = accumulate(np.concatenate(self.maps), None, np.concatenate(f_locals),
+                           (self.n,))
         return summed, f_hat
 
 
@@ -230,8 +202,7 @@ def build_restrictions(mesh: StructuredMesh, partition: Partition,
         pair_mask = keep[:, :, None] & keep[:, None, :]      # (ne, 3, 3)
         rows = np.broadcast_to(local[:, :, None], pair_mask.shape)[pair_mask]
         cols = np.broadcast_to(local[:, None, :], pair_mask.shape)[pair_mask]
-        parts = {name: SparseMatrix.from_triplets(
-                     rows, cols, values[elements][pair_mask], (n_i, n_i))
+        parts = {name: accumulate(rows, cols, values[elements][pair_mask], (n_i, n_i))
                  for name, values in (("A0", contribs.K), ("A1", contribs.A1),
                                       ("A2", contribs.A2))}
         f_rows = local[keep]
@@ -242,7 +213,7 @@ def build_restrictions(mesh: StructuredMesh, partition: Partition,
             point_assigned = True
         maps.append(g)
         local_parts.append(parts)
-        f_locals.append(_accumulate_vector(f_rows, f_vals, n_i))
+        f_locals.append(accumulate(f_rows, None, f_vals, (n_i,)))
 
     decomp = Decomposition(problem, maps, local_parts, f_locals,
                            source_problem=problem, partition=partition)
@@ -281,7 +252,7 @@ def check_assembling(decomp: Decomposition, local_parts=None, f_locals=None,
     max_dev = 0.0
     worst = None
     for name in _PARTS:
-        diff = (summed[name].csr - getattr(decomp.problem, name).csr).tocoo()
+        diff = (summed[name] - getattr(decomp.problem, name)).tocoo()
         if diff.nnz:
             idx = int(np.argmax(np.abs(diff.data)))
             if abs(diff.data[idx]) > max_dev:
@@ -292,7 +263,7 @@ def check_assembling(decomp: Decomposition, local_parts=None, f_locals=None,
     mesh_dev = 0.0
     src = decomp.source_problem
     for name in _PARTS:
-        diff = (summed[name].csr - getattr(src, name).csr).tocoo()
+        diff = (summed[name] - getattr(src, name)).tocoo()
         if diff.nnz:
             mesh_dev = max(mesh_dev, float(np.max(np.abs(diff.data))))
     mesh_dev = max(mesh_dev, float(np.max(np.abs(f_hat - src.f))) if decomp.n else 0.0)

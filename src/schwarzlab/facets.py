@@ -27,6 +27,7 @@ __all__ = [
     "connectivity_graphs",
     "check_admissibility",
     "redundancy_basis",
+    "spanning_forest",
     "export_facets_text",
 ]
 
@@ -72,41 +73,16 @@ class ConnectivityGraph:
 
     @property
     def n_cycles(self) -> int:
-        components = _component_count(self.nodes, self.edges)
+        _tree, components = spanning_forest(self.nodes, self.edges)
         return len(self.edges) - len(self.nodes) + components
 
 
-def _component_count(nodes, edges) -> int:
-    parent = {v: v for v in nodes}
+def spanning_forest(nodes, edges) -> tuple[list[tuple[int, int]], int]:
+    """Kruskal (union-find) over the edges in sorted order.
 
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    count = len(nodes)
-    for a, b in edges:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-            count -= 1
-    return count
-
-
-def _shared_dof_table(multiplicities: Multiplicities):
-    """Map unordered subdomain pair -> sorted shared interface dofs."""
-    table: dict[tuple[int, int], list[int]] = {}
-    for k in multiplicities.interface_dofs:
-        owners = multiplicities.sharing[int(k)]
-        for a in range(len(owners)):
-            for b in range(a + 1, len(owners)):
-                table.setdefault((owners[a], owners[b]), []).append(int(k))
-    return table
-
-
-def _spanning_tree(nodes, edges):
-    """Kruskal on lexicographically sorted (min, max) edge keys."""
+    Returns the forest's edges, in the order they were taken, and the number
+    of connected components.
+    """
     parent = {v: v for v in nodes}
 
     def find(v):
@@ -121,7 +97,18 @@ def _spanning_tree(nodes, edges):
         if ra != rb:
             parent[ra] = rb
             tree.append((a, b))
-    return tree
+    return tree, len(parent) - len(tree)
+
+
+def _shared_dof_table(multiplicities: Multiplicities):
+    """Map unordered subdomain pair -> sorted shared interface dofs."""
+    table: dict[tuple[int, int], list[int]] = {}
+    for k in multiplicities.interface_dofs:
+        owners = multiplicities.sharing[int(k)]
+        for a in range(len(owners)):
+            for b in range(a + 1, len(owners)):
+                table.setdefault((owners[a], owners[b]), []).append(int(k))
+    return table
 
 
 def build_bilateral(multiplicities: Multiplicities, variant: str,
@@ -148,7 +135,7 @@ def build_bilateral(multiplicities: Multiplicities, variant: str,
         for k in multiplicities.interface_dofs:
             owners = multiplicities.sharing[int(k)]
             edges = [p for p in pairs if int(k) in table[p]]
-            tree = set(_spanning_tree(owners, edges))
+            tree = set(spanning_forest(owners, edges)[0])
             for p in edges:
                 if p in tree:
                     kept[p].append(int(k))
@@ -202,7 +189,7 @@ def connectivity_graphs(system: FacetSystem,
         k = int(k)
         nodes = multiplicities.sharing[k]
         edges = tuple(edges_of[k])
-        connected = _component_count(nodes, edges) == 1
+        connected = spanning_forest(nodes, edges)[1] == 1
         out[k] = ConnectivityGraph(dof=k, nodes=nodes, edges=edges, connected=connected)
     return out
 
@@ -274,8 +261,8 @@ def redundancy_basis(system: FacetSystem, trace) -> RedundancyBasis:
                      for idx, F in enumerate(system.facets)}
     columns = []
     for k, graph in sorted(connectivity_graphs(system, trace.multiplicities).items()):
-        edges = [e for e in graph.edges]
-        tree = _spanning_tree(graph.nodes, edges)
+        edges = graph.edges
+        tree, _components = spanning_forest(graph.nodes, edges)
         adj: dict[int, list[int]] = {v: [] for v in graph.nodes}
         for a, b in tree:
             adj[a].append(b)

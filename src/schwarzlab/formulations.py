@@ -4,8 +4,8 @@ sign-regularized one-sided jump method.
 
 The dual system is the interface fixed-point equation
 (I - X^T S) lambda = d with the scattering operator
-S = -I + 2 alpha M T (A + alpha T^T M T)^{-1} T^T under side-equal
-impedance; the general side-unequal form replaces 2M by (M + X^T M X).
+S = -I + 2 alpha M T (A + alpha T^T M T)^{-1} T^T; the factor 2M holds
+because every impedance is side-equal (one block on all sides of a facet).
 Every scattering application costs one augmented solve per subdomain.
 """
 
@@ -17,7 +17,7 @@ import numpy as np
 import scipy.sparse
 
 from .decomp import Decomposition
-from .facets import Facet, FacetSystem, build_bilateral
+from .facets import Facet, FacetSystem, spanning_forest
 from .linalg import SingularMatrixError, SparseFactorization, factorize, gmres
 from .traces import (ExchangeOperator, ImpedanceOperator, TraceOperator,
                      build_exchange, build_impedance, build_trace)
@@ -26,10 +26,10 @@ __all__ = [
     "AugmentedLocal",
     "DualSystem",
     "FetiH",
-    "augmented_factorize",
     "build_dual_system",
     "exceptional_exchange",
     "exceptional_system",
+    "fetih_assembling_deviation",
     "fetih_build",
     "fetih_solve",
     "twin_scalar",
@@ -74,20 +74,12 @@ class AugmentedLocal:
         return out
 
 
-def augmented_factorize(decomp: Decomposition, trace: TraceOperator,
-                        impedance: ImpedanceOperator, alpha: complex) -> AugmentedLocal:
-    """Factor the augmented subdomain operators; fails on singular blocks."""
-    return AugmentedLocal.build(decomp, trace, impedance, alpha)
-
-
 class DualSystem:
     """The interface equation (I - X^T S) lambda = d and its building blocks."""
 
     def __init__(self, decomp: Decomposition, aug: AugmentedLocal,
                  T: scipy.sparse.csr_array, M: np.ndarray | scipy.sparse.sparray,
-                 X: np.ndarray, alpha: complex, f: np.ndarray, a4: bool = True,
-                 trace: TraceOperator | None = None,
-                 system: FacetSystem | None = None,
+                 X: np.ndarray, alpha: complex, f: np.ndarray,
                  impedance: ImpedanceOperator | None = None):
         self.decomp = decomp
         self.aug = aug
@@ -96,18 +88,11 @@ class DualSystem:
         self.X = np.asarray(X)
         self.alpha = complex(alpha)
         self.f = np.asarray(f, dtype=np.complex128)
-        self.a4 = bool(a4)
-        self.trace = trace
-        self.system = system
         self.impedance = impedance
         self.dim = T.shape[0]
         self._Tt = T.T.tocsr()
         self._M_fac = impedance._fac if impedance is not None else factorize(self.M)
         self._A_csr = decomp.A_blockdiag()
-        if not a4:
-            self._M_eff = self.M + self.X.T @ self.M @ self.X
-        else:
-            self._M_eff = None
 
     # -- norms -------------------------------------------------------------
 
@@ -118,10 +103,8 @@ class DualSystem:
     # -- operator applications --------------------------------------------
 
     def _outgoing(self, v) -> np.ndarray:
-        """2 alpha M T v (or alpha (M + X^T M X) T v) for an augmented solve v."""
-        if self.a4:
-            return 2.0 * self.alpha * (self.M @ (self.T @ v))
-        return self.alpha * (self._M_eff @ (self.T @ v))
+        """2 alpha M T v for an augmented solve v."""
+        return 2.0 * self.alpha * (self.M @ (self.T @ v))
 
     def apply_S(self, lam) -> np.ndarray:
         lam = np.asarray(lam, dtype=np.complex128)
@@ -188,14 +171,11 @@ class DualSystem:
 
 def build_dual_system(decomp: Decomposition, trace: TraceOperator,
                       impedance: ImpedanceOperator, exchange: ExchangeOperator,
-                      alpha: complex, a4: bool | None = None) -> DualSystem:
+                      alpha: complex) -> DualSystem:
     """Assemble the dual system from interface operators."""
-    aug = augmented_factorize(decomp, trace, impedance, alpha)
-    if a4 is None:
-        a4 = impedance.a4_compatible
+    aug = AugmentedLocal.build(decomp, trace, impedance, alpha)
     return DualSystem(decomp, aug, trace.matrix, impedance.matrix, exchange.matrix,
-                      alpha, decomp.f_concat, a4=a4, trace=trace,
-                      system=trace.system, impedance=impedance)
+                      alpha, decomp.f_concat, impedance=impedance)
 
 
 # -- exceptional one-step reflection ---------------------------------------
@@ -213,7 +193,7 @@ def exceptional_exchange(decomp: Decomposition) -> ExchangeOperator:
         raise ValueError("the one-step reflection needs the coercive regime "
                          "(real symmetric positive definite operators)")
     A = decomp.A_blockdiag().real
-    R = decomp.R_stacked().csr.real
+    R = decomp.R_stacked().real
     Ahat_fac = factorize(problem.A_hat())
     RtA = (R.T @ A).toarray()
     X = 2.0 * (R @ Ahat_fac.solve(RtA.astype(np.complex128)).real) - np.eye(A.shape[0])
@@ -232,7 +212,7 @@ def exceptional_system(decomp: Decomposition) -> DualSystem:
     T = scipy.sparse.identity(n_u, format="csr")
     blocks = [2.0 * decomp.local_A(i) for i in range(decomp.n_sub)]
     aug = AugmentedLocal(blocks, decomp.offsets, 1.0)
-    return DualSystem(decomp, aug, T, A, X.matrix, 1.0, decomp.f_concat, a4=True)
+    return DualSystem(decomp, aug, T, A, X.matrix, 1.0, decomp.f_concat)
 
 
 # -- twin-scalar fixture ---------------------------------------------------
@@ -257,9 +237,8 @@ class _ScalarProblem:
     def combine(self, A0, A1, A2):
         return A0 + A1 + A2
 
-    def A_hat(self):
-        from .linalg import SparseMatrix
-        return SparseMatrix.from_dense([[self.a[0] + self.a[1]]])
+    def A_hat(self) -> scipy.sparse.csr_array:
+        return _scalar_csr(self.a[0] + self.a[1])
 
     def direct_solve(self) -> np.ndarray:
         return np.array([self.f_hat / (self.a[0] + self.a[1])], dtype=np.complex128)
@@ -281,17 +260,16 @@ class TwinScalar:
     dual: DualSystem
 
 
+def _scalar_csr(value) -> scipy.sparse.csr_array:
+    return scipy.sparse.csr_array(np.array([[value]], dtype=np.complex128))
+
+
 def twin_scalar(a=(1.0, 1.0), m: float = 1.0, alpha: complex = 1.0,
                 f=(1.0, 1.0)) -> TwinScalar:
-    from .linalg import SparseMatrix
-
     problem = _ScalarProblem(a=(float(a[0]), float(a[1])),
                              f_hat=complex(f[0]) + complex(f[1]))
-    zero = SparseMatrix.from_dense([[0.0]])
-    local_parts = [
-        {"A0": SparseMatrix.from_dense([[a[0]]]), "A1": zero, "A2": zero},
-        {"A0": SparseMatrix.from_dense([[a[1]]]), "A1": zero, "A2": zero},
-    ]
+    zero = _scalar_csr(0.0)
+    local_parts = [{"A0": _scalar_csr(a[i]), "A1": zero, "A2": zero} for i in (0, 1)]
     decomp = Decomposition(problem, [[0], [0]], local_parts,
                            [[complex(f[0])], [complex(f[1])]])
     system = FacetSystem(variant="bilateral_max",
@@ -340,32 +318,18 @@ def fetih_build(decomp: Decomposition, system: FacetSystem,
     """
     if not system.is_bilateral:
         raise ValueError("the one-sided jump method needs a bilateral facet system")
-    for i in range(decomp.n_sub):
-        if decomp.local_part(i, "A1").nnz and decomp.local_part(i, "A1").max_abs() > 0:
+    for parts in decomp.local_parts:
+        if np.any(parts["A1"].data):
             raise ValueError("the one-sided jump method needs loss-free local "
                              "operators (zero first-order loss part)")
     trace = impedance.trace
     if trace.system is not system:
         raise ValueError("impedance was built for a different facet system")
 
-    pairs = sorted({tuple(sorted(F.subdomains)) for F in system.facets})
+    pairs = {tuple(sorted(F.subdomains)) for F in system.facets}
     nodes = range(decomp.n_sub)
-    # Kruskal spanning tree in lexicographic edge order
-    parent = {v: v for v in nodes}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    tree = []
-    for a, b in pairs:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-            tree.append((a, b))
-    if len(tree) != decomp.n_sub - 1:
+    tree, components = spanning_forest(nodes, pairs)
+    if components != 1:
         raise ValueError("subdomain adjacency graph is disconnected")
 
     adj = {v: [] for v in nodes}
@@ -465,8 +429,7 @@ def fetih_assembling_deviation(fetih: FetiH) -> float:
     dev_terms = float(np.max(np.abs(term_total))) if n else 0.0
     # the base operators re-accumulate bitwise to the decomposition's global
     summed, _ = decomp.accumulate_global()
-    combined = decomp.problem.combine(summed["A0"].csr, summed["A1"].csr,
-                                      summed["A2"].csr)
-    diff = (combined - decomp.problem.A_hat().csr).tocoo()
+    combined = decomp.problem.combine(summed["A0"], summed["A1"], summed["A2"])
+    diff = (combined - decomp.problem.A_hat()).tocoo()
     dev_base = float(np.max(np.abs(diff.data))) if diff.nnz else 0.0
     return max(dev_terms, dev_base)

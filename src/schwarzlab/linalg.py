@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 import scipy.io
@@ -18,13 +18,12 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 __all__ = [
-    "SparseMatrix",
     "DenseFactorization",
     "SparseFactorization",
     "WeightedInnerProduct",
     "SingularMatrixError",
     "GmresBreakdownError",
-    "spmv",
+    "accumulate",
     "factorize",
     "gmres",
     "save_matrix_market",
@@ -47,128 +46,41 @@ class GmresBreakdownError(RuntimeError):
         self.iteration = iteration
 
 
-class SparseMatrix:
-    """Immutable complex sparse matrix in compressed-row layout.
+def accumulate(rows, cols, values, shape):
+    """Sum duplicate entries in order of appearance; deterministic assembly.
 
-    Duplicate (row, col) pairs in the input are summed during finalization,
-    left to right in order of appearance (deterministic accumulation).
+    With 2-D `shape` the (row, col, value) triplets become a canonical complex
+    CSR array; with cols=None and shape=(n,) the (row, value) pairs become a
+    dense complex vector. np.add.reduceat adds group members sequentially
+    left to right, so the result is bitwise reproducible for a fixed order.
     """
-
-    __slots__ = ("csr", "symmetric_structure")
-
-    def __init__(
-        self,
-        rows: int,
-        cols: int,
-        entries: Sequence[tuple[int, int, complex]] | None = None,
-        *,
-        symmetric_structure: bool = False,
-    ):
-        if entries:
-            r = np.asarray([e[0] for e in entries], dtype=np.int64)
-            c = np.asarray([e[1] for e in entries], dtype=np.int64)
-            v = np.asarray([e[2] for e in entries], dtype=np.complex128)
-            self.csr = _accumulate_csr(r, c, v, (rows, cols))
-        else:
-            self.csr = scipy.sparse.csr_array((rows, cols), dtype=np.complex128)
-        if symmetric_structure and rows == cols:
-            pat = self.csr.copy()
-            pat.data = np.ones_like(pat.data)
-            if (pat - pat.T).nnz != 0:
-                raise ValueError("entry pattern is not structurally symmetric")
-        self.symmetric_structure = bool(symmetric_structure)
-
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def from_csr(cls, csr, *, symmetric_structure: bool = False) -> "SparseMatrix":
-        out = cls.__new__(cls)
-        out.csr = scipy.sparse.csr_array(csr, dtype=np.complex128)
-        out.symmetric_structure = bool(symmetric_structure)
-        return out
-
-    @classmethod
-    def from_triplets(cls, rows, cols, values, shape) -> "SparseMatrix":
-        out = cls.__new__(cls)
-        out.csr = _accumulate_csr(
-            np.asarray(rows, dtype=np.int64),
-            np.asarray(cols, dtype=np.int64),
-            np.asarray(values, dtype=np.complex128),
-            shape,
-        )
-        out.symmetric_structure = False
-        return out
-
-    @classmethod
-    def from_dense(cls, dense) -> "SparseMatrix":
-        return cls.from_csr(scipy.sparse.csr_array(np.asarray(dense, dtype=np.complex128)))
-
-    @classmethod
-    def identity(cls, n: int) -> "SparseMatrix":
-        return cls.from_csr(scipy.sparse.identity(n, dtype=np.complex128, format="csr"),
-                            symmetric_structure=True)
-
-    # -- queries -----------------------------------------------------------
-
-    @property
-    def rows(self) -> int:
-        return self.csr.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.csr.shape[1]
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.csr.shape
-
-    @property
-    def nnz(self) -> int:
-        return self.csr.nnz
-
-    def to_dense(self) -> np.ndarray:
-        return self.csr.toarray()
-
-    def transpose(self) -> "SparseMatrix":
-        return SparseMatrix.from_csr(self.csr.T.tocsr(),
-                                     symmetric_structure=self.symmetric_structure)
-
-    def __matmul__(self, other):
-        if isinstance(other, SparseMatrix):
-            return SparseMatrix.from_csr(self.csr @ other.csr)
-        return spmv(self, other)
-
-    def max_abs(self) -> float:
-        return float(np.max(np.abs(self.csr.data))) if self.csr.nnz else 0.0
-
-
-def _accumulate_csr(rows, cols, values, shape):
-    """Sum duplicate triplets in appearance order; return canonical CSR.
-
-    np.add.reduceat adds group members sequentially left to right, so the
-    result is bitwise reproducible for a fixed triplet order.
-    """
+    rows = np.asarray(rows, dtype=np.int64)
+    values = np.asarray(values, dtype=np.complex128)
+    if cols is None:
+        out = np.zeros(shape, dtype=np.complex128)
+        keys = (np.arange(len(rows)), rows)
+    else:
+        cols = np.asarray(cols, dtype=np.int64)
+        out = scipy.sparse.csr_array(shape, dtype=np.complex128)
+        keys = (np.arange(len(rows)), cols, rows)
     if len(values) == 0:
-        return scipy.sparse.csr_array(shape, dtype=np.complex128)
-    order = np.lexsort((np.arange(len(rows)), cols, rows))  # stable within (r, c)
-    r, c, v = rows[order], cols[order], values[order]
+        return out
+    order = np.lexsort(keys)            # stable within each (row, col) group
+    r, v = rows[order], values[order]
     boundary = np.empty(len(r), dtype=bool)
     boundary[0] = True
-    boundary[1:] = (r[1:] != r[:-1]) | (c[1:] != c[:-1])
+    boundary[1:] = r[1:] != r[:-1]
+    if cols is not None:
+        c = cols[order]
+        boundary[1:] |= c[1:] != c[:-1]
     starts = np.flatnonzero(boundary)
     summed = np.add.reduceat(v, starts)
+    if cols is None:
+        out[r[starts]] = summed
+        return out
     csr = scipy.sparse.csr_array((summed, (r[starts], c[starts])), shape=shape)
     csr.sort_indices()
     return csr
-
-
-def spmv(A: SparseMatrix, x) -> np.ndarray:
-    """Sparse matrix-vector product A @ x."""
-    x = np.asarray(x, dtype=np.complex128)
-    if A.cols != x.shape[0]:
-        raise ValueError(f"dimension mismatch: matrix has {A.cols} columns, "
-                         f"vector has {x.shape[0]} entries")
-    return A.csr @ x
 
 
 @dataclass(frozen=True)
@@ -211,12 +123,9 @@ def _check_pivots(pivots: np.ndarray, scale: float) -> None:
 def factorize(A) -> DenseFactorization | SparseFactorization:
     """LU with partial pivoting; rejects singular-to-tolerance pivots.
 
-    A SparseMatrix or scipy sparse matrix gets a sparse LU, a dense array a
-    dense LU. Either way a pivot of magnitude at most PIVOT_TOL * max|A|
+    A scipy sparse matrix gets a sparse LU, a dense array a dense LU. Either way a pivot of magnitude at most PIVOT_TOL * max|A|
     raises SingularMatrixError, and `solve` takes 1-D or 2-D right-hand sides.
     """
-    if isinstance(A, SparseMatrix):
-        A = A.csr
     sparse = scipy.sparse.issparse(A)
     A = scipy.sparse.csc_array(A, dtype=np.complex128) if sparse else np.asarray(A, np.complex128)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -249,9 +158,7 @@ class WeightedInnerProduct:
     def __init__(self, weight, mode: str = "M", factorization=None):
         if mode not in ("M", "M_inverse"):
             raise ValueError("mode must be 'M' or 'M_inverse'")
-        if isinstance(weight, SparseMatrix):
-            dense = weight.to_dense()
-        elif scipy.sparse.issparse(weight):
+        if scipy.sparse.issparse(weight):
             dense = weight.toarray().astype(np.complex128)
         else:
             dense = np.asarray(weight, dtype=np.complex128)
@@ -381,12 +288,11 @@ def gmres(
 # -- Matrix Market I/O -----------------------------------------------------
 
 
-def save_matrix_market(path, A: SparseMatrix) -> None:
-    """Write a SparseMatrix in complex general coordinate format."""
-    scipy.io.mmwrite(str(path), scipy.sparse.coo_matrix(A.csr),
+def save_matrix_market(path, A) -> None:
+    """Write a sparse matrix in complex general coordinate format."""
+    scipy.io.mmwrite(str(path), scipy.sparse.coo_matrix(A, dtype=np.complex128),
                      field="complex", symmetry="general")
 
 
-def load_matrix_market(path) -> SparseMatrix:
-    loaded = scipy.io.mmread(str(path))
-    return SparseMatrix.from_csr(scipy.sparse.csr_array(loaded).astype(np.complex128))
+def load_matrix_market(path) -> scipy.sparse.csr_array:
+    return scipy.sparse.csr_array(scipy.io.mmread(str(path)), dtype=np.complex128)

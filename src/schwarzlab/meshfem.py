@@ -14,15 +14,19 @@ from enum import IntEnum
 
 import numpy as np
 
-from .linalg import SparseMatrix, factorize
+import scipy.sparse
+
+from .linalg import accumulate, factorize
 
 __all__ = [
     "BoundaryTag",
     "StructuredMesh",
+    "ElementBatch",
     "GlobalProblem",
     "build_mesh",
     "assemble",
     "element_contributions",
+    "point_source_dof",
     "export_mesh_text",
 ]
 
@@ -131,17 +135,6 @@ _MASS_TEMPLATE = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) /
 
 
 @dataclass(frozen=True)
-class ElementContribution:
-    """All per-element matrix and load contributions of one triangle."""
-
-    nodes: np.ndarray          # (3,) global node indices
-    K: np.ndarray              # (3, 3) stiffness
-    A1: np.ndarray             # (3, 3) loss: lumped Robin boundary + absorption mass
-    A2: np.ndarray             # (3, 3) kappa^2-scaled consistent mass
-    f: np.ndarray              # (3,) load
-
-
-@dataclass(frozen=True)
 class ElementBatch:
     """All per-element contributions, stacked along the leading axis."""
 
@@ -153,10 +146,6 @@ class ElementBatch:
 
     def __len__(self) -> int:
         return self.nodes.shape[0]
-
-    def __getitem__(self, t: int) -> ElementContribution:
-        return ElementContribution(nodes=self.nodes[t], K=self.K[t],
-                                   A1=self.A1[t], A2=self.A2[t], f=self.f[t])
 
 
 def element_contributions(mesh: StructuredMesh, kappa: float, eta: float,
@@ -207,9 +196,9 @@ class GlobalProblem:
     absorption: float
     wave: bool
     source: str
-    A0: SparseMatrix = field(repr=False)
-    A1: SparseMatrix = field(repr=False)
-    A2: SparseMatrix = field(repr=False)
+    A0: scipy.sparse.csr_array = field(repr=False)
+    A1: scipy.sparse.csr_array = field(repr=False)
+    A2: scipy.sparse.csr_array = field(repr=False)
     f: np.ndarray = field(repr=False)
     dof_map: np.ndarray = field(repr=False)   # node -> dof, -1 for eliminated
     free_nodes: np.ndarray = field(repr=False)
@@ -228,12 +217,8 @@ class GlobalProblem:
             return A0 + 1j * A1 - A2
         return A0 + A1 + A2
 
-    def A_hat(self) -> SparseMatrix:
-        if self.wave:
-            combined = self.A0.csr + 1j * self.A1.csr - self.A2.csr
-        else:
-            combined = self.A0.csr + self.A1.csr + self.A2.csr
-        return SparseMatrix.from_csr(combined)
+    def A_hat(self) -> scipy.sparse.csr_array:
+        return self.combine(self.A0, self.A1, self.A2)
 
     def direct_solve(self) -> np.ndarray:
         """Reference solution of the eliminated global system."""
@@ -281,7 +266,7 @@ def assemble(mesh: StructuredMesh, kappa: float, eta: float,
     rows = np.broadcast_to(dofs[:, :, None], pair_mask.shape)[pair_mask]
     cols = np.broadcast_to(dofs[:, None, :], pair_mask.shape)[pair_mask]
     matrices = {
-        name: SparseMatrix.from_triplets(rows, cols, local[pair_mask], (n, n))
+        name: accumulate(rows, cols, local[pair_mask], (n, n))
         for name, local in (("A0", batch.K), ("A1", batch.A1), ("A2", batch.A2))
     }
     f = np.zeros(n, dtype=np.complex128)

@@ -16,8 +16,7 @@ import scipy.sparse
 from .decomp import Decomposition
 from .formulations import AugmentedLocal, DualSystem
 from .linalg import WeightedInnerProduct, gmres
-from .traces import (ExchangeOperator, ExtensionOperator, ImpedanceOperator,
-                     TraceOperator)
+from .traces import ExchangeOperator, ImpedanceOperator, TraceOperator
 
 __all__ = [
     "IterationConfig",
@@ -43,7 +42,6 @@ class IterationConfig:
     tol: float = 1e-10
     maxit: int = 1000
     seed: int | None = 0        # None starts from zero
-    norm: str = "M_inverse"     # or "euclidean"
     log_energy: bool = False    # per-iteration energy-decay bookkeeping
 
     def __post_init__(self):
@@ -53,8 +51,6 @@ class IterationConfig:
             raise ValueError("tolerance must be positive")
         if self.maxit < 1:
             raise ValueError("maxit must be at least 1")
-        if self.norm not in ("M_inverse", "euclidean"):
-            raise ValueError("norm mode must be 'M_inverse' or 'euclidean'")
 
 
 @dataclass
@@ -108,16 +104,15 @@ def richardson(dual: DualSystem, cfg: IterationConfig,
                gamma: float | None = None) -> ConvergenceReport:
     """Damped fixed-point iteration lam += beta * (d - (I - X^T S) lam).
 
-    Logs the relative dual residual, the multiplier error against a deflated
-    direct reference, the recovered primal error, and (optionally) the
-    per-iteration energy-decay defect. Fifty consecutive non-decreasing
-    residuals, or a non-finite residual or error, flag divergence; the
-    partial run is preserved.
+    Logs the relative dual residual in the M^-1 norm, the multiplier error
+    against a deflated direct reference, the recovered primal error, and
+    (optionally) the per-iteration energy-decay defect. Fifty consecutive
+    non-decreasing residuals, or a non-finite residual or error, flag
+    divergence; the partial run is preserved.
     """
     report = ConvergenceReport(method="richardson", beta=cfg.beta, seed=cfg.seed)
     d = dual.rhs_d()
-    norm = dual.norm_Minv if cfg.norm == "M_inverse" else lambda v: float(np.linalg.norm(v))
-    d_norm = norm(d)
+    d_norm = dual.norm_Minv(d)
     scale = d_norm if d_norm > 0.0 else 1.0
 
     if lam_ref is None:
@@ -130,11 +125,11 @@ def richardson(dual: DualSystem, cfg: IterationConfig,
     stall = 0
     for it in range(cfg.maxit + 1):
         K_lam = dual.apply_K(lam)
-        residual = norm(d - K_lam) / scale
+        residual = dual.norm_Minv(d - K_lam) / scale
         mu = dual.deflate(lam - lam_ref, redundancy)
         u = dual.primal_recover(lam)
         report.residuals.append(residual)
-        report.error_norms.append(norm(mu))
+        report.error_norms.append(dual.norm_Minv(mu))
         report.primal_errors.append(float(np.linalg.norm(u - u_ref)) / u_scale)
         report.p_history.append(dual.pseudo_energy(lam)[2])
         if cfg.log_energy:
@@ -183,16 +178,19 @@ def _energy_defect(dual: DualSystem, mu: np.ndarray, beta: float) -> float:
 
 def primal_iterate(decomp: Decomposition, aug: AugmentedLocal,
                    trace: TraceOperator, impedance: ImpedanceOperator,
-                   exchange: ExchangeOperator, extension: ExtensionOperator,
-                   f: np.ndarray, cfg: IterationConfig,
+                   exchange: ExchangeOperator, f: np.ndarray, cfg: IterationConfig,
                    u0: np.ndarray | None = None,
                    u_ref: np.ndarray | None = None) -> ConvergenceReport:
     """Subdomain-field recurrence equivalent to the dual fixed point.
 
     u_{n+1} = (1-beta) u_n + beta * Atilde^{-1} (f + T^T [alpha M X T u_n
     - X^T E^T (A u_n - f)]), starting from u_0 = Atilde^{-1} f, whose defect
-    A u_0 - f lies in range(T^T) as the recurrence requires.
+    A u_0 - f lies in range(T^T) as the recurrence requires. The extension
+    E (T E = I) is T^T, which exists exactly when the trace is surjective.
     """
+    if not trace.surjective:
+        raise ValueError("extension needs a surjective trace; bilateral systems "
+                         "with cross points (multiplicity > 2) are rank-deficient")
     report = ConvergenceReport(method="primal", beta=cfg.beta, seed=None)
     alpha = aug.alpha
     A = decomp.A_blockdiag()
@@ -227,7 +225,7 @@ def primal_iterate(decomp: Decomposition, aug: AugmentedLocal,
             stall = 0
         if it == cfg.maxit:
             break
-        incoming = alpha * (M @ (X @ (T @ u))) - X.T @ extension.apply_T(A @ u - f)
+        incoming = alpha * (M @ (X @ (T @ u))) - X.T @ (T @ (A @ u - f))
         u = (1.0 - cfg.beta) * u + cfg.beta * aug.apply_inv(f + Tt @ incoming)
 
     report.iterations = len(report.primal_errors) - 1

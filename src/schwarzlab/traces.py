@@ -1,4 +1,4 @@
-"""Trace, impedance, exchange, and extension operators on the interface.
+"""Trace, impedance, and exchange operators on the interface.
 
 The compound trace operator T stacks, per subdomain, one zero-one selection
 block per facet. The impedance M is a block-diagonal symmetric positive
@@ -10,24 +10,20 @@ M-orthogonal reflection around the single-valued interface space.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 import scipy.sparse
 
 from .decomp import Decomposition
 from .facets import FacetSystem
-from .linalg import SparseMatrix, factorize
+from .linalg import factorize
 
 __all__ = [
     "TraceOperator",
     "ImpedanceOperator",
     "ExchangeOperator",
-    "ExtensionOperator",
     "build_trace",
     "build_impedance",
     "build_exchange",
-    "build_extension",
     "IMPEDANCE_VARIANTS",
     "EXCHANGE_VARIANTS",
 ]
@@ -86,12 +82,6 @@ class TraceOperator:
         start = self.slot(i, fidx, self.system.facets[fidx].dofs[0])
         return start, start + len(self.system.facets[fidx].dofs)
 
-    def apply(self, u) -> np.ndarray:
-        return self.matrix @ np.asarray(u, dtype=np.complex128)
-
-    def apply_T(self, lam) -> np.ndarray:
-        return self.matrix.T @ np.asarray(lam, dtype=np.complex128)
-
     @property
     def surjective(self) -> bool:
         """True iff the rows of T are independent (each local dof used once)."""
@@ -102,53 +92,50 @@ class TraceOperator:
             used.add((i, k))
         return True
 
-    def to_sparse(self) -> SparseMatrix:
-        return SparseMatrix.from_csr(self.matrix.astype(np.complex128))
-
 
 def build_trace(system: FacetSystem, decomp: Decomposition) -> TraceOperator:
     return TraceOperator(system, decomp)
 
 
 def _interface_edge_weights(trace: TraceOperator, sigma: float):
-    """Per-facet lumped lengths and edge lists from facet-internal mesh edges.
+    """Per-facet lumped weights and internal edges from facet-internal mesh edges.
 
     Every mesh edge joining two dofs of the same facet contributes half its
     length to each endpoint. Isolated dofs (for example a vertex glob) get a
-    sigma * h_min fallback so the weight stays positive.
+    sigma * h_min fallback so the weight stays positive. Per facet index,
+    returns sigma times the lumped lengths in F.dofs order and the internal
+    edges as (position a, position b, length) arrays; then h_min.
     """
-    decomp = trace.decomp
-    problem = decomp.problem
-    mesh = problem.mesh
-    dof_coords = mesh.coords[problem.free_nodes]
-    # unique mesh edges between retained dofs
-    edges = set()
-    for tri in mesh.triangles:
-        dofs = problem.dof_map[tri]
-        for a in range(3):
-            for b in range(a + 1, 3):
-                if dofs[a] >= 0 and dofs[b] >= 0:
-                    edges.add((min(dofs[a], dofs[b]), max(dofs[a], dofs[b])))
-    h_min = min(float(np.linalg.norm(dof_coords[a] - dof_coords[b]))
-                for a, b in edges) if edges else 1.0
+    problem = trace.decomp.problem
+    facets = trace.system.facets
+    # unique mesh edges (a < b) between retained dofs, found by the key a * n + b
+    tri = problem.dof_map[problem.mesh.triangles]
+    pairs = np.concatenate([tri[:, [0, 1]], tri[:, [1, 2]], tri[:, [0, 2]]])
+    pairs = np.sort(pairs[(pairs >= 0).all(axis=1)], axis=1)
+    edges = np.column_stack(np.divmod(np.unique(pairs[:, 0] * problem.n + pairs[:, 1]),
+                                      problem.n))
+    coords = problem.mesh.coords[problem.free_nodes]
+    lengths = np.linalg.norm(coords[edges[:, 1]] - coords[edges[:, 0]], axis=1)
+    h_min = float(lengths.min()) if len(lengths) else 1.0
+    in_facet = np.zeros(problem.n, dtype=bool)
+    for F in facets:
+        in_facet[list(F.dofs)] = True
+    keep = in_facet[edges].all(axis=1)
+    edges, lengths = edges[keep], lengths[keep]
 
-    lumped = {}
-    facet_edges = {}
-    for fidx, F in enumerate(trace.system.facets):
-        dset = set(F.dofs)
-        weight = {k: 0.0 for k in F.dofs}
-        internal = []
-        for a, b in edges:
-            if a in dset and b in dset:
-                length = float(np.linalg.norm(dof_coords[a] - dof_coords[b]))
-                weight[a] += 0.5 * length
-                weight[b] += 0.5 * length
-                internal.append((a, b, length))
-        for k in F.dofs:
-            if weight[k] == 0.0:
-                weight[k] = h_min
-        lumped[fidx] = {k: sigma * w for k, w in weight.items()}
-        facet_edges[fidx] = internal
+    lumped, facet_edges = {}, {}
+    for fidx, F in enumerate(facets):
+        dofs = np.asarray(F.dofs)
+        inside = np.isin(edges, dofs).all(axis=1)
+        order = np.argsort(dofs)
+        pos = order[np.searchsorted(dofs, edges[inside], sorter=order)]
+        length = lengths[inside]
+        weight = np.zeros(len(dofs))
+        np.add.at(weight, pos[:, 0], 0.5 * length)
+        np.add.at(weight, pos[:, 1], 0.5 * length)
+        weight[weight == 0.0] = h_min
+        lumped[fidx] = sigma * weight
+        facet_edges[fidx] = (pos[:, 0], pos[:, 1], length)
     return lumped, facet_edges, h_min
 
 
@@ -166,7 +153,6 @@ class ImpedanceOperator:
         self.sigma = sigma
         self.matrix = matrix                  # dense real (dim, dim)
         self.facet_blocks = facet_blocks      # facet index -> shared block
-        self.a4_compatible = True             # construction is side-equal
         self._fac = factorize(matrix)
         self.is_diagonal = variant != "glob_block"
 
@@ -176,14 +162,6 @@ class ImpedanceOperator:
 
     def apply(self, lam) -> np.ndarray:
         return self.matrix @ np.asarray(lam, dtype=np.complex128)
-
-    def apply_inv(self, lam) -> np.ndarray:
-        return self._fac.solve(np.asarray(lam, dtype=np.complex128))
-
-    def norm_inv(self, lam) -> float:
-        """The M^-1 norm of a dual trace vector."""
-        value = float(np.vdot(lam, self.apply_inv(lam)).real)
-        return float(np.sqrt(max(value, 0.0)))
 
     def norm(self, lam) -> float:
         value = float(np.vdot(lam, self.apply(lam)).real)
@@ -215,27 +193,23 @@ def build_impedance(trace: TraceOperator, variant: str, sigma: float,
     else:
         lumped, facet_edges, h_min = _interface_edge_weights(trace, sigma)
         for fidx, F in enumerate(trace.system.facets):
-            size = len(F.dofs)
-            pos = {k: p for p, k in enumerate(F.dofs)}
             if variant in ("lumped_mass", "diagonal"):
                 if variant == "diagonal" and weights is not None:
                     diag = np.array([float(weights[k]) for k in F.dofs])
                     if np.any(diag <= 0.0):
                         raise ValueError("diagonal weights must be positive")
                 else:
-                    diag = np.array([lumped[fidx][k] for k in F.dofs])
+                    diag = lumped[fidx]
                 facet_blocks[fidx] = np.diag(diag)
             else:  # glob_block: consistent 1D interface mass
-                block = np.zeros((size, size))
-                for a, b, length in facet_edges[fidx]:
-                    pa, pb = pos[a], pos[b]
-                    block[pa, pa] += sigma * length / 3.0
-                    block[pb, pb] += sigma * length / 3.0
-                    block[pa, pb] += sigma * length / 6.0
-                    block[pb, pa] += sigma * length / 6.0
-                for p in range(size):
-                    if block[p, p] == 0.0:
-                        block[p, p] = sigma * h_min
+                block = np.zeros((len(F.dofs), len(F.dofs)))
+                pa, pb, length = facet_edges[fidx]
+                np.add.at(block, (pa, pa), sigma * length / 3.0)
+                np.add.at(block, (pb, pb), sigma * length / 3.0)
+                np.add.at(block, (pa, pb), sigma * length / 6.0)
+                np.add.at(block, (pb, pa), sigma * length / 6.0)
+                isolated = np.flatnonzero(np.diagonal(block) == 0.0)
+                block[isolated, isolated] = sigma * h_min
                 eigs = np.linalg.eigvalsh(block)
                 if eigs[0] <= 0.0:
                     raise ValueError(f"facet block {fidx} is not positive definite")
@@ -259,19 +233,6 @@ class ExchangeOperator:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-    def apply(self, lam) -> np.ndarray:
-        return self.matrix @ np.asarray(lam, dtype=np.complex128)
-
-    def apply_T(self, tau) -> np.ndarray:
-        return self.matrix.T @ np.asarray(tau, dtype=np.complex128)
-
-    def projector(self) -> np.ndarray:
-        """P = (I + X) / 2, the projection onto the fixed set of X."""
-        return 0.5 * (np.eye(self.dim) + self.matrix)
-
-    def involution_defect(self) -> float:
-        return float(np.max(np.abs(self.matrix @ self.matrix - np.eye(self.dim))))
 
 
 def _glob_slot_groups(trace: TraceOperator):
@@ -374,29 +335,3 @@ def _single_valued_embedding(trace: TraceOperator) -> np.ndarray:
         for i in trace.system.facets[fidx].subdomains:
             R_L[trace.slot(i, fidx, k), col] = 1.0
     return R_L
-
-
-@dataclass(frozen=True)
-class ExtensionOperator:
-    """E with T E = I: places each trace value at its unique local dof."""
-
-    matrix: scipy.sparse.csr_array = field(repr=False)
-    transpose: scipy.sparse.csr_array = field(repr=False)    # E^T = T, formed once
-
-    def apply(self, lam) -> np.ndarray:
-        return self.matrix @ np.asarray(lam, dtype=np.complex128)
-
-    def apply_T(self, g) -> np.ndarray:
-        return self.transpose @ np.asarray(g, dtype=np.complex128)
-
-
-def build_extension(trace: TraceOperator) -> ExtensionOperator:
-    """E = T^T, valid exactly when the trace is surjective (T T^T = I).
-
-    Bilateral systems with cross points (multiplicity > 2) select some local
-    dof twice, the trace loses surjectivity, and no extension exists.
-    """
-    if not trace.surjective:
-        raise ValueError("extension needs a surjective trace; bilateral systems "
-                         "with cross points (multiplicity > 2) are rank-deficient")
-    return ExtensionOperator(matrix=trace.matrix.T.tocsr(), transpose=trace.matrix)

@@ -115,8 +115,10 @@ class TestChecks:
 
 class TestRunCommand:
     def test_needs_config_or_preset(self, tmp_path, monkeypatch):
-        result = run_cli(["run"], tmp_path, monkeypatch)
-        assert result.exit_code == 2
+        for args in (["run"], ["verify"], ["sweep", "--vary", "solver.beta=0.5"]):
+            result = run_cli(args, tmp_path, monkeypatch)
+            assert result.exit_code == 2, args
+            assert "give a config file or --preset" in result.output, args
 
     def test_invalid_config_exits_two(self, tmp_path, monkeypatch):
         result = run_cli(["run", "--preset", "loisel",

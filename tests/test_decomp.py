@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -45,18 +46,18 @@ class TestRestrictions:
 
     def test_single_subdomain_identity(self):
         _, prob, dec = make_instance(4, 4, 1, 1)
-        R = dec.R_matrix(0).to_dense().real
+        R = dec.R_matrix(0).toarray().real
         assert np.array_equal(R, np.eye(prob.n))
 
     def test_RRt_identity(self):
         _, _, dec = make_instance(8, 8, 2, 2)
         for i in range(dec.n_sub):
-            R = dec.R_matrix(i).to_dense().real
+            R = dec.R_matrix(i).toarray().real
             assert np.array_equal(R @ R.T, np.eye(R.shape[0]))
 
     def test_RtR_multiplicities(self):
         _, _, dec = make_instance(8, 8, 4, 2)
-        total = sum(dec.R_matrix(i).to_dense().real.T @ dec.R_matrix(i).to_dense().real
+        total = sum(dec.R_matrix(i).toarray().real.T @ dec.R_matrix(i).toarray().real
                     for i in range(dec.n_sub))
         assert np.array_equal(total, np.diag(dec.multiplicities.mu.astype(float)))
 
@@ -79,11 +80,10 @@ class TestAssembling:
     def test_injected_fault_located(self):
         _, _, dec = make_instance(4, 4, 2, 2)
         parts = [dict(p) for p in dec.local_parts]
-        broken = parts[0]["A0"].to_dense()
+        broken = parts[0]["A0"].toarray()
         r, c = np.nonzero(broken)
         broken[r[0], c[0]] += 1e-3
-        from schwarzlab.linalg import SparseMatrix
-        parts[0] = dict(parts[0], A0=SparseMatrix.from_dense(broken))
+        parts[0] = dict(parts[0], A0=scipy.sparse.csr_array(broken))
         rep = check_assembling(dec, local_parts=parts)
         assert not rep.passed
         assert rep.worst_entry is not None
@@ -93,7 +93,7 @@ class TestAssembling:
     def test_twin_scalar_sum(self):
         from schwarzlab.formulations import twin_scalar
         ts = twin_scalar(a=(1.0, 1.0), m=1.0, alpha=1.0, f=(1.0, 1.0))
-        assert ts.decomp.problem.A_hat().to_dense()[0, 0] == 2.0
+        assert ts.decomp.problem.A_hat().toarray()[0, 0] == 2.0
 
 
 class TestBubbles:

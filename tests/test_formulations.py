@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from schwarzlab.decomp import check_assembling
 from schwarzlab.facets import build_facets, redundancy_basis
-from schwarzlab.formulations import (augmented_factorize, build_dual_system,
+from schwarzlab.formulations import (AugmentedLocal, build_dual_system,
                                      exceptional_exchange, exceptional_system,
                                      fetih_assembling_deviation, fetih_build,
                                      fetih_solve, twin_scalar)
@@ -28,7 +28,7 @@ class TestAugmented:
         _, _, dec = coercive_2x2
         trace = build_trace(build_facets(dec, "globs"), dec)
         imp = build_impedance(trace, "lumped_mass", 1.0)
-        aug = augmented_factorize(dec, trace, imp, 1.0)
+        aug = AugmentedLocal.build(dec, trace, imp, 1.0)
         for block in aug.matrices:
             assert np.linalg.eigvalsh(block.toarray().real).min() > 0.0
 
@@ -56,7 +56,7 @@ def test_sparse_apply_inv_matches_dense(wave, facets, ncols, seed):
                               eta=2.0 if wave else 1.0)
     trace = build_trace(build_facets(dec, facets), dec)
     imp = build_impedance(trace, "lumped_mass", 2.0)
-    aug = augmented_factorize(dec, trace, imp, 1j if wave else 1.0)
+    aug = AugmentedLocal.build(dec, trace, imp, 1j if wave else 1.0)
     rng = np.random.default_rng(seed)
     shape = (dec.offsets[-1], ncols) if ncols else (dec.offsets[-1],)
     g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -153,18 +153,18 @@ class TestRhsAndRecovery:
 
 
 class TestBlockApplication:
-    @pytest.mark.parametrize("facet_variant,exchange_variant,a4", [
+    @pytest.mark.parametrize("facet_variant,exchange_variant,wave", [
         ("bilateral_max", "swap", True),
         ("globs", "weighted", True),
         ("globs", "glob_local", False),
     ])
-    def test_materialize_K_matches_columns(self, helmholtz_2x2, facet_variant,
-                                           exchange_variant, a4):
-        _, prob, dec = helmholtz_2x2
+    def test_materialize_K_matches_columns(self, helmholtz_2x2, coercive_2x2,
+                                           facet_variant, exchange_variant, wave):
+        _, prob, dec = helmholtz_2x2 if wave else coercive_2x2
         trace = build_trace(build_facets(dec, facet_variant), dec)
         imp = build_impedance(trace, "lumped_mass", 2.0)
         X = build_exchange(trace, imp, exchange_variant)
-        dual = build_dual_system(dec, trace, imp, X, prob.alpha, a4=a4)
+        dual = build_dual_system(dec, trace, imp, X, prob.alpha)
         columns = np.column_stack([dual.apply_K(e) for e in np.eye(dual.dim)])
         K = dual.materialize_K()
         assert np.max(np.abs(K - columns)) <= 1e-13 * max(1.0, np.max(np.abs(columns)))

@@ -5,34 +5,31 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from schwarzlab.linalg import (PIVOT_TOL, DenseFactorization, SingularMatrixError,
-                               SparseFactorization, SparseMatrix,
-                               WeightedInnerProduct, factorize, gmres,
-                               load_matrix_market, save_matrix_market, spmv)
+                               SparseFactorization, WeightedInnerProduct, accumulate,
+                               factorize, gmres, load_matrix_market, save_matrix_market)
 
 
-class TestSpmv:
-    def test_identity(self):
-        A = SparseMatrix.identity(3)
-        assert np.array_equal(spmv(A, [1.0, 2.0, 3.0]), [1, 2, 3])
+class TestAccumulate:
+    def test_duplicates_summed_left_to_right(self):
+        rows, cols = [1, 0, 1, 1, 1], [0, 2, 0, 1, 0]
+        vals = [1e16, 2.0, 1.0, 3.0 + 1j, -1e16]
+        A = accumulate(rows, cols, vals, (2, 3))
+        assert isinstance(A, scipy.sparse.csr_array) and A.dtype == np.complex128
+        assert A.nnz == 3 and A.has_sorted_indices
+        # (1e16 + 1) - 1e16 is 0 in appearance order, 1 in any sorted order
+        assert np.array_equal(A.toarray(), [[0, 0, 2], [0, 3 + 1j, 0]])
+        v = accumulate(rows, None, vals, (3,))
+        assert v.dtype == np.complex128
+        assert np.array_equal(v, [2.0, ((1e16 + 1.0) + (3.0 + 1j)) - 1e16, 0.0])
 
-    def test_zero(self):
-        A = SparseMatrix.from_dense(np.zeros((2, 2)))
-        assert np.array_equal(spmv(A, [5.0, 7.0]), [0, 0])
-
-    def test_permutation(self):
-        A = SparseMatrix.from_dense([[0, 1], [1, 0]])
-        a, b = 2.0 + 1j, -3.0
-        assert np.array_equal(spmv(A, [a, b]), [b, a])
-
-    def test_dimension_mismatch(self):
-        A = SparseMatrix.identity(3)
-        with pytest.raises(ValueError):
-            spmv(A, [1.0, 2.0])
+    def test_empty(self):
+        assert accumulate([], [], [], (2, 2)).nnz == 0
+        assert np.array_equal(accumulate([], None, [], (2,)), [0.0, 0.0])
 
 
 class TestFactorize:
     def test_scalar(self):
-        fac = factorize(SparseMatrix.from_dense([[2.0]]))
+        fac = factorize(scipy.sparse.csr_array([[2.0]]))
         assert fac.solve([4.0])[0] == 2.0
 
     def test_diagonal_complex(self):
@@ -63,12 +60,12 @@ class TestFactorize:
 class TestSparseFactorize:
     def test_sparse_inputs_take_the_sparse_path(self):
         A = np.array([[4.0, 1.0], [1.0, 3.0]])
-        for sparse in (SparseMatrix.from_dense(A), scipy.sparse.csr_array(A)):
+        for sparse in (scipy.sparse.csc_array(A), scipy.sparse.csr_array(A)):
             assert isinstance(factorize(sparse), SparseFactorization)
         assert isinstance(factorize(A), DenseFactorization)
 
     def test_wrong_length_rejected(self):
-        fac = factorize(SparseMatrix.identity(3))
+        fac = factorize(scipy.sparse.eye_array(3, format="csr"))
         with pytest.raises(ValueError):
             fac.solve(np.ones(2))
 
@@ -80,7 +77,7 @@ class TestSparseFactorize:
     ])
     def test_singular_rejected(self, dense):
         with pytest.raises(SingularMatrixError):
-            factorize(SparseMatrix.from_dense(dense))
+            factorize(scipy.sparse.csr_array(dense))
         with pytest.raises(SingularMatrixError):
             factorize(np.array(dense))
 
@@ -213,12 +210,13 @@ class TestMatrixMarket:
         rng = np.random.default_rng(3)
         dense = rng.standard_normal((5, 7)) * (rng.random((5, 7)) < 0.4)
         dense = dense + 1j * rng.standard_normal((5, 7)) * (dense != 0)
-        A = SparseMatrix.from_dense(dense)
+        A = scipy.sparse.csr_array(dense)
         path = tmp_path / "A.mtx"
         save_matrix_market(path, A)
         B = load_matrix_market(path)
+        assert isinstance(B, scipy.sparse.csr_array) and B.dtype == np.complex128
         assert B.shape == A.shape
-        assert np.allclose(B.to_dense(), A.to_dense(), atol=1e-15)
+        assert np.allclose(B.toarray(), A.toarray(), atol=1e-15)
 
 
 @settings(max_examples=25, deadline=None)

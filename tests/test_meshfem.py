@@ -31,21 +31,21 @@ class TestAssemble:
         mesh = build_mesh(2, 2, boundary="dirichlet")
         prob = assemble(mesh, kappa=0.0, eta=1.0, wave=False)
         assert prob.n == 1
-        assert prob.A0.to_dense()[0, 0] == pytest.approx(4.0)
-        assert prob.A1.to_dense()[0, 0] == 0.0
-        assert prob.A2.to_dense()[0, 0] == 0.0
+        assert prob.A0.toarray()[0, 0] == pytest.approx(4.0)
+        assert prob.A1.toarray()[0, 0] == 0.0
+        assert prob.A2.toarray()[0, 0] == 0.0
 
     def test_consistent_mass_trace(self):
         # trace of the P1 consistent mass over the square equals area / 2
         mesh = build_mesh(1, 1, boundary="robin")
         prob = assemble(mesh, kappa=1.0, eta=1.0, wave=True)
-        assert np.trace(prob.A2.to_dense().real) == pytest.approx(0.5)
+        assert np.trace(prob.A2.toarray().real) == pytest.approx(0.5)
 
     def test_stiffness_annihilates_constants(self):
         mesh = build_mesh(5, 3, boundary="robin")   # no dof elimination
         prob = assemble(mesh, kappa=0.0, eta=1.0, wave=True)
         ones = np.ones(prob.n)
-        assert np.max(np.abs(prob.A0.to_dense() @ ones)) <= 1e-13
+        assert np.max(np.abs(prob.A0.toarray() @ ones)) <= 1e-13
 
     @pytest.mark.parametrize("boundary", ["robin", "dirichlet"])
     def test_parts_symmetric_psd(self, boundary):
@@ -53,7 +53,7 @@ class TestAssemble:
         prob = assemble(mesh, kappa=2.0, eta=1.5, absorption=0.5,
                         wave=(boundary == "robin"))
         for part in (prob.A0, prob.A1, prob.A2):
-            dense = part.to_dense().real
+            dense = part.toarray().real
             assert np.max(np.abs(dense - dense.T)) == 0.0
             assert np.linalg.eigvalsh(dense).min() >= -1e-12
 
@@ -63,7 +63,7 @@ class TestAssemble:
         eta, n = 2.5, 4
         mesh = build_mesh(n, n, boundary="robin")
         prob = assemble(mesh, kappa=0.0, eta=eta, wave=True)
-        A1 = prob.A1.to_dense().real
+        A1 = prob.A1.toarray().real
         assert np.max(np.abs(A1 - np.diag(np.diag(A1)))) == 0.0
         assert np.sum(A1) == pytest.approx(eta * 4.0)
         boundary_nodes = mesh.boundary_tags == int(BoundaryTag.ROBIN)
@@ -80,7 +80,7 @@ class TestAssemble:
         mesh = build_mesh(6, 6, boundary="robin")
         prob = assemble(mesh, kappa=2.0, eta=2.0, source="point:0.3,0.4", wave=True)
         u = prob.direct_solve()
-        A = prob.A_hat().to_dense()
+        A = prob.A_hat().toarray()
         assert np.linalg.norm(A @ u - prob.f) <= 1e-10 * np.linalg.norm(prob.f)
 
     def test_invalid_inputs(self):

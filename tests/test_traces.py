@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from schwarzlab.facets import build_facets
-from schwarzlab.traces import (build_exchange, build_extension, build_impedance,
-                               build_trace)
+from schwarzlab.formulations import build_dual_system
+from schwarzlab.solvers import IterationConfig, primal_iterate
+from schwarzlab.traces import build_exchange, build_impedance, build_trace
 
 from conftest import make_instance
 
@@ -88,13 +89,33 @@ class TestImpedance:
         system = build_facets(cross_dec, "bilateral_max")
         trace = build_trace(system, cross_dec)
         imp = build_impedance(trace, "lumped_mass", 1.0)
-        assert imp.a4_compatible
         for fidx, F in enumerate(system.facets):
             blocks = [imp.matrix[slice(*trace.slot_range(i, fidx)),
                                  slice(*trace.slot_range(i, fidx))]
                       for i in F.subdomains]
             for block in blocks[1:]:
                 assert np.array_equal(block, blocks[0])
+
+    def test_edge_weights_2x2_globs(self):
+        # 8x8 mesh, h = 1/8: four edge globs of four collinear dofs and the
+        # isolated cross point
+        sigma, h = 2.0, 0.125
+        dec = make_instance(8, 8, 2, 2)[2]
+        system = build_facets(dec, "globs")
+        trace = build_trace(system, dec)
+        lumped = build_impedance(trace, "lumped_mass", sigma).facet_blocks
+        mass = build_impedance(trace, "glob_block", sigma).facet_blocks
+        assert sorted(len(F.dofs) for F in system.facets) == [1, 4, 4, 4, 4]
+        for fidx, F in enumerate(system.facets):
+            if len(F.dofs) == 1:
+                assert lumped[fidx][0, 0] == mass[fidx][0, 0] == sigma * h
+                continue
+            # dofs ascend along the facet: its ends carry half an edge
+            expected = np.diag([sigma * h / 2, sigma * h, sigma * h, sigma * h / 2])
+            assert np.array_equal(lumped[fidx], expected)
+            consistent = (np.diag([1.0, 2.0, 2.0, 1.0]) / 3.0
+                          + (np.eye(4, k=1) + np.eye(4, k=-1)) / 6.0)
+            assert np.allclose(mass[fidx], sigma * h * consistent, rtol=0, atol=1e-16)
 
     def test_invalid_sigma(self, cross_dec):
         trace = build_trace(build_facets(cross_dec, "globs"), cross_dec)
@@ -179,30 +200,35 @@ class TestExchange:
 
 
 class TestExtension:
+    """The extension E with T E = I is T^T whenever the trace is surjective."""
+
     def test_glob_extension_identity(self, cross_dec):
         trace = build_trace(build_facets(cross_dec, "globs"), cross_dec)
-        E = build_extension(trace)
-        TE = (trace.matrix @ E.matrix).toarray()
-        assert np.array_equal(TE, np.eye(trace.dim_lambda))
+        assert trace.surjective
+        TTt = (trace.matrix @ trace.matrix.T).toarray()
+        assert np.array_equal(TTt, np.eye(trace.dim_lambda))
 
     def test_twin_scalar_extension(self):
         from schwarzlab.formulations import twin_scalar
-        ts = twin_scalar()
-        E = build_extension(ts.trace)
-        assert np.array_equal(E.matrix.toarray(), ts.trace.matrix.T.toarray())
+        trace = twin_scalar().trace
+        assert trace.surjective
+        assert np.array_equal((trace.matrix @ trace.matrix.T).toarray(), np.eye(2))
 
     def test_bilateral_cross_rejected(self, cross_dec):
-        trace = build_trace(build_facets(cross_dec, "bilateral_properly_closed"),
-                            cross_dec)
-        with pytest.raises(ValueError):
-            build_extension(trace)
+        system, trace, imp, X = build_stack(cross_dec, "bilateral_properly_closed",
+                                            "swap")
+        assert not trace.surjective
+        dual = build_dual_system(cross_dec, trace, imp, X, 1.0)
+        with pytest.raises(ValueError, match="surjective"):
+            primal_iterate(cross_dec, dual.aug, trace, imp, X, cross_dec.f_concat,
+                           IterationConfig())
 
 
 class TestRangeCharacterization:
     def test_fixed_traces_are_conforming(self, cross_dec):
         # u with (I - X) T u = 0 and zeroed bubble mismatch lies in range(R)
         _sys, trace, _imp, X = build_stack(cross_dec, "globs", "weighted")
-        R = cross_dec.R_stacked().csr.real.toarray()
+        R = cross_dec.R_stacked().real.toarray()
         T = trace.matrix.toarray()
         P = 0.5 * (np.eye(trace.dim_lambda) + X.matrix)
         rng = np.random.default_rng(3)
