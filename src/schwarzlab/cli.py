@@ -19,6 +19,7 @@ from pathlib import Path
 
 import click
 import numpy as np
+import scipy.sparse
 
 from .decomp import (ASSEMBLY_TOL, Decomposition, build_restrictions, check_assembling,
                      partition_grid)
@@ -227,6 +228,12 @@ def validate(cfg: RunConfig) -> list[str]:
     if exchange in ("multiplicity", "weighted", "glob_local") and bilateral:
         errors.append(f"the {exchange} reflection averages over all sharing "
                       "subdomains and needs a glob facet system")
+    if exchange == "weighted" and g("interface", "impedance") == "glob_block":
+        errors.append("the weighted reflection takes its weights from a diagonal "
+                      "impedance; glob_block is not diagonal")
+    if exchange == "global" and bilateral and px > 1 and py > 1:
+        errors.append("the global reflection needs a surjective trace, which a "
+                      "bilateral facet system has only on a strip (px = 1 or py = 1)")
     if exchange == "exceptional":
         if ptype == "helmholtz":
             errors.append("the one-step reflection needs the coercive regime; "
@@ -348,8 +355,8 @@ def interface_checks(inst: Instance, n_random: int = 20,
     elif inst.dual is not None and inst.system is None:
         X = inst.dual.X   # one-step reflection on the product space
     if X is not None:
-        record("involution_defect", float(np.max(np.abs(X @ X - np.eye(X.shape[0])))),
-               1e-12)
+        identity = scipy.sparse.eye_array(X.shape[0])
+        record("involution_defect", float(abs(X @ X - identity).max()), 1e-12)
 
     if inst.dual is not None and inst.trace is not None and X is not None:
         T = inst.trace.matrix
@@ -361,15 +368,14 @@ def interface_checks(inst: Instance, n_random: int = 20,
             worst = max(worst, float(np.max(np.abs(t - X @ t))))
         record("conformity_fixed_defect", worst, 1e-12)
         M = inst.dual.M
-        scale = float(np.max(np.abs(M))) or 1.0
+        scale = float(abs(M).max()) or 1.0
         record("impedance_isometry_defect",
-               float(np.max(np.abs(X.T @ M @ X - M))) / scale, 1e-12)
+               float(abs(X.T @ M @ X - M).max()) / scale, 1e-12)
 
     if (inst.dual is not None and inst.trace is not None
             and inst.redundancy is not None
             and inst.trace.dim_lambda <= GAMMA_DIM_LIMIT and X is not None):
-        stacked = np.vstack([inst.trace.matrix.T.toarray(),
-                             np.eye(X.shape[0]) + X.T])
+        stacked = np.vstack([inst.trace.matrix.T.toarray(), (identity + X.T).toarray()])
         svals = np.linalg.svd(stacked, compute_uv=False)
         tol = max(stacked.shape) * np.finfo(float).eps * (svals[0] if len(svals) else 1.0)
         nullity = int(np.sum(svals <= max(tol, 1e-10)))

@@ -58,7 +58,7 @@ class AugmentedLocal:
     def build(cls, decomp: Decomposition, trace: TraceOperator,
               impedance: ImpedanceOperator, alpha: complex) -> "AugmentedLocal":
         # T and M are block-diagonal by subdomain, so A + alpha T^T M T is too
-        T, M = trace.matrix, scipy.sparse.csr_array(impedance.matrix)
+        T, M = trace.matrix, impedance.matrix
         aug = (decomp.A_blockdiag() + alpha * (T.T @ M @ T)).tocsc()
         offsets = decomp.offsets
         blocks = [aug[a:b, a:b] for a, b in zip(offsets[:-1], offsets[1:])]
@@ -78,14 +78,14 @@ class DualSystem:
     """The interface equation (I - X^T S) lambda = d and its building blocks."""
 
     def __init__(self, decomp: Decomposition, aug: AugmentedLocal,
-                 T: scipy.sparse.csr_array, M: np.ndarray | scipy.sparse.sparray,
-                 X: np.ndarray, alpha: complex, f: np.ndarray,
+                 T: scipy.sparse.csr_array, M: scipy.sparse.csr_array,
+                 X: scipy.sparse.csr_array | np.ndarray, alpha: complex, f: np.ndarray,
                  impedance: ImpedanceOperator | None = None):
         self.decomp = decomp
         self.aug = aug
         self.T = T
-        self.M = M if scipy.sparse.issparse(M) else np.asarray(M)
-        self.X = np.asarray(X)
+        self.M = M
+        self.X = X
         self.alpha = complex(alpha)
         self.f = np.asarray(f, dtype=np.complex128)
         self.impedance = impedance
@@ -197,7 +197,7 @@ def exceptional_exchange(decomp: Decomposition) -> ExchangeOperator:
     Ahat_fac = factorize(problem.A_hat())
     RtA = (R.T @ A).toarray()
     X = 2.0 * (R @ Ahat_fac.solve(RtA.astype(np.complex128)).real) - np.eye(A.shape[0])
-    return ExchangeOperator("exceptional", X, None)
+    return ExchangeOperator("exceptional", X)
 
 
 def exceptional_system(decomp: Decomposition) -> DualSystem:

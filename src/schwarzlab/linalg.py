@@ -151,26 +151,24 @@ class WeightedInnerProduct:
     """Inner product <x, y> = y^H W x with W symmetric positive definite.
 
     mode "M" uses W itself, mode "M_inverse" uses W^{-1} (solved through a
-    factorization of W; W is never inverted explicitly). A factorization of
-    W that the caller already holds can be passed to avoid a second one.
+    factorization of W; W is never inverted explicitly). W is held as a
+    sparse csr_array. A factorization of W that the caller already holds can
+    be passed to avoid a second one.
     """
 
     def __init__(self, weight, mode: str = "M", factorization=None):
         if mode not in ("M", "M_inverse"):
             raise ValueError("mode must be 'M' or 'M_inverse'")
-        if scipy.sparse.issparse(weight):
-            dense = weight.toarray().astype(np.complex128)
-        else:
-            dense = np.asarray(weight, dtype=np.complex128)
-        if np.max(np.abs(dense - dense.T)) > 1e-12 * max(np.max(np.abs(dense)), 1.0):
+        W = scipy.sparse.csr_array(weight, dtype=np.complex128)
+        if abs(W - W.T).max() > 1e-12 * max(abs(W).max(), 1.0):
             raise ValueError("weight must be symmetric")
-        if factorization is not None and factorization.size != dense.shape[0]:
+        if factorization is not None and factorization.size != W.shape[0]:
             raise ValueError("factorization does not match the weight's size")
         self.mode = mode
-        self._w = dense
+        self._w = W
         self._fac = None
         if mode == "M_inverse":
-            self._fac = factorization if factorization is not None else factorize(dense)
+            self._fac = factorization if factorization is not None else factorize(W)
 
     @property
     def dim(self) -> int:

@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse
 
 from .decomp import Decomposition
 from .formulations import AugmentedLocal, DualSystem
@@ -263,7 +262,7 @@ def estimate_gamma(dual: DualSystem,
     """
     if K is None:
         K = dual.materialize_K()
-    w, V = np.linalg.eigh(dual.M.toarray() if scipy.sparse.issparse(dual.M) else dual.M)
+    w, V = np.linalg.eigh(dual.M.toarray())
     if w[0] <= 0.0:
         raise ValueError("impedance weight must be positive definite")
     M_half = (V * np.sqrt(w)) @ V.T

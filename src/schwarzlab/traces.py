@@ -2,10 +2,14 @@
 
 The compound trace operator T stacks, per subdomain, one zero-one selection
 block per facet. The impedance M is a block-diagonal symmetric positive
-definite weight. The exchange operator X is a real involution whose fixed
-set is exactly the trace image of globally conforming functions; five
-constructions are provided, from the plain two-sided swap to the general
-M-orthogonal reflection around the single-valued interface space.
+definite weight with one shared block per facet on all its sides. The
+exchange operator X is a real involution whose fixed set is exactly the
+trace image of globally conforming functions. Because M is side-equal and
+block-diagonal by facet, the M-orthogonal reflection around the
+single-valued interface space is unique: the per-(facet, dof) average
+X = 2/m J - I. The five exchange variants therefore share one construction
+and differ only in the facet systems and impedances they admit. M and X
+are sparse csr_arrays.
 """
 
 from __future__ import annotations
@@ -140,32 +144,21 @@ def _interface_edge_weights(trace: TraceOperator, sigma: float):
 
 
 class ImpedanceOperator:
-    """Block-diagonal SPD interface weight M = diag(M_i).
+    """Block-diagonal SPD interface weight M = diag(M_i), a sparse csr_array.
 
     The same block is used on every side of a facet, which is what makes
     the exchange an M-isometry (side-equal impedance).
     """
 
     def __init__(self, trace: TraceOperator, variant: str, sigma: float,
-                 matrix: np.ndarray, facet_blocks: dict[int, np.ndarray]):
+                 matrix: scipy.sparse.csr_array, facet_blocks: dict[int, np.ndarray]):
         self.trace = trace
         self.variant = variant
         self.sigma = sigma
-        self.matrix = matrix                  # dense real (dim, dim)
+        self.matrix = matrix                  # sparse real (dim, dim)
         self.facet_blocks = facet_blocks      # facet index -> shared block
         self._fac = factorize(matrix)
         self.is_diagonal = variant != "glob_block"
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    def apply(self, lam) -> np.ndarray:
-        return self.matrix @ np.asarray(lam, dtype=np.complex128)
-
-    def norm(self, lam) -> float:
-        value = float(np.vdot(lam, self.apply(lam)).real)
-        return float(np.sqrt(max(value, 0.0)))
 
 
 def build_impedance(trace: TraceOperator, variant: str, sigma: float,
@@ -183,8 +176,6 @@ def build_impedance(trace: TraceOperator, variant: str, sigma: float,
         raise ValueError(f"unknown impedance variant {variant!r}")
     if sigma <= 0.0:
         raise ValueError("sigma must be positive")
-    dim = trace.dim_lambda
-    M = np.zeros((dim, dim))
     facet_blocks: dict[int, np.ndarray] = {}
 
     if variant == "scalar":
@@ -215,123 +206,64 @@ def build_impedance(trace: TraceOperator, variant: str, sigma: float,
                     raise ValueError(f"facet block {fidx} is not positive definite")
                 facet_blocks[fidx] = block
 
-    for fidx, F in enumerate(trace.system.facets):
-        for i in F.subdomains:
-            r0, r1 = trace.slot_range(i, fidx)
-            M[r0:r1, r0:r1] = facet_blocks[fidx]
+    # trace slots run subdomain by subdomain, facet by facet (facet_order)
+    M = scipy.sparse.csr_array(scipy.sparse.block_diag(
+        [facet_blocks[fidx] for fids in trace.facet_order for fidx in fids]))
+    M.eliminate_zeros()
     return ImpedanceOperator(trace, variant, sigma, M, facet_blocks)
 
 
 class ExchangeOperator:
-    """Real involution X on the trace space."""
+    """Real involution X on the trace space; dense only for the one-step reflection."""
 
-    def __init__(self, variant: str, matrix: np.ndarray, trace: TraceOperator | None):
+    def __init__(self, variant: str, matrix: scipy.sparse.csr_array | np.ndarray):
         self.variant = variant
         self.matrix = matrix
-        self.trace = trace
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-
-def _glob_slot_groups(trace: TraceOperator):
-    """For each facet and dof: the trace slots of all sharing sides."""
-    groups = []
-    for fidx, F in enumerate(trace.system.facets):
-        for k in F.dofs:
-            groups.append([trace.slot(i, fidx, k) for i in F.subdomains])
-    return groups
 
 
 def build_exchange(trace: TraceOperator, impedance: ImpedanceOperator | None,
                    variant: str) -> ExchangeOperator:
-    """Build the exchange operator X in one of five variants.
+    """Build the exchange operator X as a sparse csr_array.
 
-    swap exchanges the two sides of every bilateral facet. multiplicity,
-    weighted, and glob_local reflect around per-facet averages (uniform,
-    partition-of-unity weighted from the impedance diagonal, and local
-    M-block weighted). global reflects around the single-valued interface
-    space orthogonally in the M inner product; it requires a surjective
-    trace and an SPD impedance.
+    The variants differ only in the configurations they admit: swap
+    exchanges the two sides of a bilateral facet; multiplicity, weighted
+    (partition of unity from a diagonal impedance) and glob_local (local
+    M-block weights) average over the sides of a glob; global is the
+    M-orthogonal reflection 2 R_L (R_L^T M R_L)^{-1} R_L^T M - I around the
+    single-valued interface space and needs a surjective trace. Every
+    impedance here is side-equal and block-diagonal by facet, so all of
+    these weights reduce to 1/m and the reflection is unique: per facet
+    and dof, the m sharing slots carry the block 2/m J - I.
     """
     if variant not in EXCHANGE_VARIANTS:
         raise ValueError(f"unknown exchange variant {variant!r}")
     system = trace.system
-    dim = trace.dim_lambda
-    X = np.zeros((dim, dim))
-
-    if variant == "swap":
-        if not system.is_bilateral:
-            raise ValueError("swap exchange needs a bilateral facet system; "
-                             "glob facets have no two-sided structure")
-        for fidx, F in enumerate(system.facets):
-            i, j = F.subdomains
-            for k in F.dofs:
-                X[trace.slot(i, fidx, k), trace.slot(j, fidx, k)] = 1.0
-                X[trace.slot(j, fidx, k), trace.slot(i, fidx, k)] = 1.0
-        return ExchangeOperator(variant, X, trace)
-
-    if variant in ("multiplicity", "weighted"):
-        if system.is_bilateral:
-            raise ValueError(f"{variant} reflection needs a glob facet system")
-        for group in _glob_slot_groups(trace):
-            m = len(group)
-            if variant == "multiplicity":
-                w = np.full(m, 1.0 / m)
-            else:
-                if impedance is None or not impedance.is_diagonal:
-                    raise ValueError("weighted reflection needs a diagonal impedance")
-                diag = np.array([impedance.matrix[s, s] for s in group])
-                w = diag / diag.sum()
-            for a, sa in enumerate(group):
-                for b, sb in enumerate(group):
-                    X[sa, sb] = 2.0 * w[b] - (1.0 if a == b else 0.0)
-        return ExchangeOperator(variant, X, trace)
-
-    if variant == "glob_local":
-        if system.is_bilateral:
-            raise ValueError("glob-local reflection needs a glob facet system")
-        if impedance is None:
-            raise ValueError("glob-local reflection needs an impedance operator")
-        for fidx, F in enumerate(system.facets):
-            block = impedance.facet_blocks[fidx]
-            m = len(F.subdomains)
-            size = len(F.dofs)
-            M_hat = m * block               # all sides share the same block
-            E_side = np.linalg.solve(M_hat, block)   # = (1/m) I for equal blocks
-            ranges = [trace.slot_range(i, fidx) for i in F.subdomains]
-            for (a0, _a1) in ranges:
-                for (b0, _b1) in ranges:
-                    X[a0:a0 + size, b0:b0 + size] += 2.0 * E_side
-                X[a0:a0 + size, a0:a0 + size] -= np.eye(size)
-        return ExchangeOperator(variant, X, trace)
-
-    # variant == "global": X = 2 R_L (R_L^T M R_L)^{-1} R_L^T M - I
-    if impedance is None:
-        raise ValueError("global reflection needs an impedance operator")
-    if not trace.surjective:
+    if variant == "swap" and not system.is_bilateral:
+        raise ValueError("swap exchange needs a bilateral facet system; "
+                         "glob facets have no two-sided structure")
+    if variant in ("multiplicity", "weighted", "glob_local") and system.is_bilateral:
+        raise ValueError(f"{variant} reflection needs a glob facet system")
+    if variant == "weighted" and (impedance is None or not impedance.is_diagonal):
+        raise ValueError("weighted reflection needs a diagonal impedance")
+    if variant in ("glob_local", "global") and impedance is None:
+        raise ValueError(f"{variant} reflection needs an impedance operator")
+    if variant == "global" and not trace.surjective:
         raise ValueError("global reflection needs a surjective trace "
                          "(each local interface dof selected exactly once)")
-    R_L = _single_valued_embedding(trace)
-    M = impedance.matrix
-    gram = R_L.T @ M @ R_L
-    X = 2.0 * (R_L @ np.linalg.solve(gram, R_L.T @ M)) - np.eye(dim)
-    return ExchangeOperator(variant, X, trace)
 
-
-def _single_valued_embedding(trace: TraceOperator) -> np.ndarray:
-    """Incidence from the single-valued interface space into the trace space.
-
-    One column per (facet, dof) pair; the column carries 1 on every sharing
-    side's slot for that dof.
-    """
-    pairs = []
-    for fidx, F in enumerate(trace.system.facets):
-        for k in F.dofs:
-            pairs.append((fidx, k))
-    R_L = np.zeros((trace.dim_lambda, len(pairs)))
-    for col, (fidx, k) in enumerate(pairs):
-        for i in trace.system.facets[fidx].subdomains:
-            R_L[trace.slot(i, fidx, k), col] = 1.0
-    return R_L
+    rows, cols, vals = [], [], []
+    for fidx, F in enumerate(system.facets):
+        m, size = len(F.subdomains), len(F.dofs)
+        starts = [trace.slot_range(i, fidx)[0] for i in F.subdomains]
+        for a in starts:
+            for b in starts:
+                value = 2.0 * (1.0 / m) - (1.0 if a == b else 0.0)
+                if value != 0.0:
+                    rows.append(np.arange(a, a + size))
+                    cols.append(np.arange(b, b + size))
+                    vals.append(np.full(size, value))
+    dim = trace.dim_lambda
+    X = scipy.sparse.csr_array(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(dim, dim))
+    return ExchangeOperator(variant, X)

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.sparse
 from click.testing import CliRunner
 
 from schwarzlab import decomp
@@ -91,6 +92,24 @@ class TestValidate:
                                      "decomposition.px": "2"}))
         assert any("divide" in e for e in errs)
 
+    def test_weighted_needs_diagonal_impedance(self):
+        errs = validate(self.base(**{"interface.impedance": "glob_block"}))
+        assert any("diagonal" in e for e in errs)
+
+    @pytest.mark.parametrize("px,py", [(2, 1), (1, 3), (4, 1), (2, 2), (3, 2), (4, 4)])
+    def test_bilateral_global_needs_strip(self, px, py):
+        # the rule matches the library: bilateral traces are surjective on strips
+        strip = px == 1 or py == 1
+        for facets in ("bilateral_max", "bilateral_properly_closed",
+                       "bilateral_non_redundant"):
+            over = {"problem.nx": "12", "problem.ny": "12",
+                    "decomposition.px": str(px), "decomposition.py": str(py),
+                    "interface.facets": facets}
+            swap = build_instance(self.base(**over, **{"interface.exchange": "swap"}))
+            assert swap.trace.surjective == strip
+            errs = validate(self.base(**over, **{"interface.exchange": "global"}))
+            assert (errs == []) == strip
+
 
 class TestChecks:
     def test_all_pass_on_valid_instance(self):
@@ -113,6 +132,39 @@ class TestChecks:
         assert checks["involution_defect"]["passed"]
 
 
+def _dense_2d_arrays(root):
+    """Every 2-D ndarray reachable through containers and schwarzlab objects."""
+    found, seen, stack = [], set(), [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            if obj.ndim == 2:
+                found.append(obj)
+        elif isinstance(obj, (list, tuple)):
+            stack.extend(obj)
+        elif isinstance(obj, dict):
+            stack.extend(obj.values())
+        elif type(obj).__module__.startswith("schwarzlab"):
+            stack.extend(getattr(obj, "__dict__", {}).values())
+    return found
+
+
+@pytest.mark.parametrize("preset", ["feti2lm", "loisel", "complete_comm", "fetih"])
+def test_interface_operators_are_sparse(preset):
+    inst = build_instance(load_config(preset=preset, overrides=dict(
+        s.split("=") for s in FAST)))
+    operators = [inst.impedance.matrix]
+    if inst.dual is not None:
+        operators += [inst.exchange.matrix, inst.dual.M, inst.dual.X]
+    assert all(isinstance(op, scipy.sparse.csr_array) for op in operators)
+    dim = inst.trace.dim_lambda
+    # no dense array spans the trace space in both directions
+    assert not [a.shape for a in _dense_2d_arrays(inst) if min(a.shape) >= dim]
+
+
 class TestRunCommand:
     def test_needs_config_or_preset(self, tmp_path, monkeypatch):
         for args in (["run"], ["verify"], ["sweep", "--vary", "solver.beta=0.5"]):
@@ -125,6 +177,17 @@ class TestRunCommand:
                           "--set", "interface.exchange=swap"],
                          tmp_path, monkeypatch)
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("preset,setting", [
+        ("complete_comm", "interface.impedance=glob_block"),
+        ("feti2lm", "interface.exchange=global"),
+    ])
+    def test_inadmissible_exchange_exits_two(self, tmp_path, monkeypatch,
+                                             preset, setting):
+        result = run_cli(["run", "--preset", preset, "--set", setting]
+                         + [f"--set={s}" for s in FAST], tmp_path, monkeypatch)
+        assert result.exit_code == 2, result.output
+        assert "invalid configuration" in result.output
 
     def test_run_writes_outputs(self, tmp_path, monkeypatch):
         result = run_cli(["run", "--preset", "loisel"]

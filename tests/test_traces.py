@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+import scipy.sparse
 
 from schwarzlab.facets import build_facets
 from schwarzlab.formulations import build_dual_system
 from schwarzlab.solvers import IterationConfig, primal_iterate
-from schwarzlab.traces import build_exchange, build_impedance, build_trace
+from schwarzlab.traces import (EXCHANGE_VARIANTS, IMPEDANCE_VARIANTS, build_exchange,
+                               build_impedance, build_trace)
 
 from conftest import make_instance
 
@@ -75,7 +77,7 @@ class TestImpedance:
         facet_variant = "globs" if variant == "glob_block" else "bilateral_max"
         trace = build_trace(build_facets(cross_dec, facet_variant), cross_dec)
         imp = build_impedance(trace, variant, 2.0)
-        M = imp.matrix
+        M = imp.matrix.toarray()
         assert np.max(np.abs(M - M.T)) == 0.0
         assert np.linalg.eigvalsh(M).min() > 0.0
         assert np.max(np.abs(M.imag)) if np.iscomplexobj(M) else True
@@ -83,15 +85,15 @@ class TestImpedance:
     def test_scalar_is_sigma_identity(self, cross_dec):
         trace = build_trace(build_facets(cross_dec, "globs"), cross_dec)
         imp = build_impedance(trace, "scalar", 3.5)
-        assert np.array_equal(imp.matrix, 3.5 * np.eye(trace.dim_lambda))
+        assert np.array_equal(imp.matrix.toarray(), 3.5 * np.eye(trace.dim_lambda))
 
     def test_sides_share_blocks(self, cross_dec):
         system = build_facets(cross_dec, "bilateral_max")
         trace = build_trace(system, cross_dec)
-        imp = build_impedance(trace, "lumped_mass", 1.0)
+        M = build_impedance(trace, "lumped_mass", 1.0).matrix.toarray()
         for fidx, F in enumerate(system.facets):
-            blocks = [imp.matrix[slice(*trace.slot_range(i, fidx)),
-                                 slice(*trace.slot_range(i, fidx))]
+            blocks = [M[slice(*trace.slot_range(i, fidx)),
+                        slice(*trace.slot_range(i, fidx))]
                       for i in F.subdomains]
             for block in blocks[1:]:
                 assert np.array_equal(block, blocks[0])
@@ -155,11 +157,13 @@ class TestExchange:
         M = imp.matrix
         scale = np.max(np.abs(M))
         assert np.max(np.abs(X.matrix.T @ M @ X.matrix - M)) <= 1e-10 * scale
+        def norm(lam):
+            return np.sqrt(np.vdot(lam, M @ lam).real)
+
         rng = np.random.default_rng(2)
         for _ in range(10):
-            lam = rng.standard_normal(imp.dim) + 1j * rng.standard_normal(imp.dim)
-            assert imp.norm(X.matrix @ lam) == pytest.approx(imp.norm(lam),
-                                                             rel=1e-10)
+            lam = rng.standard_normal(M.shape[0]) + 1j * rng.standard_normal(M.shape[0])
+            assert norm(X.matrix @ lam) == pytest.approx(norm(lam), rel=1e-10)
 
     def test_reflection_closed_form(self, cross_dec):
         # equal impedance glob of multiplicity 4: diagonal 2/m - 1, off 2/m
@@ -169,24 +173,43 @@ class TestExchange:
                     if len(F.subdomains) == 4)
         F = system.facets[fidx]
         slots = [trace.slot(i, fidx, F.dofs[0]) for i in F.subdomains]
-        block = X.matrix[np.ix_(slots, slots)]
+        block = X.matrix.toarray()[np.ix_(slots, slots)]
         expected = 0.5 * np.ones((4, 4)) - np.eye(4)
         assert np.allclose(block, expected, atol=1e-14)
 
-    def test_multiplicity_two_glob_is_swap(self):
+    @pytest.mark.parametrize("impedance", IMPEDANCE_VARIANTS)
+    @pytest.mark.parametrize("exchange", EXCHANGE_VARIANTS)
+    def test_one_reflection_per_slot_group(self, cross_dec, exchange, impedance):
+        # side-equal, facet-block-diagonal M: every admissible variant is the
+        # unique M-orthogonal reflection, 2/m J - I on each (facet, dof) group
         strip = make_instance(4, 4, 2, 1)[2]
-        _sys, trace, _imp, Xg = build_stack(strip, "globs", "multiplicity",
-                                            impedance="scalar")
-        _sysb, traceb, _impb, Xs = build_stack(strip, "bilateral_max", "swap",
-                                               impedance="scalar")
-        # same slot layout for a single facet pair: compare directly
-        assert np.allclose(Xg.matrix, Xs.matrix, atol=1e-14)
-
-    def test_global_matches_weighted(self, cross_dec):
-        # shared per-dof weights: the M-symmetric reflection is unique
-        _sys, _trace, _imp, Xw = build_stack(cross_dec, "globs", "weighted")
-        _sys2, _trace2, _imp2, Xg = build_stack(cross_dec, "globs", "global")
-        assert np.max(np.abs(Xw.matrix - Xg.matrix)) <= 1e-10
+        for dec in (cross_dec, strip):
+            for facet_variant in BILATERAL + ("globs",):
+                system = build_facets(dec, facet_variant)
+                trace = build_trace(system, dec)
+                imp = build_impedance(trace, impedance, 1.0)
+                bilateral = system.is_bilateral
+                valid = {"swap": bilateral,
+                         "multiplicity": not bilateral,
+                         "weighted": not bilateral and impedance != "glob_block",
+                         "glob_local": not bilateral,
+                         "global": trace.surjective}[exchange]
+                if not valid:
+                    with pytest.raises(ValueError):
+                        build_exchange(trace, imp, exchange)
+                    continue
+                X = build_exchange(trace, imp, exchange).matrix
+                assert isinstance(X, scipy.sparse.csr_array)
+                assert np.all(X.data != 0.0)
+                expected = np.zeros((trace.dim_lambda, trace.dim_lambda))
+                for fidx, F in enumerate(system.facets):
+                    m = len(F.subdomains)
+                    for k in F.dofs:
+                        slots = [trace.slot(i, fidx, k) for i in F.subdomains]
+                        expected[np.ix_(slots, slots)] = 2.0 * (1.0 / m) - np.eye(m)
+                assert np.array_equal(X.toarray(), expected)
+                M = imp.matrix
+                assert abs(X.T @ M @ X - M).max() <= 1e-14 * abs(M).max()
 
     def test_invalid_combinations(self, cross_dec):
         glob_trace = build_trace(build_facets(cross_dec, "globs"), cross_dec)
