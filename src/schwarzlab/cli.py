@@ -241,6 +241,10 @@ def validate(cfg: RunConfig) -> list[str]:
         if method != "richardson":
             errors.append("the one-step reflection runs as an undamped "
                           "fixed-point update; set solver.method = richardson")
+        if ptype == "laplace" and px > 2 and py > 2:
+            errors.append("the one-step reflection on laplace needs every "
+                          "subdomain on the boundary (px <= 2 or py <= 2); an "
+                          "interior subdomain has a singular local operator")
     if method == "primal" and bilateral:
         errors.append("the subdomain-field recurrence needs a right inverse of "
                       "the trace, which bilateral systems with cross points "
@@ -323,7 +327,11 @@ def interface_checks(inst: Instance, n_random: int = 20,
     the mesh-order assembly), facet admissibility, the involution and
     conformity-fixing properties of the exchange, isometry of the exchange in
     the impedance metric, the redundancy dimension against its cycle count,
-    and the pseudo-energy balance on random multipliers.
+    and the pseudo-energy balance on random multipliers. The exchange checks
+    read X, T and M from the dual system, so every dual instance takes one
+    path. A sparse X is checked entrywise; an X that is only applied (the
+    one-step reflection) is checked on a random probe block P, through
+    |X X P - P| / |P| and |X^T M X P - M P| / (max|M| |P|).
     """
     checks: dict[str, dict] = {}
     rng = np.random.default_rng(seed)
@@ -349,33 +357,35 @@ def interface_checks(inst: Instance, n_random: int = 20,
             "cycles": adm.total_cycles,
         }
 
-    X = None
-    if inst.exchange is not None:
-        X = inst.exchange.matrix
-    elif inst.dual is not None and inst.system is None:
-        X = inst.dual.X   # one-step reflection on the product space
-    if X is not None:
-        identity = scipy.sparse.eye_array(X.shape[0])
-        record("involution_defect", float(abs(X @ X - identity).max()), 1e-12)
-
-    if inst.dual is not None and inst.trace is not None and X is not None:
-        T = inst.trace.matrix
+    dual = inst.dual
+    if dual is not None:
+        X, M = dual.X, dual.M
+        identity = scipy.sparse.eye_array(dual.dim)
+        scale = float(abs(M).max()) or 1.0
+        if scipy.sparse.issparse(X):
+            involution = float(abs(X @ X - identity).max())
+            isometry = float(abs(X.T @ M @ X - M).max()) / scale
+        else:   # an applied X: probe both identities with a random block
+            P = (rng.standard_normal((dual.dim, n_random))
+                 + 1j * rng.standard_normal((dual.dim, n_random)))
+            p_scale = float(np.abs(P).max())
+            XP = X @ P
+            involution = float(np.abs(X @ XP - P).max()) / p_scale
+            isometry = (float(np.abs(X.T @ (M @ XP) - M @ P).max())
+                        / (scale * p_scale))
+        record("involution_defect", involution, 1e-12)
         worst = 0.0
         for _ in range(n_random):
             vhat = (rng.standard_normal(inst.problem.n)
                     + 1j * rng.standard_normal(inst.problem.n))
-            t = T @ inst.decomp.apply_R(vhat)
+            t = dual.T @ inst.decomp.apply_R(vhat)
             worst = max(worst, float(np.max(np.abs(t - X @ t))))
         record("conformity_fixed_defect", worst, 1e-12)
-        M = inst.dual.M
-        scale = float(abs(M).max()) or 1.0
-        record("impedance_isometry_defect",
-               float(abs(X.T @ M @ X - M).max()) / scale, 1e-12)
+        record("impedance_isometry_defect", isometry, 1e-12)
 
-    if (inst.dual is not None and inst.trace is not None
-            and inst.redundancy is not None
-            and inst.trace.dim_lambda <= GAMMA_DIM_LIMIT and X is not None):
-        stacked = np.vstack([inst.trace.matrix.T.toarray(), (identity + X.T).toarray()])
+    if (dual is not None and inst.redundancy is not None
+            and dual.dim <= GAMMA_DIM_LIMIT):
+        stacked = np.vstack([dual.T.T.toarray(), (identity + X.T).toarray()])
         svals = np.linalg.svd(stacked, compute_uv=False)
         tol = max(stacked.shape) * np.finfo(float).eps * (svals[0] if len(svals) else 1.0)
         nullity = int(np.sum(svals <= max(tol, 1e-10)))
@@ -385,12 +395,12 @@ def interface_checks(inst: Instance, n_random: int = 20,
             "cycle_count": int(inst.redundancy.shape[1]),
         }
 
-    if inst.dual is not None and inst.trace is not None:
+    if dual is not None:
         worst = 0.0
         for _ in range(n_random):
-            lam = (rng.standard_normal(inst.dual.dim)
-                   + 1j * rng.standard_normal(inst.dual.dim))
-            lhs, rhs, _p = inst.dual.pseudo_energy(lam)
+            lam = (rng.standard_normal(dual.dim)
+                   + 1j * rng.standard_normal(dual.dim))
+            lhs, rhs, _p = dual.pseudo_energy(lam)
             worst = max(worst, abs(lhs - rhs) / max(rhs, 1e-300))
         record("pseudo_energy_defect", worst, 1e-10)
 

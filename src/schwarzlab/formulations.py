@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse
+import scipy.sparse.linalg
 
 from .decomp import Decomposition
 from .facets import Facet, FacetSystem, spanning_forest
@@ -79,8 +80,8 @@ class DualSystem:
 
     def __init__(self, decomp: Decomposition, aug: AugmentedLocal,
                  T: scipy.sparse.csr_array, M: scipy.sparse.csr_array,
-                 X: scipy.sparse.csr_array | np.ndarray, alpha: complex, f: np.ndarray,
-                 impedance: ImpedanceOperator | None = None):
+                 X: scipy.sparse.csr_array | scipy.sparse.linalg.LinearOperator,
+                 alpha: complex, f: np.ndarray, impedance: ImpedanceOperator | None = None):
         self.decomp = decomp
         self.aug = aug
         self.T = T
@@ -182,11 +183,15 @@ def build_dual_system(decomp: Decomposition, trace: TraceOperator,
 
 
 def exceptional_exchange(decomp: Decomposition) -> ExchangeOperator:
-    """X = 2 R Ahat^{-1} R^T A - I on the full product space.
+    """X = 2 R Ahat^{-1} R^T A - I on the full product space, applied only.
 
     Defined for the coercive regime (real symmetric positive definite
     operators); the whole product space acts as the trace space (T = I) and
-    the impedance equals the operator itself (M = A).
+    the impedance equals the operator itself (M = A). The matrix is a
+    complex LinearOperator: X v = 2 R Ahat^{-1} R^T A v - v and
+    X^T v = 2 A R Ahat^{-T} R^T v - v cost one sparse solve with the Ahat
+    factor per column, for 1-D and 2-D v alike; X is never formed. X is
+    real, so the transpose callable also serves as the adjoint.
     """
     problem = decomp.problem
     if problem.wave:
@@ -195,8 +200,16 @@ def exceptional_exchange(decomp: Decomposition) -> ExchangeOperator:
     A = decomp.A_blockdiag().real
     R = decomp.R_stacked().real
     Ahat_fac = factorize(problem.A_hat())
-    RtA = (R.T @ A).toarray()
-    X = 2.0 * (R @ Ahat_fac.solve(RtA.astype(np.complex128)).real) - np.eye(A.shape[0])
+
+    def apply(v):
+        return 2.0 * (R @ Ahat_fac.solve(R.T @ (A @ v))) - v
+
+    def apply_transpose(v):
+        return 2.0 * (A @ (R @ Ahat_fac.solve(R.T @ v, trans="T"))) - v
+
+    X = scipy.sparse.linalg.LinearOperator(
+        A.shape, matvec=apply, matmat=apply, rmatvec=apply_transpose,
+        rmatmat=apply_transpose, dtype=np.complex128)
     return ExchangeOperator("exceptional", X)
 
 
@@ -207,9 +220,8 @@ def exceptional_system(decomp: Decomposition) -> DualSystem:
     lambda = 0 reproduces the restricted global solution exactly.
     """
     X = exceptional_exchange(decomp)
-    n_u = decomp.offsets[-1]
     A = decomp.A_blockdiag().real
-    T = scipy.sparse.identity(n_u, format="csr")
+    T = scipy.sparse.identity(A.shape[0], format="csr")
     blocks = [2.0 * decomp.local_A(i) for i in range(decomp.n_sub)]
     aug = AugmentedLocal(blocks, decomp.offsets, 1.0)
     return DualSystem(decomp, aug, T, A, X.matrix, 1.0, decomp.f_concat)

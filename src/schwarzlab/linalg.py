@@ -7,7 +7,6 @@ with zero imaginary part so that a single code path serves both the coercive
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -18,7 +17,6 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 __all__ = [
-    "DenseFactorization",
     "SparseFactorization",
     "WeightedInnerProduct",
     "SingularMatrixError",
@@ -84,33 +82,18 @@ def accumulate(rows, cols, values, shape):
 
 
 @dataclass(frozen=True)
-class DenseFactorization:
-    """LU factorization with partial pivoting of a densified square matrix."""
-
-    size: int
-    lu: np.ndarray = field(repr=False)
-    piv: np.ndarray = field(repr=False)
-
-    def solve(self, b) -> np.ndarray:
-        b = np.asarray(b, dtype=np.complex128)
-        if b.shape[0] != self.size:
-            raise ValueError("right-hand side has wrong length")
-        # non-finite values pass through, for the solvers to report
-        return scipy.linalg.lu_solve((self.lu, self.piv), b, check_finite=False)
-
-
-@dataclass(frozen=True)
 class SparseFactorization:
     """Sparse LU (SuperLU, fill-reducing column order) of a square matrix."""
 
     size: int
     lu: scipy.sparse.linalg.SuperLU = field(repr=False)
 
-    def solve(self, b) -> np.ndarray:
+    def solve(self, b, trans: str = "N") -> np.ndarray:
+        """Solve A x = b, or A^T x = b with trans="T"; b is 1-D or 2-D."""
         b = np.asarray(b, dtype=np.complex128)
         if b.shape[0] != self.size:
             raise ValueError("right-hand side has wrong length")
-        return self.lu.solve(b)
+        return self.lu.solve(b, trans=trans)
 
 
 def _check_pivots(pivots: np.ndarray, scale: float) -> None:
@@ -120,31 +103,23 @@ def _check_pivots(pivots: np.ndarray, scale: float) -> None:
             f"{np.min(pivots):.3e} vs scale {scale:.3e})")
 
 
-def factorize(A) -> DenseFactorization | SparseFactorization:
-    """LU with partial pivoting; rejects singular-to-tolerance pivots.
+def factorize(A) -> SparseFactorization:
+    """Sparse LU with partial pivoting; rejects singular-to-tolerance pivots.
 
-    A scipy sparse matrix gets a sparse LU, a dense array a dense LU. Either way a pivot of magnitude at most PIVOT_TOL * max|A|
-    raises SingularMatrixError, and `solve` takes 1-D or 2-D right-hand sides.
+    Sparse and dense inputs alike are converted to CSC and factorized by
+    SuperLU. A pivot of magnitude at most PIVOT_TOL * max|A| raises
+    SingularMatrixError, and `solve` takes 1-D or 2-D right-hand sides.
     """
-    sparse = scipy.sparse.issparse(A)
-    A = scipy.sparse.csc_array(A, dtype=np.complex128) if sparse else np.asarray(A, np.complex128)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+    A = scipy.sparse.csc_array(A, dtype=np.complex128)
+    if A.shape[0] != A.shape[1]:
         raise ValueError("factorize expects a square matrix")
-    n = A.shape[0]
-    scale = float(np.abs(A.data if sparse else A).max()) if A.size else 0.0
-    if sparse:
-        try:
-            lu = scipy.sparse.linalg.splu(A)
-        except RuntimeError as exc:     # SuperLU: "Factor is exactly singular"
-            raise SingularMatrixError(f"matrix is singular ({exc})") from exc
-        _check_pivots(np.abs(lu.U.diagonal()), scale)
-        return SparseFactorization(size=n, lu=lu)
-    with warnings.catch_warnings():
-        # the pivot check below turns exact singularity into an exception
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(A, check_finite=False)
-    _check_pivots(np.abs(np.diagonal(lu)), scale)
-    return DenseFactorization(size=n, lu=lu, piv=piv)
+    scale = float(np.abs(A.data).max()) if A.nnz else 0.0
+    try:
+        lu = scipy.sparse.linalg.splu(A)
+    except RuntimeError as exc:     # SuperLU: "Factor is exactly singular"
+        raise SingularMatrixError(f"matrix is singular ({exc})") from exc
+    _check_pivots(np.abs(lu.U.diagonal()), scale)
+    return SparseFactorization(size=A.shape[0], lu=lu)
 
 
 class WeightedInnerProduct:

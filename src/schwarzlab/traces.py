@@ -214,9 +214,11 @@ def build_impedance(trace: TraceOperator, variant: str, sigma: float,
 
 
 class ExchangeOperator:
-    """Real involution X on the trace space; dense only for the one-step reflection."""
+    """Real involution X on the trace space; a LinearOperator only for the
+    one-step reflection, which is applied and never formed."""
 
-    def __init__(self, variant: str, matrix: scipy.sparse.csr_array | np.ndarray):
+    def __init__(self, variant: str,
+                 matrix: scipy.sparse.csr_array | scipy.sparse.linalg.LinearOperator):
         self.variant = variant
         self.matrix = matrix
 

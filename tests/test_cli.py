@@ -3,9 +3,10 @@ import json
 import numpy as np
 import pytest
 import scipy.sparse
+import scipy.sparse.linalg
 from click.testing import CliRunner
 
-from schwarzlab import decomp
+from schwarzlab import cli, decomp
 from schwarzlab.cli import (build_instance, execute, interface_checks,
                             load_config, main, validate)
 
@@ -76,6 +77,24 @@ class TestValidate:
                                      "interface.exchange": "swap"}))
         assert any("glob" in e for e in errs)
 
+    @pytest.mark.parametrize("px,py,over,valid", [
+        (3, 3, {}, False),
+        (3, 1, {}, True),
+        (3, 3, {"problem.type": "reaction_diffusion", "problem.kappa": "1"}, True),
+    ])
+    def test_exceptional_laplace_needs_boundary_subdomains(self, px, py, over,
+                                                           valid, tmp_path,
+                                                           monkeypatch):
+        # an interior subdomain of laplace has a singular local operator
+        sets = {"problem.nx": "12", "problem.ny": "12",
+                "decomposition.px": str(px), "decomposition.py": str(py), **over}
+        result = run_cli(["run", "--preset", "exceptional"]
+                         + [f"--set={k}={v}" for k, v in sets.items()],
+                         tmp_path, monkeypatch)
+        assert result.exit_code == (0 if valid else 2), result.output
+        if not valid:
+            assert "px <= 2 or py <= 2" in result.output
+
     def test_exceptional_excludes_helmholtz(self):
         errs = validate(self.base(**{"problem.type": "helmholtz",
                                      "problem.kappa": "6.28",
@@ -133,7 +152,8 @@ class TestChecks:
 
 
 def _dense_2d_arrays(root):
-    """Every 2-D ndarray reachable through containers and schwarzlab objects."""
+    """Every 2-D ndarray reachable through containers, schwarzlab objects,
+    LinearOperators and the closures of the functions they hold."""
     found, seen, stack = [], set(), [root]
     while stack:
         obj = stack.pop()
@@ -147,8 +167,11 @@ def _dense_2d_arrays(root):
             stack.extend(obj)
         elif isinstance(obj, dict):
             stack.extend(obj.values())
-        elif type(obj).__module__.startswith("schwarzlab"):
+        elif (type(obj).__module__.startswith("schwarzlab")
+              or isinstance(obj, scipy.sparse.linalg.LinearOperator)):
             stack.extend(getattr(obj, "__dict__", {}).values())
+        elif callable(obj) and getattr(obj, "__closure__", None):
+            stack.extend(cell.cell_contents for cell in obj.__closure__)
     return found
 
 
@@ -163,6 +186,18 @@ def test_interface_operators_are_sparse(preset):
     dim = inst.trace.dim_lambda
     # no dense array spans the trace space in both directions
     assert not [a.shape for a in _dense_2d_arrays(inst) if min(a.shape) >= dim]
+
+
+def test_one_step_reflection_is_applied_not_stored():
+    inst = build_instance(load_config(preset="exceptional", overrides=dict(
+        s.split("=") for s in FAST)))
+    X = inst.dual.X
+    assert isinstance(X, scipy.sparse.linalg.LinearOperator)
+    assert isinstance(inst.dual.M, scipy.sparse.csr_array)
+    n_u = inst.decomp.offsets[-1]
+    assert X.shape == (n_u, n_u)
+    # no dense array spans the product space in both directions
+    assert not [a.shape for a in _dense_2d_arrays(inst) if min(a.shape) >= n_u]
 
 
 class TestRunCommand:
@@ -293,3 +328,33 @@ class TestExceptionalPreset:
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert report["iterations"] == 1
         assert report["final_primal_error"] <= 1e-10
+
+    def test_battery_covers_the_one_step_reflection(self):
+        inst = build_instance(load_config(preset="exceptional", overrides=dict(
+            s.split("=") for s in FAST)))
+        checks = interface_checks(inst)
+        assert {"involution_defect", "conformity_fixed_defect",
+                "impedance_isometry_defect", "pseudo_energy_defect"} <= set(checks)
+        assert all(c["passed"] for c in checks.values())
+
+    @pytest.mark.parametrize("fault", ["perturbed", "negated"])
+    def test_faulty_reflection_exits_four(self, fault, tmp_path, monkeypatch):
+        build = cli.build_instance
+
+        def faulty(cfg):
+            inst = build(cfg)
+            X = inst.dual.X
+            if fault == "perturbed":
+                bump = scipy.sparse.csr_array(([1e-6], ([0], [0])), shape=X.shape)
+                inst.dual.X = X + scipy.sparse.linalg.aslinearoperator(bump)
+            else:
+                inst.dual.X = -X
+            return inst
+
+        monkeypatch.setattr(cli, "build_instance", faulty)
+        result = run_cli(["verify", "--preset", "exceptional"]
+                         + [f"--set={s}" for s in FAST], tmp_path, monkeypatch)
+        assert result.exit_code == 4, result.output
+        assert "FAIL conformity_fixed_defect" in result.output
+        if fault == "perturbed":
+            assert "FAIL involution_defect" in result.output

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -240,16 +241,43 @@ class TestRobinEquivalence:
         assert nullity(combined) == nullity(stacked)
 
 
+def _dense_one_step(decomp):
+    """2 R Ahat^{-1} R^T A - I, formed densely."""
+    A = decomp.A_blockdiag().toarray().real
+    R = decomp.R_stacked().toarray().real
+    Ahat = decomp.problem.A_hat().toarray().real
+    return 2.0 * R @ np.linalg.solve(Ahat, R.T @ A) - np.eye(A.shape[0])
+
+
 class TestExceptional:
     def test_twin_swap_matrix(self):
         ts = twin_scalar(a=(1.0, 1.0))
-        X = exceptional_exchange(ts.decomp)
-        assert np.allclose(X.matrix, [[0.0, 1.0], [1.0, 0.0]], atol=1e-14)
+        X = exceptional_exchange(ts.decomp).matrix
+        assert np.allclose(X @ np.eye(2), [[0.0, 1.0], [1.0, 0.0]], atol=1e-14)
+
+    @pytest.mark.parametrize("case", ["twin", "coercive_2x2"])
+    def test_applied_matches_dense_formula(self, case, request):
+        dec = (twin_scalar(a=(1.0, 3.0)).decomp if case == "twin"
+               else request.getfixturevalue("coercive_2x2")[2])
+        X = exceptional_exchange(dec).matrix
+        assert isinstance(X, scipy.sparse.linalg.LinearOperator)
+        dense = _dense_one_step(dec)
+        n = dense.shape[0]
+        rng = np.random.default_rng(7)
+        v = rng.standard_normal(n)
+        V = rng.standard_normal((n, 3))
+        for z in (v, v + 1j * rng.standard_normal(n)):
+            assert np.max(np.abs(X @ z - dense @ z)) <= 1e-13
+            assert np.max(np.abs(X.T @ z - dense.T @ z)) <= 1e-13
+        for Z in (V, V + 1j * rng.standard_normal((n, 3))):
+            assert np.max(np.abs(X @ Z - dense @ Z)) <= 1e-13
+            assert np.max(np.abs(X.T @ Z - dense.T @ Z)) <= 1e-13
 
     def test_involution_and_A_isometry(self, coercive_2x2):
         _, prob, dec = coercive_2x2
         X = exceptional_exchange(dec).matrix
         n = X.shape[0]
+        X = X @ np.eye(n)
         assert np.max(np.abs(X @ X - np.eye(n))) <= 1e-10
         A = dec.A_blockdiag().toarray().real
         assert np.max(np.abs(X.T @ A @ X - A)) <= 1e-10 * np.max(np.abs(A))

@@ -4,7 +4,7 @@ import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schwarzlab.linalg import (PIVOT_TOL, DenseFactorization, SingularMatrixError,
+from schwarzlab.linalg import (PIVOT_TOL, SingularMatrixError,
                                SparseFactorization, WeightedInnerProduct, accumulate,
                                factorize, gmres, load_matrix_market, save_matrix_market)
 
@@ -60,9 +60,15 @@ class TestFactorize:
 class TestSparseFactorize:
     def test_sparse_inputs_take_the_sparse_path(self):
         A = np.array([[4.0, 1.0], [1.0, 3.0]])
-        for sparse in (scipy.sparse.csc_array(A), scipy.sparse.csr_array(A)):
-            assert isinstance(factorize(sparse), SparseFactorization)
-        assert isinstance(factorize(A), DenseFactorization)
+        for given in (scipy.sparse.csc_array(A), scipy.sparse.csr_array(A), A):
+            assert isinstance(factorize(given), SparseFactorization)
+
+    def test_transpose_solve(self):
+        A = np.array([[4.0, 1.0j], [2.0, 3.0]])
+        B = np.array([[1.0, 2.0], [-1.0, 1j]])
+        fac = factorize(A)
+        assert np.allclose(A.T @ fac.solve(B, trans="T"), B, atol=1e-14)
+        assert np.allclose(A.T @ fac.solve(B[:, 0], trans="T"), B[:, 0], atol=1e-14)
 
     def test_wrong_length_rejected(self):
         fac = factorize(scipy.sparse.eye_array(3, format="csr"))
@@ -238,5 +244,5 @@ def test_sparse_factorize_matches_dense(n, density, seed):
     A = (S + scipy.sparse.eye_array(n, dtype=np.complex128) * (n + 1)).tocsr()
     B = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
     x_sparse = factorize(A).solve(B)
-    x_dense = factorize(A.toarray()).solve(B)
+    x_dense = np.linalg.solve(A.toarray(), B)
     assert np.linalg.norm(x_sparse - x_dense) <= 1e-12 * np.linalg.norm(x_dense)
