@@ -54,9 +54,6 @@ class FacetSystem:
     facets: tuple[Facet, ...]
     n_subdomains: int
 
-    def facets_of(self, i: int) -> list[int]:
-        return [idx for idx, F in enumerate(self.facets) if i in F.subdomains]
-
     @property
     def is_bilateral(self) -> bool:
         return self.variant in BILATERAL_VARIANTS

@@ -74,11 +74,6 @@ class TraceOperator:
             (np.ones(self.dim_lambda), (rows, cols)),
             shape=(self.dim_lambda, decomp.offsets[-1]))
 
-        # row ranges per subdomain, for block-diagonal applications
-        counts = [sum(len(system.facets[fidx].dofs) for fidx in fids)
-                  for fids in facet_order]
-        self.row_offsets = np.concatenate([[0], np.cumsum(counts)])
-
     def slot(self, i: int, fidx: int, k: int) -> int:
         return self._slot_index[(i, fidx, k)]
 
@@ -161,14 +156,13 @@ class ImpedanceOperator:
         self.is_diagonal = variant != "glob_block"
 
 
-def build_impedance(trace: TraceOperator, variant: str, sigma: float,
-                    weights=None) -> ImpedanceOperator:
+def build_impedance(trace: TraceOperator, variant: str, sigma: float) -> ImpedanceOperator:
     """Build the interface impedance M.
 
     scalar:      sigma * identity.
     lumped_mass: diagonal, sigma times the lumped facet-internal edge length.
-    diagonal:    diagonal with caller-supplied per-dof positive weights
-                 (shared by all sides of a facet); defaults to lumped_mass.
+    diagonal:    the same diagonal as lumped_mass, under the name the loisel
+                 preset uses.
     glob_block:  consistent 1D mass over facet-internal edges (SPD block per
                  facet, identical on every side).
     """
@@ -185,13 +179,7 @@ def build_impedance(trace: TraceOperator, variant: str, sigma: float,
         lumped, facet_edges, h_min = _interface_edge_weights(trace, sigma)
         for fidx, F in enumerate(trace.system.facets):
             if variant in ("lumped_mass", "diagonal"):
-                if variant == "diagonal" and weights is not None:
-                    diag = np.array([float(weights[k]) for k in F.dofs])
-                    if np.any(diag <= 0.0):
-                        raise ValueError("diagonal weights must be positive")
-                else:
-                    diag = lumped[fidx]
-                facet_blocks[fidx] = np.diag(diag)
+                facet_blocks[fidx] = np.diag(lumped[fidx])
             else:  # glob_block: consistent 1D interface mass
                 block = np.zeros((len(F.dofs), len(F.dofs)))
                 pa, pb, length = facet_edges[fidx]

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +14,17 @@ from schwarzlab.cli import (build_instance, execute, interface_checks,
 
 
 FAST = ["problem.nx=8", "problem.ny=8"]
+
+
+def sized(nx, p):
+    """--set arguments for an nx x nx mesh on p x p subdomains."""
+    return [f"problem.nx={nx}", f"problem.ny={nx}",
+            f"decomposition.px={p}", f"decomposition.py={p}"]
+
+
+def sized_instance(preset, nx, p):
+    return build_instance(load_config(preset=preset, overrides=dict(
+        s.split("=") for s in sized(nx, p))))
 
 
 def run_cli(args, tmp_path, monkeypatch):
@@ -151,6 +164,72 @@ class TestChecks:
         assert checks["involution_defect"]["passed"]
 
 
+class TestRedundancyCheck:
+    def test_runs_above_the_gamma_budget(self):
+        inst = sized_instance("feti2lm", 32, 4)
+        assert inst.dual.dim > cli.GAMMA_DIM_LIMIT
+        checks = interface_checks(inst, n_random=1)
+        assert checks["redundancy_dimension"] == {"passed": True, "cycle_count": 9}
+
+    @pytest.mark.parametrize("fault", ["dropped_column", "flipped_sign"])
+    def test_wrong_basis_exits_four(self, fault, tmp_path, monkeypatch):
+        build = cli.build_instance
+
+        def faulty(cfg):
+            inst = build(cfg)
+            Z = inst.redundancy.copy()
+            if fault == "dropped_column":
+                inst.redundancy = Z[:, 1:]
+            else:
+                Z[np.flatnonzero(Z[:, 0])[0], 0] *= -1.0
+                inst.redundancy = Z
+            return inst
+
+        monkeypatch.setattr(cli, "build_instance", faulty)
+        result = run_cli(["verify", "--preset", "feti2lm"]
+                         + [f"--set={s}" for s in sized(16, 4)], tmp_path, monkeypatch)
+        assert result.exit_code == 4, result.output
+        assert "FAIL redundancy_dimension" in result.output
+        assert result.output.count("FAIL") == 1
+
+
+def test_flipped_fetih_sign_term_exits_four(tmp_path, monkeypatch):
+    build = cli.build_instance
+
+    def faulty(cfg):
+        # a subdomain on one tree facet: flipping its sign flips that one term
+        inst = build(cfg)
+        fh = inst.fetih
+        leaf = next(v for v in range(fh.decomp.n_sub)
+                    if sum(v in pair for pair in fh.tree_pairs) == 1)
+        signs = fh.signs.copy()
+        signs[leaf] *= -1
+        inst.fetih = dataclasses.replace(fh, signs=signs)
+        return inst
+
+    monkeypatch.setattr(cli, "build_instance", faulty)
+    result = run_cli(["verify", "--preset", "fetih"]
+                     + [f"--set={s}" for s in sized(16, 4)], tmp_path, monkeypatch)
+    assert result.exit_code == 4, result.output
+    assert "FAIL assembling_deviation" in result.output
+    assert result.output.count("FAIL") == 1
+
+
+@pytest.mark.parametrize("preset,size", [
+    ("complete_comm", lambda inst: inst.trace.dim_lambda),
+    ("fetih", lambda inst: inst.problem.n),
+], ids=["complete_comm-dim_lambda", "fetih-n"])
+def test_battery_allocates_less_than_a_dense_square(preset, size):
+    inst = sized_instance(preset, 32, 4)
+    tracemalloc.start()
+    try:
+        interface_checks(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < size(inst) ** 2 * 16
+
+
 def _dense_2d_arrays(root):
     """Every 2-D ndarray reachable through containers, schwarzlab objects,
     LinearOperators and the closures of the functions they hold."""
@@ -243,6 +322,38 @@ class TestRunCommand:
                          + [f"--set={s}" for s in FAST],
                          tmp_path, monkeypatch)
         assert result.exit_code == 3
+
+    @pytest.mark.parametrize("nx", [16, 64])
+    def test_gamma_skip_is_reported(self, nx, tmp_path, monkeypatch):
+        result = run_cli(["run", "--preset", "loisel"]
+                         + [f"--set={s}" for s in sized(nx, 4)], tmp_path, monkeypatch)
+        assert result.exit_code == 0, result.output
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        header = (tmp_path / "out" / "history.csv").read_text().splitlines()[0]
+        assert header == "iteration,residual,primal_error,p"
+        if nx == 16:
+            assert report["skipped"] == {}
+            assert report["gamma"] is not None and report["rho_thm"] is not None
+        else:
+            assert list(report["skipped"]) == ["gamma"]
+            assert "780" in report["skipped"]["gamma"]
+            assert report["gamma"] is None and report["rho_thm"] is None
+
+    @pytest.mark.parametrize("preset", ["loisel", "feti2lm"])
+    def test_richardson_factorizes_the_global_operator_once(self, preset,
+                                                            monkeypatch):
+        inst = build_instance(load_config(preset=preset, overrides={
+            "solver.method": "richardson", "solver.maxit": "3"}))
+        splu = scipy.sparse.linalg.splu
+        sizes = []
+
+        def counting(A, *args, **kwargs):
+            sizes.append(A.shape[0])
+            return splu(A, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", counting)
+        execute(inst)
+        assert sizes.count(inst.problem.n) == 1
 
     def test_deterministic_history(self, tmp_path, monkeypatch):
         args = (["run", "--preset", "complete_comm", "--set", "solver.maxit=50",
