@@ -307,7 +307,7 @@ def build_instance(cfg: RunConfig) -> Instance:
                                      g("interface", "sigma"))
     inst.redundancy = redundancy_basis(inst.system, inst.trace).vectors
     if g("solver", "method") == "fetih":
-        inst.fetih = fetih_build(decomp, inst.system, inst.impedance)
+        inst.fetih = fetih_build(decomp, inst.impedance)
     else:
         inst.exchange = build_exchange(inst.trace, inst.impedance,
                                        g("interface", "exchange"))
@@ -485,11 +485,7 @@ def execute(inst: Instance) -> dict:
             rep.primal_errors = [float(np.linalg.norm(rep.u - u_ref)) / u_scale]
             rows = [(i, r, "", "") for i, r in enumerate(rep.residuals)]
         else:  # primal
-            cfg_it = IterationConfig(beta=g("solver", "beta"), tol=g("solver", "tol"),
-                                     maxit=g("solver", "maxit"), seed=None)
-            rep = primal_iterate(inst.decomp, dual.aug, inst.trace, inst.impedance,
-                                 inst.exchange, inst.decomp.f_concat,
-                                 cfg_it, u_ref=u_ref)
+            rep = primal_iterate(dual, cfg_it, u_ref=u_ref)
             rows = [(i, e, e, "") for i, e in enumerate(rep.primal_errors)]
         report_core = {
             "iterations": rep.iterations,

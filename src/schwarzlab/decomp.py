@@ -105,6 +105,7 @@ class Decomposition:
         self.n_sub = len(self.maps)
         self.n_local = [len(g) for g in self.maps]
         self.offsets = np.concatenate([[0], np.cumsum(self.n_local)])
+        self._A_blockdiag = None
         self.multiplicities = _multiplicities(self.n, self.maps)
         for g in self.maps:
             if len(np.unique(g)) != len(g):
@@ -143,9 +144,11 @@ class Decomposition:
         return self.problem.combine(parts["A0"], parts["A1"], parts["A2"])
 
     def A_blockdiag(self) -> scipy.sparse.csr_array:
-        """Block-diagonal operator on the product space U."""
-        return scipy.sparse.block_diag([self.local_A(i) for i in range(self.n_sub)],
-                                       format="csr")
+        """Block-diagonal operator on the product space U, built once."""
+        if self._A_blockdiag is None:
+            self._A_blockdiag = scipy.sparse.block_diag(
+                [self.local_A(i) for i in range(self.n_sub)], format="csr")
+        return self._A_blockdiag
 
     @property
     def f_concat(self) -> np.ndarray:

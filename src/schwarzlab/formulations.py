@@ -39,31 +39,28 @@ __all__ = [
 
 
 class AugmentedLocal:
-    """Per-subdomain sparse LU factorizations of A_i + alpha * T_i^T M_i T_i."""
+    """Per-subdomain sparse LU factorizations of A_i + alpha * T_i^T W_i T_i.
 
-    def __init__(self, blocks: list[scipy.sparse.sparray], offsets: np.ndarray,
-                 alpha: complex):
+    The one augmented form of every method: W = M for the dual system,
+    W = M signed on the tree facets with alpha = i for FETI-H, and T = I,
+    W = A for the one-step reflection's 2 A_i. T and W are block-diagonal by
+    subdomain, so the sum is too; its diagonal blocks are factorized.
+    """
+
+    def __init__(self, decomp: Decomposition, T: scipy.sparse.csr_array,
+                 W: scipy.sparse.csr_array, alpha: complex):
         self.alpha = complex(alpha)
-        self.offsets = offsets
-        self.matrices = blocks
+        self.offsets = decomp.offsets
+        aug = (decomp.A_blockdiag() + alpha * (T.T @ W @ T)).tocsc()
+        self.matrices = [aug[a:b, a:b] for a, b in zip(self.offsets[:-1], self.offsets[1:])]
         self.factors: list[SparseFactorization] = []
-        for i, block in enumerate(blocks):
+        for i, block in enumerate(self.matrices):
             try:
-                self.factors.append(factorize(scipy.sparse.csc_array(block)))
+                self.factors.append(factorize(block))
             except SingularMatrixError as exc:
                 raise SingularMatrixError(
                     f"augmented operator of subdomain {i} is singular; the "
                     f"augmented-invertibility assumption fails there") from exc
-
-    @classmethod
-    def build(cls, decomp: Decomposition, trace: TraceOperator,
-              impedance: ImpedanceOperator, alpha: complex) -> "AugmentedLocal":
-        # T and M are block-diagonal by subdomain, so A + alpha T^T M T is too
-        T, M = trace.matrix, impedance.matrix
-        aug = (decomp.A_blockdiag() + alpha * (T.T @ M @ T)).tocsc()
-        offsets = decomp.offsets
-        blocks = [aug[a:b, a:b] for a, b in zip(offsets[:-1], offsets[1:])]
-        return cls(blocks, offsets, alpha)
 
     def apply_inv(self, g) -> np.ndarray:
         """Blockwise solve of the augmented system on the product space."""
@@ -78,21 +75,20 @@ class AugmentedLocal:
 class DualSystem:
     """The interface equation (I - X^T S) lambda = d and its building blocks."""
 
-    def __init__(self, decomp: Decomposition, aug: AugmentedLocal,
-                 T: scipy.sparse.csr_array, M: scipy.sparse.csr_array,
+    def __init__(self, decomp: Decomposition, T: scipy.sparse.csr_array,
+                 M: scipy.sparse.csr_array,
                  X: scipy.sparse.csr_array | scipy.sparse.linalg.LinearOperator,
-                 alpha: complex, f: np.ndarray, impedance: ImpedanceOperator | None = None):
+                 alpha: complex):
         self.decomp = decomp
-        self.aug = aug
+        self.aug = AugmentedLocal(decomp, T, M, alpha)
         self.T = T
         self.M = M
         self.X = X
         self.alpha = complex(alpha)
-        self.f = np.asarray(f, dtype=np.complex128)
-        self.impedance = impedance
+        self.f = decomp.f_concat
         self.dim = T.shape[0]
         self._Tt = T.T.tocsr()
-        self._M_fac = impedance._fac if impedance is not None else factorize(self.M)
+        self._M_fac = factorize(M)
         self._A_csr = decomp.A_blockdiag()
 
     # -- norms -------------------------------------------------------------
@@ -174,9 +170,7 @@ def build_dual_system(decomp: Decomposition, trace: TraceOperator,
                       impedance: ImpedanceOperator, exchange: ExchangeOperator,
                       alpha: complex) -> DualSystem:
     """Assemble the dual system from interface operators."""
-    aug = AugmentedLocal.build(decomp, trace, impedance, alpha)
-    return DualSystem(decomp, aug, trace.matrix, impedance.matrix, exchange.matrix,
-                      alpha, decomp.f_concat, impedance=impedance)
+    return DualSystem(decomp, trace.matrix, impedance.matrix, exchange.matrix, alpha)
 
 
 # -- exceptional one-step reflection ---------------------------------------
@@ -216,15 +210,14 @@ def exceptional_exchange(decomp: Decomposition) -> ExchangeOperator:
 def exceptional_system(decomp: Decomposition) -> DualSystem:
     """Dual system of the one-step configuration: T = I, M = A, alpha = 1.
 
-    The scattering operator degenerates to zero, so one undamped update from
-    lambda = 0 reproduces the restricted global solution exactly.
+    The augmented blocks are A_i + A_i = 2 A_i. The scattering operator
+    degenerates to zero, so one undamped update from lambda = 0 reproduces
+    the restricted global solution exactly.
     """
     X = exceptional_exchange(decomp)
     A = decomp.A_blockdiag().real
-    T = scipy.sparse.identity(A.shape[0], format="csr")
-    blocks = [2.0 * decomp.local_A(i) for i in range(decomp.n_sub)]
-    aug = AugmentedLocal(blocks, decomp.offsets, 1.0)
-    return DualSystem(decomp, aug, T, A, X.matrix, 1.0, decomp.f_concat)
+    identity = scipy.sparse.identity(A.shape[0], format="csr")
+    return DualSystem(decomp, identity, A, X.matrix, 1.0)
 
 
 # -- twin-scalar fixture ---------------------------------------------------
@@ -313,24 +306,24 @@ class FetiH:
     f: np.ndarray | None = None
 
 
-def fetih_build(decomp: Decomposition, system: FacetSystem,
-                impedance: ImpedanceOperator) -> FetiH:
+def fetih_build(decomp: Decomposition, impedance: ImpedanceOperator) -> FetiH:
     """Sign pattern, regularized operators, and jump for a bilateral system.
 
     A spanning tree of the subdomain adjacency graph fixes an alternating
     sign pattern; each tree facet contributes +-i sigma_i T_iF^T M_F T_iF to
-    the two adjacent subdomains, which cancels exactly in the assembled sum.
-    Requires loss-free local operators (no first-order loss part).
+    the two adjacent subdomains, which cancels exactly in the assembled sum:
+    the augmented form with alpha = i and W = sigma M, where sigma is
+    sigma_i on the slots of tree facets and 0 elsewhere. Requires loss-free
+    local operators (no first-order loss part).
     """
+    trace = impedance.trace
+    system = trace.system
     if not system.is_bilateral:
         raise ValueError("the one-sided jump method needs a bilateral facet system")
     for parts in decomp.local_parts:
         if np.any(parts["A1"].data):
             raise ValueError("the one-sided jump method needs loss-free local "
                              "operators (zero first-order loss part)")
-    trace = impedance.trace
-    if trace.system is not system:
-        raise ValueError("impedance was built for a different facet system")
 
     pairs = {tuple(sorted(F.subdomains)) for F in system.facets}
     nodes = range(decomp.n_sub)
@@ -356,20 +349,9 @@ def fetih_build(decomp: Decomposition, system: FacetSystem,
     perp = tuple(fidx for fidx, F in enumerate(system.facets)
                  if tuple(sorted(F.subdomains)) in tree_set)
 
-    blocks = []
-    for i in range(decomp.n_sub):
-        c0, c1 = decomp.offsets[i], decomp.offsets[i + 1]
-        term = scipy.sparse.csr_array((c1 - c0, c1 - c0), dtype=np.complex128)
-        for fidx in perp:
-            F = system.facets[fidx]
-            if i not in F.subdomains:
-                continue
-            r0, r1 = trace.slot_range(i, fidx)
-            T_iF = trace.matrix[r0:r1, c0:c1]
-            M_F = scipy.sparse.csr_array(impedance.facet_blocks[fidx])
-            term = term + 1j * signs[i] * (T_iF.T @ M_F @ T_iF)
-        blocks.append(decomp.local_A(i) + term)
-    aug = AugmentedLocal(blocks, decomp.offsets, 1j)
+    sigma = [signs[i] if fidx in perp else 0 for i, fidx, _k in trace.slots]
+    W = scipy.sparse.diags_array(sigma, dtype=float) @ impedance.matrix
+    aug = AugmentedLocal(decomp, trace.matrix, W, 1j)
 
     # one-sided signed jump over all facets: row (tau_iF - tau_jF), i > j
     trace_col = trace.matrix.indices  # one selected column per trace row

@@ -271,10 +271,9 @@ def assemble(mesh: StructuredMesh, kappa: float, eta: float,
     }
     f = np.zeros(n, dtype=np.complex128)
     np.add.at(f, dofs[keep], batch.f[keep].astype(np.complex128))
-    if source.startswith("point:"):
-        x, y = (float(part) for part in source[len("point:"):].split(","))
-        dists = np.linalg.norm(mesh.coords[free_nodes] - np.array([x, y]), axis=1)
-        f[int(np.argmin(dists))] += 1.0
+    point = _nearest_free_dof(mesh, free_nodes, source)
+    if point is not None:
+        f[point] += 1.0
 
     return GlobalProblem(mesh=mesh, kappa=kappa, eta=eta, absorption=absorption,
                          wave=wave, source=source, A0=matrices["A0"],
@@ -282,14 +281,19 @@ def assemble(mesh: StructuredMesh, kappa: float, eta: float,
                          dof_map=dof_map, free_nodes=free_nodes)
 
 
+def _nearest_free_dof(mesh: StructuredMesh, free_nodes: np.ndarray,
+                      source: str) -> int | None:
+    """Dof of the retained node nearest a "point:x,y" spec; None otherwise."""
+    if not source.startswith("point:"):
+        return None
+    x, y = (float(part) for part in source[len("point:"):].split(","))
+    dists = np.linalg.norm(mesh.coords[free_nodes] - np.array([x, y]), axis=1)
+    return int(np.argmin(dists))
+
+
 def point_source_dof(problem: GlobalProblem) -> int | None:
     """Dof index of a point source spec, or None for volume sources."""
-    if not problem.source.startswith("point:"):
-        return None
-    x, y = (float(part) for part in problem.source[len("point:"):].split(","))
-    dists = np.linalg.norm(problem.mesh.coords[problem.free_nodes] - np.array([x, y]),
-                           axis=1)
-    return int(np.argmin(dists))
+    return _nearest_free_dof(problem.mesh, problem.free_nodes, problem.source)
 
 
 def export_mesh_text(mesh: StructuredMesh, path) -> None:

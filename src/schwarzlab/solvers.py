@@ -13,9 +13,8 @@ import numpy as np
 import scipy.linalg
 
 from .decomp import Decomposition
-from .formulations import AugmentedLocal, DualSystem
+from .formulations import DualSystem
 from .linalg import WeightedInnerProduct, gmres
-from .traces import ExchangeOperator, ImpedanceOperator, TraceOperator
 
 __all__ = [
     "IterationConfig",
@@ -175,9 +174,7 @@ def _energy_defect(dual: DualSystem, mu: np.ndarray, beta: float) -> float:
     return abs(lhs - rhs) / denom
 
 
-def primal_iterate(decomp: Decomposition, aug: AugmentedLocal,
-                   trace: TraceOperator, impedance: ImpedanceOperator,
-                   exchange: ExchangeOperator, f: np.ndarray, cfg: IterationConfig,
+def primal_iterate(dual: DualSystem, cfg: IterationConfig,
                    u0: np.ndarray | None = None,
                    u_ref: np.ndarray | None = None) -> ConvergenceReport:
     """Subdomain-field recurrence equivalent to the dual fixed point.
@@ -185,23 +182,18 @@ def primal_iterate(decomp: Decomposition, aug: AugmentedLocal,
     u_{n+1} = (1-beta) u_n + beta * Atilde^{-1} (f + T^T [alpha M X T u_n
     - X^T E^T (A u_n - f)]), starting from u_0 = Atilde^{-1} f, whose defect
     A u_0 - f lies in range(T^T) as the recurrence requires. The extension
-    E (T E = I) is T^T, which exists exactly when the trace is surjective.
+    E (T E = I) is T^T, which exists exactly when the trace is surjective,
+    that is, when no column of T holds more than one entry.
     """
-    if not trace.surjective:
+    A, T, Tt, M, X, f = dual._A_csr, dual.T, dual._Tt, dual.M, dual.X, dual.f
+    if np.diff(Tt.indptr).max(initial=0) > 1:
         raise ValueError("extension needs a surjective trace; bilateral systems "
                          "with cross points (multiplicity > 2) are rank-deficient")
     report = ConvergenceReport(method="primal", beta=cfg.beta, seed=None)
-    alpha = aug.alpha
-    A = decomp.A_blockdiag()
-    T = trace.matrix
-    M = impedance.matrix
-    X = exchange.matrix
-    f = np.asarray(f, dtype=np.complex128)
-
-    Tt = T.T.tocsr()
-    u = aug.apply_inv(f) if u0 is None else np.asarray(u0, np.complex128).copy()
+    Xt = X.T
+    u = dual.aug.apply_inv(f) if u0 is None else np.asarray(u0, np.complex128).copy()
     if u_ref is None:
-        u_ref = reference_primal(decomp)
+        u_ref = reference_primal(dual.decomp)
     u_scale = float(np.linalg.norm(u_ref)) or 1.0
 
     stall = 0
@@ -224,8 +216,8 @@ def primal_iterate(decomp: Decomposition, aug: AugmentedLocal,
             stall = 0
         if it == cfg.maxit:
             break
-        incoming = alpha * (M @ (X @ (T @ u))) - X.T @ (T @ (A @ u - f))
-        u = (1.0 - cfg.beta) * u + cfg.beta * aug.apply_inv(f + Tt @ incoming)
+        incoming = dual.alpha * (M @ (X @ (T @ u))) - Xt @ (T @ (A @ u - f))
+        u = (1.0 - cfg.beta) * u + cfg.beta * dual.aug.apply_inv(f + Tt @ incoming)
 
     report.iterations = len(report.primal_errors) - 1
     report.u = u
@@ -252,16 +244,14 @@ def gmres_dual(dual: DualSystem, tol: float = 1e-10,
 
 
 def estimate_gamma(dual: DualSystem,
-                   redundancy: np.ndarray | None = None,
-                   K: np.ndarray | None = None) -> float:
+                   redundancy: np.ndarray | None = None) -> float:
     """Smallest singular value of M^{-1/2} (I - X^T S) M^{1/2}.
 
     Equals the best constant gamma in |(I - X^T S) lam|_{M^-1} >=
     gamma |lam|_{M^-1}. Redundancy directions (where the operator vanishes
     by construction) are deflated before taking the minimum.
     """
-    if K is None:
-        K = dual.materialize_K()
+    K = dual.materialize_K()
     w, V = np.linalg.eigh(dual.M.toarray())
     if w[0] <= 0.0:
         raise ValueError("impedance weight must be positive definite")

@@ -19,7 +19,6 @@ import scipy.sparse
 
 from .decomp import Decomposition
 from .facets import FacetSystem
-from .linalg import factorize
 
 __all__ = [
     "TraceOperator",
@@ -152,7 +151,6 @@ class ImpedanceOperator:
         self.sigma = sigma
         self.matrix = matrix                  # sparse real (dim, dim)
         self.facet_blocks = facet_blocks      # facet index -> shared block
-        self._fac = factorize(matrix)
         self.is_diagonal = variant != "glob_block"
 
 

@@ -215,6 +215,56 @@ def test_flipped_fetih_sign_term_exits_four(tmp_path, monkeypatch):
     assert result.output.count("FAIL") == 1
 
 
+def _perturb_exchange_entry(inst):
+    X = inst.dual.X.tocoo()
+    k = np.flatnonzero(X.row != X.col)[0]
+    inst.dual.X = inst.dual.X + scipy.sparse.csr_array(
+        ([1e-6], ([X.row[k]], [X.col[k]])), shape=X.shape)
+
+
+def _negate_outgoing_term(inst):
+    # pseudo_energy forms S lam from 2 alpha M T v; no other check reads it
+    outgoing = inst.dual._outgoing
+    inst.dual._outgoing = lambda v: -outgoing(v)
+
+
+def _split_vertex_glob(inst):
+    facets = []
+    for F in inst.system.facets:
+        if len(F.subdomains) == 4:
+            a, b, c, d = F.subdomains
+            facets += [dataclasses.replace(F, subdomains=(a, b)),
+                       dataclasses.replace(F, subdomains=(c, d))]
+        else:
+            facets.append(F)
+    inst.system = dataclasses.replace(inst.system, facets=tuple(facets))
+
+
+@pytest.mark.parametrize("preset,p,fault,failing,only", [
+    ("loisel", 2, _perturb_exchange_entry,
+     ["involution_defect", "conformity_fixed_defect"], False),
+    ("feti2lm", 4, _negate_outgoing_term, ["pseudo_energy_defect"], True),
+    ("loisel", 2, _split_vertex_glob, ["admissibility"], True),
+], ids=["perturbed_exchange", "negated_outgoing", "split_vertex_glob"])
+def test_battery_fault_exits_four(preset, p, fault, failing, only, tmp_path,
+                                  monkeypatch):
+    build = cli.build_instance
+
+    def faulty(cfg):
+        inst = build(cfg)
+        fault(inst)
+        return inst
+
+    monkeypatch.setattr(cli, "build_instance", faulty)
+    result = run_cli(["verify", "--preset", preset]
+                     + [f"--set={s}" for s in sized(16, p)], tmp_path, monkeypatch)
+    assert result.exit_code == 4, result.output
+    for name in failing:
+        assert f"FAIL {name}" in result.output
+    if only:
+        assert result.output.count("FAIL") == len(failing)
+
+
 @pytest.mark.parametrize("preset,size", [
     ("complete_comm", lambda inst: inst.trace.dim_lambda),
     ("fetih", lambda inst: inst.problem.n),
@@ -277,6 +327,29 @@ def test_one_step_reflection_is_applied_not_stored():
     assert X.shape == (n_u, n_u)
     # no dense array spans the product space in both directions
     assert not [a.shape for a in _dense_2d_arrays(inst) if min(a.shape) >= n_u]
+
+
+@pytest.mark.parametrize("preset", ["loisel", "complete_comm", "exceptional", "fetih"])
+def test_each_operator_is_built_once(preset, monkeypatch):
+    local_A, splu = decomp.Decomposition.local_A, scipy.sparse.linalg.splu
+    blocks, sizes = [], []
+
+    def counting_local_A(self, i):
+        blocks.append(i)
+        return local_A(self, i)
+
+    def counting_splu(A, *args, **kwargs):
+        sizes.append(A.shape[0])
+        return splu(A, *args, **kwargs)
+
+    monkeypatch.setattr(decomp.Decomposition, "local_A", counting_local_A)
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", counting_splu)
+    inst = build_instance(load_config(preset=preset))
+    execute(inst)
+    assert len(blocks) == inst.decomp.n_sub
+    # M is factorized by the dual system alone; FETI-H never solves with it
+    dim = inst.trace.dim_lambda if inst.trace is not None else inst.dual.dim
+    assert sizes.count(dim) == (0 if preset == "fetih" else 1)
 
 
 class TestRunCommand:

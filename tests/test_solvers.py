@@ -115,8 +115,7 @@ class TestPrimalIteration:
         # the substructured sweep and the multiplier sweep visit the same primals
         dec, system, trace, imp, X, dual = dual_stack()
         cfg = IterationConfig(beta=0.5, tol=1e-9, maxit=3000, seed=0)
-        rep = primal_iterate(dec, dual.aug, trace, imp, X, dec.f_concat, cfg,
-                             u_ref=primal_reference(dec))
+        rep = primal_iterate(dual, cfg, u_ref=primal_reference(dec))
         assert rep.converged
         u_ref = primal_reference(dec)
         assert np.linalg.norm(rep.u - u_ref) <= 1e-7 * np.linalg.norm(u_ref)
@@ -125,17 +124,16 @@ class TestPrimalIteration:
         dec, system, trace, imp, X, dual = dual_stack()
         u_ref = primal_reference(dec)
         cfg = IterationConfig(beta=0.5, tol=1e-10, maxit=10, seed=0)
-        rep = primal_iterate(dec, dual.aug, trace, imp, X, dec.f_concat, cfg,
-                             u0=u_ref, u_ref=u_ref)
+        rep = primal_iterate(dual, cfg, u0=u_ref, u_ref=u_ref)
         assert rep.converged and rep.iterations <= 1
 
     def test_non_finite_load_stops_at_once(self):
         dec, system, trace, imp, X, dual = dual_stack()
         f = dec.f_concat.copy()
         f[3] = np.nan
+        dual.f = f
         cfg = IterationConfig(beta=0.5, tol=1e-10, maxit=500, seed=0)
-        rep = primal_iterate(dec, dual.aug, trace, imp, X, f, cfg,
-                             u_ref=primal_reference(dec))
+        rep = primal_iterate(dual, cfg, u_ref=primal_reference(dec))
         assert rep.diverged and not rep.converged
         assert rep.iterations == 0
 

@@ -243,8 +243,7 @@ class TestExtension:
         assert not trace.surjective
         dual = build_dual_system(cross_dec, trace, imp, X, 1.0)
         with pytest.raises(ValueError, match="surjective"):
-            primal_iterate(cross_dec, dual.aug, trace, imp, X, cross_dec.f_concat,
-                           IterationConfig())
+            primal_iterate(dual, IterationConfig())
 
 
 class TestRangeCharacterization:
