@@ -459,9 +459,9 @@ def execute(inst: Instance) -> dict:
         err = float(np.linalg.norm(u - u_ref)) / u_scale
         report_core = {
             "iterations": len(history) - 1,
-            "converged": bool(history and history[-1] <= g("solver", "tol")),
-            "diverged": False,
-            "final_residual": history[-1] if history else 0.0,
+            "converged": bool(history[-1] <= g("solver", "tol")),
+            "diverged": not np.isfinite(history[-1]),
+            "final_residual": history[-1],
             "final_primal_error": err,
         }
     else:

@@ -70,10 +70,6 @@ class Multiplicities:
     sharing: tuple = field(repr=False)            # per-dof tuple of subdomain ids
     interface_dofs: np.ndarray = field(repr=False)  # dofs with mu >= 2
 
-    @property
-    def mu_max(self) -> int:
-        return int(self.mu.max()) if len(self.mu) else 0
-
 
 def _multiplicities(n: int, maps) -> Multiplicities:
     sharing = [[] for _ in range(n)]
@@ -93,14 +89,12 @@ class Decomposition:
     `source_problem` keeps the mesh-order original for comparison.
     """
 
-    def __init__(self, problem, maps, local_parts, f_locals, source_problem=None,
-                 partition: Partition | None = None):
+    def __init__(self, problem, maps, local_parts, f_locals, source_problem=None):
         self.problem = problem
         self.source_problem = source_problem if source_problem is not None else problem
         self.maps = [np.asarray(g, dtype=np.int64) for g in maps]
         self.local_parts = local_parts      # list of dicts name -> csr_array
         self.f_locals = [np.asarray(fl, dtype=np.complex128) for fl in f_locals]
-        self.partition = partition
         self.n = int(problem.n)
         self.n_sub = len(self.maps)
         self.n_local = [len(g) for g in self.maps]
@@ -219,7 +213,7 @@ def build_restrictions(mesh: StructuredMesh, partition: Partition,
         f_locals.append(accumulate(f_rows, None, f_vals, (n_i,)))
 
     decomp = Decomposition(problem, maps, local_parts, f_locals,
-                           source_problem=problem, partition=partition)
+                           source_problem=problem)
     summed, f_hat = decomp.accumulate_global()
     consistent = problem.replaced(summed["A0"], summed["A1"], summed["A2"], f_hat)
     decomp.problem = consistent
@@ -235,12 +229,6 @@ class AssemblingReport:
     worst_entry: tuple[int, int] | None
     mesh_order_dev: float
     passed: bool
-
-    def __str__(self) -> str:
-        status = "PASS" if self.passed else "FAIL"
-        return (f"assembling {status}: max matrix deviation {self.max_dev_matrix:.3e}, "
-                f"max load deviation {self.max_dev_load:.3e}, "
-                f"mesh-order deviation {self.mesh_order_dev:.3e}")
 
 
 def check_assembling(decomp: Decomposition, local_parts=None, f_locals=None,

@@ -199,12 +199,6 @@ class AdmissibilityReport:
     uncovered_dofs: tuple[int, ...]
     total_cycles: int
 
-    def __str__(self) -> str:
-        status = "PASS" if self.admissible and self.covered else "FAIL"
-        return (f"admissibility {status}: {len(self.disconnected_dofs)} disconnected, "
-                f"{len(self.uncovered_dofs)} uncovered, "
-                f"{self.total_cycles} independent cycles")
-
 
 def check_admissibility(system: FacetSystem,
                         multiplicities: Multiplicities) -> AdmissibilityReport:

@@ -6,7 +6,8 @@ The dual system is the interface fixed-point equation
 (I - X^T S) lambda = d with the scattering operator
 S = -I + 2 alpha M T (A + alpha T^T M T)^{-1} T^T; the factor 2M holds
 because every impedance is side-equal (one block on all sides of a facet).
-Every scattering application costs one augmented solve per subdomain.
+Every scattering application costs one solve with the block-diagonal
+augmented operator.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import scipy.sparse.linalg
 
 from .decomp import Decomposition
 from .facets import Facet, FacetSystem, spanning_forest
-from .linalg import SingularMatrixError, SparseFactorization, accumulate, factorize, gmres
+from .linalg import SingularMatrixError, WeightedInnerProduct, accumulate, factorize, gmres
 from .traces import (ExchangeOperator, ImpedanceOperator, TraceOperator,
                      build_exchange, build_impedance, build_trace)
 
@@ -37,39 +38,33 @@ __all__ = [
     "TwinScalar",
 ]
 
+#: identity columns per K application in DualSystem.materialize_K
+K_COLUMNS = 64
+
 
 class AugmentedLocal:
-    """Per-subdomain sparse LU factorizations of A_i + alpha * T_i^T W_i T_i.
+    """Sparse LU factorization of A + alpha * T^T W T on the product space.
 
     The one augmented form of every method: W = M for the dual system,
     W = M signed on the tree facets with alpha = i for FETI-H, and T = I,
     W = A for the one-step reflection's 2 A_i. T and W are block-diagonal by
-    subdomain, so the sum is too; its diagonal blocks are factorized.
+    subdomain, so the sum is too; it is factorized whole, which creates no
+    fill between the blocks.
     """
 
     def __init__(self, decomp: Decomposition, T: scipy.sparse.csr_array,
                  W: scipy.sparse.csr_array, alpha: complex):
-        self.alpha = complex(alpha)
-        self.offsets = decomp.offsets
-        aug = (decomp.A_blockdiag() + alpha * (T.T @ W @ T)).tocsc()
-        self.matrices = [aug[a:b, a:b] for a, b in zip(self.offsets[:-1], self.offsets[1:])]
-        self.factors: list[SparseFactorization] = []
-        for i, block in enumerate(self.matrices):
-            try:
-                self.factors.append(factorize(block))
-            except SingularMatrixError as exc:
-                raise SingularMatrixError(
-                    f"augmented operator of subdomain {i} is singular; the "
-                    f"augmented-invertibility assumption fails there") from exc
+        self.matrix = decomp.A_blockdiag() + alpha * (T.T @ W @ T)
+        try:
+            self.factor = factorize(self.matrix)
+        except SingularMatrixError as exc:
+            raise SingularMatrixError(
+                "augmented operator is singular; the augmented-invertibility "
+                "assumption fails") from exc
 
     def apply_inv(self, g) -> np.ndarray:
-        """Blockwise solve of the augmented system on the product space."""
-        g = np.asarray(g, dtype=np.complex128)
-        out = np.empty_like(g)
-        for i, fac in enumerate(self.factors):
-            a, b = self.offsets[i], self.offsets[i + 1]
-            out[a:b] = fac.solve(g[a:b])
-        return out
+        """Solve the augmented system for a 1-D or 2-D right-hand side."""
+        return self.factor.solve(g)
 
 
 class DualSystem:
@@ -88,14 +83,13 @@ class DualSystem:
         self.f = decomp.f_concat
         self.dim = T.shape[0]
         self._Tt = T.T.tocsr()
-        self._M_fac = factorize(M)
+        self.ip = WeightedInnerProduct(M, mode="M_inverse")
         self._A_csr = decomp.A_blockdiag()
 
     # -- norms -------------------------------------------------------------
 
     def norm_Minv(self, lam) -> float:
-        value = float(np.vdot(lam, self._M_fac.solve(np.asarray(lam, np.complex128))).real)
-        return float(np.sqrt(max(value, 0.0)))
+        return self.ip.norm(lam)
 
     # -- operator applications --------------------------------------------
 
@@ -137,8 +131,17 @@ class DualSystem:
         return lhs, rhs, p
 
     def materialize_K(self) -> np.ndarray:
-        """Dense I - X^T S, applied to the identity as one block of columns."""
-        return self.apply_K(np.eye(self.dim, dtype=np.complex128))
+        """Dense I - X^T S, applied to the identity K_COLUMNS columns at a time.
+
+        A multi-column augmented solve allocates an n_u x ncols work array;
+        the chunk bounds it.
+        """
+        K = np.empty((self.dim, self.dim), dtype=np.complex128)
+        for a in range(0, self.dim, K_COLUMNS):
+            ncols = min(K_COLUMNS, self.dim - a)
+            K[:, a:a + ncols] = self.apply_K(
+                np.eye(self.dim, ncols, -a, dtype=np.complex128))
+        return K
 
     def solve_direct(self, deflate=None) -> np.ndarray:
         """Dense reference multiplier; minimum-norm when Z is nontrivial.
@@ -160,7 +163,7 @@ class DualSystem:
         if basis is None or basis.shape[1] == 0:
             return np.asarray(lam, np.complex128)
         Z = basis.astype(np.complex128)
-        WZ = self._M_fac.solve(Z)
+        WZ = self.ip.apply_weight(Z)
         gram = Z.conj().T @ WZ
         coef = np.linalg.solve(gram, WZ.conj().T @ lam)
         return np.asarray(lam, np.complex128) - Z @ coef

@@ -127,23 +127,18 @@ class WeightedInnerProduct:
 
     mode "M" uses W itself, mode "M_inverse" uses W^{-1} (solved through a
     factorization of W; W is never inverted explicitly). W is held as a
-    sparse csr_array. A factorization of W that the caller already holds can
-    be passed to avoid a second one.
+    sparse csr_array.
     """
 
-    def __init__(self, weight, mode: str = "M", factorization=None):
+    def __init__(self, weight, mode: str = "M"):
         if mode not in ("M", "M_inverse"):
             raise ValueError("mode must be 'M' or 'M_inverse'")
         W = scipy.sparse.csr_array(weight, dtype=np.complex128)
         if abs(W - W.T).max() > 1e-12 * max(abs(W).max(), 1.0):
             raise ValueError("weight must be symmetric")
-        if factorization is not None and factorization.size != W.shape[0]:
-            raise ValueError("factorization does not match the weight's size")
         self.mode = mode
         self._w = W
-        self._fac = None
-        if mode == "M_inverse":
-            self._fac = factorization if factorization is not None else factorize(W)
+        self._fac = factorize(W) if mode == "M_inverse" else None
 
     @property
     def dim(self) -> int:
@@ -185,7 +180,8 @@ def gmres(
     Arnoldi orthogonalizes by two passes of block classical Gram-Schmidt:
     h = V^H W w, then w -= V h and W w -= Z h. Returns the iterate and the
     history of relative weighted residual norms (history[0] is 1.0 for a
-    nonzero right-hand side).
+    nonzero right-hand side). A non-finite initial residual or Arnoldi
+    vector ends the run at once, with a non-finite last history entry.
     """
     b = np.asarray(b, dtype=np.complex128)
     n = b.shape[0]
@@ -201,7 +197,7 @@ def gmres(
     bnorm = ip.norm(b) if ip is not None else _weighted_norm(b, b)
     ref = bnorm if bnorm > 0.0 else 1.0
     history = [beta / ref]
-    if beta / ref <= tol or n == 0:
+    if beta / ref <= tol or n == 0 or not np.isfinite(beta):
         return x, history
 
     V = np.zeros((maxit + 1, n), dtype=np.complex128)
@@ -227,6 +223,9 @@ def gmres(
             w -= h @ V[:k + 1]
             Ww -= h @ Z[:k + 1]
         hk1 = _weighted_norm(w, Ww)
+        if not np.isfinite(hk1):
+            history.append(float("nan"))
+            break
         H[k + 1, k] = hk1
 
         # apply stored rotations to the new column

@@ -35,13 +35,11 @@ class BoundaryTag(IntEnum):
     INTERIOR = 0
     DIRICHLET = 1
     ROBIN = 2
-    NEUMANN = 3
 
 
 _TAG_NAMES = {
     "dirichlet": BoundaryTag.DIRICHLET,
     "robin": BoundaryTag.ROBIN,
-    "neumann": BoundaryTag.NEUMANN,
 }
 
 
@@ -97,7 +95,7 @@ class StructuredMesh:
 def build_mesh(nx: int, ny: int, boundary: str = "dirichlet") -> StructuredMesh:
     """Build an nx-by-ny structured triangle mesh of the unit square.
 
-    `boundary` tags every boundary node: "dirichlet", "robin", or "neumann".
+    `boundary` tags every boundary node: "dirichlet" or "robin".
     """
     if nx < 1 or ny < 1:
         raise ValueError("nx and ny must be at least 1")
@@ -143,9 +141,6 @@ class ElementBatch:
     A1: np.ndarray             # (nt, 3, 3) loss
     A2: np.ndarray             # (nt, 3, 3) kappa^2-scaled consistent mass
     f: np.ndarray              # (nt, 3) load
-
-    def __len__(self) -> int:
-        return self.nodes.shape[0]
 
 
 def element_contributions(mesh: StructuredMesh, kappa: float, eta: float,

@@ -14,7 +14,7 @@ import scipy.linalg
 
 from .decomp import Decomposition
 from .formulations import DualSystem
-from .linalg import WeightedInnerProduct, gmres
+from .linalg import gmres
 
 __all__ = [
     "IterationConfig",
@@ -227,13 +227,16 @@ def primal_iterate(dual: DualSystem, cfg: IterationConfig,
 def gmres_dual(dual: DualSystem, tol: float = 1e-10,
                maxit: int | None = None,
                gamma: float | None = None) -> ConvergenceReport:
-    """Full GMRES on (I - X^T S) lambda = d in the M^-1 inner product."""
-    ip = WeightedInnerProduct(dual.M, mode="M_inverse", factorization=dual._M_fac)
-    lam, history = gmres(dual.apply_K, dual.rhs_d(), ip=ip, tol=tol, maxit=maxit)
+    """Full GMRES on (I - X^T S) lambda = d in the M^-1 inner product.
+
+    The GMRES residual never increases, so only a non-finite residual, which
+    ends the run at once, counts as divergence.
+    """
+    lam, history = gmres(dual.apply_K, dual.rhs_d(), ip=dual.ip, tol=tol, maxit=maxit)
     report = ConvergenceReport(method="gmres", beta=1.0, seed=None)
     report.residuals = history
-    report.converged = bool(history and history[-1] <= tol)
-    report.diverged = False     # the GMRES residual never increases
+    report.converged = bool(history[-1] <= tol)
+    report.diverged = not np.isfinite(history[-1])
     report.iterations = len(history) - 1
     report.lam = lam
     report.u = dual.primal_recover(lam)

@@ -332,14 +332,14 @@ def test_one_step_reflection_is_applied_not_stored():
 @pytest.mark.parametrize("preset", ["loisel", "complete_comm", "exceptional", "fetih"])
 def test_each_operator_is_built_once(preset, monkeypatch):
     local_A, splu = decomp.Decomposition.local_A, scipy.sparse.linalg.splu
-    blocks, sizes = [], []
+    blocks, factorized = [], []
 
     def counting_local_A(self, i):
         blocks.append(i)
         return local_A(self, i)
 
     def counting_splu(A, *args, **kwargs):
-        sizes.append(A.shape[0])
+        factorized.append(A)
         return splu(A, *args, **kwargs)
 
     monkeypatch.setattr(decomp.Decomposition, "local_A", counting_local_A)
@@ -347,9 +347,16 @@ def test_each_operator_is_built_once(preset, monkeypatch):
     inst = build_instance(load_config(preset=preset))
     execute(inst)
     assert len(blocks) == inst.decomp.n_sub
+
+    def times_factorized(B):
+        return sum(A.shape == B.shape and not (A != B).nnz for A in factorized)
+
     # M is factorized by the dual system alone; FETI-H never solves with it
-    dim = inst.trace.dim_lambda if inst.trace is not None else inst.dual.dim
-    assert sizes.count(dim) == (0 if preset == "fetih" else 1)
+    M = inst.impedance.matrix if preset == "fetih" else inst.dual.M
+    assert times_factorized(M) == (0 if preset == "fetih" else 1)
+    # the augmented operator is factorized whole, once
+    aug = (inst.fetih if preset == "fetih" else inst.dual).aug
+    assert times_factorized(aug.matrix) == 1
 
 
 class TestRunCommand:

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from schwarzlab.decomp import check_assembling
 from schwarzlab.facets import build_facets, redundancy_basis
-from schwarzlab.formulations import (AugmentedLocal, build_dual_system,
+from schwarzlab.formulations import (K_COLUMNS, AugmentedLocal, build_dual_system,
                                      exceptional_exchange, exceptional_system,
                                      fetih_assembling_deviation, fetih_build,
                                      fetih_solve, twin_scalar)
@@ -16,13 +16,18 @@ from schwarzlab.traces import (build_exchange, build_impedance, build_trace)
 from conftest import make_instance, primal_reference
 
 
+def _blocks(aug, dec):
+    """Diagonal subdomain blocks of the augmented matrix."""
+    return [aug.matrix[a:b, a:b] for a, b in zip(dec.offsets[:-1], dec.offsets[1:])]
+
+
 class TestAugmented:
     def test_twin_scalar_blocks(self):
         ts = twin_scalar(a=(1.0, 1.0), m=1.0, alpha=1.0)
-        for block in ts.dual.aug.matrices:
+        for block in _blocks(ts.dual.aug, ts.decomp):
             assert block[0, 0] == 2.0
         ts_i = twin_scalar(a=(1.0, 1.0), m=1.0, alpha=1j)
-        for block in ts_i.dual.aug.matrices:
+        for block in _blocks(ts_i.dual.aug, ts_i.decomp):
             assert block[0, 0] == 1.0 + 1j
 
     def test_coercive_instance_factorizes(self, coercive_2x2):
@@ -30,7 +35,7 @@ class TestAugmented:
         trace = build_trace(build_facets(dec, "globs"), dec)
         imp = build_impedance(trace, "lumped_mass", 1.0)
         aug = AugmentedLocal(dec, trace.matrix, imp.matrix, 1.0)
-        for block in aug.matrices:
+        for block in _blocks(aug, dec):
             assert np.linalg.eigvalsh(block.toarray().real).min() > 0.0
 
     def test_every_local_factor_is_sparse(self, coercive_2x2):
@@ -41,11 +46,11 @@ class TestAugmented:
         _, _, dec_d = make_instance(4, 4, 2, 2, boundary="dirichlet")
         system_d = build_facets(dec_d, "bilateral_non_redundant")
         imp_d = build_impedance(build_trace(system_d, dec_d), "lumped_mass", 1.0)
-        for aug in (build_dual_system(dec, trace, imp, X, prob.alpha).aug,
-                    exceptional_system(dec).aug,
-                    fetih_build(dec_d, imp_d).aug):
-            assert len(aug.factors) == 4
-            assert all(isinstance(f, SparseFactorization) for f in aug.factors)
+        for aug, d in ((build_dual_system(dec, trace, imp, X, prob.alpha).aug, dec),
+                       (exceptional_system(dec).aug, dec),
+                       (fetih_build(dec_d, imp_d).aug, dec_d)):
+            assert isinstance(aug.factor, SparseFactorization)
+            assert aug.factor.size == aug.matrix.shape[0] == d.offsets[-1]
 
 
 @settings(max_examples=20, deadline=None)
@@ -62,7 +67,7 @@ def test_sparse_apply_inv_matches_dense(wave, facets, ncols, seed):
     shape = (dec.offsets[-1], ncols) if ncols else (dec.offsets[-1],)
     g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     ref = np.concatenate([np.linalg.solve(block.toarray(), dec.block(g, i))
-                          for i, block in enumerate(aug.matrices)])
+                          for i, block in enumerate(_blocks(aug, dec))])
     out = aug.apply_inv(g)
     assert out.shape == g.shape
     assert np.linalg.norm(out - ref) <= 1e-12 * np.linalg.norm(ref)
@@ -169,6 +174,21 @@ class TestBlockApplication:
         columns = np.column_stack([dual.apply_K(e) for e in np.eye(dual.dim)])
         K = dual.materialize_K()
         assert np.max(np.abs(K - columns)) <= 1e-13 * max(1.0, np.max(np.abs(columns)))
+
+    def test_materialize_K_in_chunks(self):
+        _, prob, dec = make_instance(16, 16, 4, 4)
+        trace = build_trace(build_facets(dec, "globs"), dec)
+        imp = build_impedance(trace, "lumped_mass", 2.0)
+        dual = build_dual_system(dec, trace, imp,
+                                 build_exchange(trace, imp, "weighted"), prob.alpha)
+        assert dual.dim > 2 * K_COLUMNS and dual.dim % K_COLUMNS
+        whole = dual.apply_K(np.eye(dual.dim, dtype=np.complex128))
+        widths = []
+        apply_K = dual.apply_K
+        dual.apply_K = lambda lam: widths.append(lam.shape[1]) or apply_K(lam)
+        K = dual.materialize_K()
+        assert max(widths) == K_COLUMNS and sum(widths) == dual.dim
+        assert np.max(np.abs(K - whole)) <= 1e-13 * np.max(np.abs(whole))
 
 
 class TestPseudoEnergy:
@@ -285,6 +305,12 @@ class TestExceptional:
         _, _, dec = helmholtz_2x2
         with pytest.raises(ValueError):
             exceptional_exchange(dec)
+
+    def test_interior_subdomain_is_singular(self):
+        # the middle subdomain of laplace 3x3 floats: 2 A_4 is singular
+        _, _, dec = make_instance(12, 12, 3, 3, boundary="dirichlet")
+        with pytest.raises(SingularMatrixError, match="augmented-invertibility"):
+            exceptional_system(dec)
 
 
 class TestFetiH:

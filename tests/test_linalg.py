@@ -107,16 +107,6 @@ class TestWeightedInnerProduct:
         with pytest.raises(ValueError):
             WeightedInnerProduct(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
-    def test_reuses_given_factorization(self):
-        W = np.array([[2.0, 1.0], [1.0, 3.0]])
-        fac = factorize(W)
-        ip = WeightedInnerProduct(W, mode="M_inverse", factorization=fac)
-        assert ip._fac is fac
-        x = np.array([1.0, -2.0])
-        assert ip.dot(x, x) == pytest.approx(x @ np.linalg.solve(W, x), abs=1e-14)
-        with pytest.raises(ValueError):
-            WeightedInnerProduct(np.eye(3), mode="M_inverse", factorization=fac)
-
 
 def _spd(rng, n):
     B = rng.standard_normal((n, n))
@@ -149,6 +139,12 @@ class TestGmres:
         x, hist = gmres(lambda v: D @ v, np.array([1.0, 1.0]), tol=1e-12)
         assert len(hist) - 1 <= 2
         assert np.allclose(x, [1.0, 0.5], atol=1e-12)
+
+    def test_non_finite_arnoldi_vector_stops_at_once(self):
+        b = np.array([1.0, -2.0, 3.0 + 1j])
+        x, hist = gmres(lambda v: np.full_like(v, np.nan), b, tol=1e-12)
+        assert len(hist) == 2 and hist[0] == 1.0 and np.isnan(hist[-1])
+        assert not np.any(x)
 
     def test_twin_scalar_dual_system(self):
         from schwarzlab.formulations import twin_scalar

@@ -139,6 +139,14 @@ class TestPrimalIteration:
 
 
 class TestGmres:
+    def test_non_finite_load_stops_at_once(self):
+        dec, system, trace, imp, X, dual = dual_stack()
+        dual.f = dual.f.copy()
+        dual.f[3] = np.nan
+        rep = gmres_dual(dual, tol=1e-10, maxit=400)
+        assert rep.diverged and not rep.converged
+        assert rep.iterations == 0
+
     def test_zero_scattering_one_iteration(self):
         ts = twin_scalar(a=(1.0, 1.0), m=1.0, alpha=1.0, f=(3.0, 5.0))
         rep = gmres_dual(ts.dual, tol=1e-12, maxit=50)
