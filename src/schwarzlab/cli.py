@@ -51,7 +51,7 @@ PROBLEM_TYPES = ("laplace", "reaction_diffusion", "helmholtz")
 EXCHANGE_VARIANTS = _INTERFACE_EXCHANGES + ("exceptional",)
 METHODS = ("richardson", "gmres", "primal", "fetih")
 
-GAMMA_DIM_LIMIT = 400    # dense materialization budget for gamma estimates
+GAMMA_DIM_LIMIT = 400    # budget for gamma's dense eigh of M and SVD of K (cubic in dim)
 CSV_FORMAT = "%.17g"
 
 # section -> key -> (parser, default); every key is explicit in emitted reports
@@ -448,7 +448,7 @@ def execute(inst: Instance) -> dict:
         report_core = {
             "iterations": 1,
             "converged": bool(rows[-1][2] <= g("solver", "tol")),
-            "diverged": False,
+            "diverged": not np.isfinite([residual, rows[-1][2]]).all(),
             "final_residual": residual,
             "final_primal_error": rows[-1][2],
         }

@@ -97,13 +97,29 @@ class DualSystem:
         """2 alpha M T v for an augmented solve v."""
         return 2.0 * self.alpha * (self.M @ (self.T @ v))
 
+    def _K_from_trace(self, lam, Tv) -> np.ndarray:
+        """K lam = lam - X^T (-lam + 2 alpha M T v) from T v, v = Atilde^{-1} T^T lam."""
+        return lam - self.X.T @ (-lam + 2.0 * self.alpha * (self.M @ Tv))
+
+    def _loss(self, v) -> float:
+        """Subdomain loss Re or Im of <A v, conj(v)> (alpha = 1 or alpha = i)."""
+        quad = complex(np.vdot(v, self._A_csr @ v))
+        return quad.imag if self.alpha == 1j else quad.real
+
     def apply_S(self, lam) -> np.ndarray:
         lam = np.asarray(lam, dtype=np.complex128)
         return -lam + self._outgoing(self.aug.apply_inv(self._Tt @ lam))
 
     def apply_K(self, lam) -> np.ndarray:
         """K = I - X^T S."""
-        return np.asarray(lam, np.complex128) - self.X.T @ self.apply_S(lam)
+        lam = np.asarray(lam, np.complex128)
+        return self._K_from_trace(lam, self.T @ self.aug.apply_inv(self._Tt @ lam))
+
+    def apply_K_and_loss(self, lam) -> tuple[np.ndarray, float]:
+        """K lam and pseudo_energy's loss p at lam from one augmented solve."""
+        lam = np.asarray(lam, np.complex128)
+        v = self.aug.apply_inv(self._Tt @ lam)
+        return self._K_from_trace(lam, self.T @ v), self._loss(v)
 
     def rhs_d(self) -> np.ndarray:
         return self.X.T @ self._outgoing(self.aug.apply_inv(self.f))
@@ -124,23 +140,42 @@ class DualSystem:
         """
         lam = np.asarray(lam, dtype=np.complex128)
         v = self.aug.apply_inv(self._Tt @ lam)
-        quad = complex(np.vdot(v, self._A_csr @ v))
-        p = quad.imag if self.alpha == 1j else quad.real
+        p = self._loss(v)
         lhs = self.norm_Minv(-lam + self._outgoing(v)) ** 2 + 4.0 * p
         rhs = self.norm_Minv(lam) ** 2
         return lhs, rhs, p
 
     def materialize_K(self) -> np.ndarray:
-        """Dense I - X^T S, applied to the identity K_COLUMNS columns at a time.
+        """Dense I - X^T S from max_i dim_i packed augmented solves.
 
-        A multi-column augmented solve allocates an n_u x ncols work array;
-        the chunk bounds it.
+        T Atilde^{-1} T^T is block-diagonal by subdomain and the trace rows
+        run subdomain by subdomain, so one right-hand side carries the j-th
+        unit vector of every subdomain's trace block at once: packed column
+        j returns column j of every diagonal block, unmixed (the sparse LU
+        makes no fill between blocks). The solves run K_COLUMNS packed
+        columns at a time, which bounds the work array to n_u x K_COLUMNS.
+        K is then formed one subdomain's columns at a time from its block.
         """
+        # subdomain of each trace row, from the one column it selects
+        row_sub = np.searchsorted(self.decomp.offsets, self.T.indices, side="right") - 1
+        bounds = np.searchsorted(row_sub, np.arange(self.decomp.n_sub + 1))
+        lo, hi = bounds[:-1], bounds[1:]
+        sizes = hi - lo
+        width = int(sizes.max())
+        packed = np.empty((self.dim, width), dtype=np.complex128)
+        for a in range(0, width, K_COLUMNS):
+            j = np.arange(a, min(a + K_COLUMNS, width))
+            sub, col = np.nonzero(j < sizes[:, None])
+            E = np.zeros((self.dim, len(j)), dtype=np.complex128)
+            E[lo[sub] + j[col], col] = 1.0
+            packed[:, a:a + len(j)] = self.T @ self.aug.apply_inv(self._Tt @ E)
+
         K = np.empty((self.dim, self.dim), dtype=np.complex128)
-        for a in range(0, self.dim, K_COLUMNS):
-            ncols = min(K_COLUMNS, self.dim - a)
-            K[:, a:a + ncols] = self.apply_K(
-                np.eye(self.dim, ncols, -a, dtype=np.complex128))
+        for a, b in zip(lo, hi):
+            Tv = np.zeros((self.dim, b - a), dtype=np.complex128)
+            Tv[a:b] = packed[a:b, :b - a]
+            E = np.eye(self.dim, b - a, -a, dtype=np.complex128)
+            K[:, a:b] = self._K_from_trace(E, Tv)
         return K
 
     def solve_direct(self, deflate=None) -> np.ndarray:

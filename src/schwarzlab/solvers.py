@@ -122,14 +122,14 @@ def richardson(dual: DualSystem, cfg: IterationConfig,
     lam = _initial_multiplier(dual.dim, cfg.seed)
     stall = 0
     for it in range(cfg.maxit + 1):
-        K_lam = dual.apply_K(lam)
+        K_lam, p = dual.apply_K_and_loss(lam)
         residual = dual.norm_Minv(d - K_lam) / scale
         mu = dual.deflate(lam - lam_ref, redundancy)
         u = dual.primal_recover(lam)
         report.residuals.append(residual)
         report.error_norms.append(dual.norm_Minv(mu))
         report.primal_errors.append(float(np.linalg.norm(u - u_ref)) / u_scale)
-        report.p_history.append(dual.pseudo_energy(lam)[2])
+        report.p_history.append(p)
         if cfg.log_energy:
             report.energy_defects.append(_energy_defect(dual, mu, cfg.beta))
         if not np.isfinite([residual, report.error_norms[-1],

@@ -11,6 +11,7 @@ from click.testing import CliRunner
 from schwarzlab import cli, decomp
 from schwarzlab.cli import (build_instance, execute, interface_checks,
                             load_config, main, validate)
+from schwarzlab.formulations import DualSystem
 
 
 FAST = ["problem.nx=8", "problem.ny=8"]
@@ -359,6 +360,28 @@ def test_each_operator_is_built_once(preset, monkeypatch):
     assert times_factorized(aug.matrix) == 1
 
 
+def test_gamma_solves_one_packed_column_per_block_slot(monkeypatch):
+    # feti2lm 64x64, 2x2, Helmholtz kappa = 8: dim lambda 264 in four blocks of 66
+    inst = build_instance(load_config(preset="feti2lm", overrides={
+        "problem.nx": "64", "problem.ny": "64", "problem.type": "helmholtz",
+        "problem.kappa": "8"}))
+    materialize = DualSystem.materialize_K
+    widths = []
+
+    def counting(dual):
+        apply_inv = dual.aug.apply_inv
+        dual.aug.apply_inv = lambda g: widths.append(g.shape[1]) or apply_inv(g)
+        try:
+            return materialize(dual)
+        finally:
+            dual.aug.apply_inv = apply_inv
+
+    monkeypatch.setattr(DualSystem, "materialize_K", counting)
+    report = execute(inst)
+    assert inst.dual.dim == 264 and report["gamma"] is not None
+    assert sum(widths) == 66
+
+
 class TestRunCommand:
     def test_needs_config_or_preset(self, tmp_path, monkeypatch):
         for args in (["run"], ["verify"], ["sweep", "--vary", "solver.beta=0.5"]):
@@ -549,3 +572,19 @@ class TestExceptionalPreset:
         assert "FAIL conformity_fixed_defect" in result.output
         if fault == "perturbed":
             assert "FAIL involution_defect" in result.output
+
+    def test_non_finite_load_diverges(self, tmp_path, monkeypatch):
+        build = cli.build_instance
+
+        def faulty(cfg):
+            inst = build(cfg)
+            inst.dual.f = inst.dual.f.copy()
+            inst.dual.f[3] = np.nan
+            return inst
+
+        monkeypatch.setattr(cli, "build_instance", faulty)
+        result = run_cli(["run", "--preset", "exceptional"]
+                         + [f"--set={s}" for s in FAST], tmp_path, monkeypatch)
+        assert result.exit_code == 3, result.output
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["diverged"] and not report["converged"]

@@ -159,35 +159,58 @@ class TestRhsAndRecovery:
 
 
 class TestBlockApplication:
-    @pytest.mark.parametrize("facet_variant,exchange_variant,wave", [
-        ("bilateral_max", "swap", True),
-        ("globs", "weighted", True),
-        ("globs", "glob_local", False),
+    @pytest.mark.parametrize("nx,px,py,facet_variant,exchange_variant,impedance,wave", [
+        pytest.param(8, 2, 2, "bilateral_max", "swap", "lumped_mass", True,
+                     id="bilateral_max-swap-True"),
+        pytest.param(8, 2, 2, "globs", "weighted", "lumped_mass", True,
+                     id="globs-weighted-True"),
+        pytest.param(8, 2, 2, "globs", "glob_local", "lumped_mass", False,
+                     id="globs-glob_local-False"),
+        # trace blocks of 9, 13 and 16 slots
+        pytest.param(16, 4, 4, "globs", "weighted", "lumped_mass", False,
+                     id="unequal_blocks"),
+        pytest.param(16, 4, 1, "globs", "weighted", "lumped_mass", False, id="strip"),
+        pytest.param(8, 2, 2, "globs", "glob_local", "glob_block", False,
+                     id="glob_block"),
+        # 9 cycles
+        pytest.param(16, 4, 4, "bilateral_properly_closed", "swap", "lumped_mass",
+                     True, id="bilateral_wave_cycles"),
     ])
-    def test_materialize_K_matches_columns(self, helmholtz_2x2, coercive_2x2,
-                                           facet_variant, exchange_variant, wave):
-        _, prob, dec = helmholtz_2x2 if wave else coercive_2x2
+    def test_materialize_K_matches_columns(self, nx, px, py, facet_variant,
+                                           exchange_variant, impedance, wave):
+        _, prob, dec = make_instance(nx, nx, px, py, wave=wave,
+                                     kappa=2.0 if wave else 0.0,
+                                     eta=2.0 if wave else 1.0,
+                                     source="point:0.3,0.4")
         trace = build_trace(build_facets(dec, facet_variant), dec)
-        imp = build_impedance(trace, "lumped_mass", 2.0)
+        imp = build_impedance(trace, impedance, 2.0)
         X = build_exchange(trace, imp, exchange_variant)
         dual = build_dual_system(dec, trace, imp, X, prob.alpha)
         columns = np.column_stack([dual.apply_K(e) for e in np.eye(dual.dim)])
         K = dual.materialize_K()
-        assert np.max(np.abs(K - columns)) <= 1e-13 * max(1.0, np.max(np.abs(columns)))
+        if imp.is_diagonal:
+            assert np.array_equal(K, columns)
+        else:
+            scale = max(1.0, np.max(np.abs(columns)))
+            assert np.max(np.abs(K - columns)) <= 1e-13 * scale
 
     def test_materialize_K_in_chunks(self):
-        _, prob, dec = make_instance(16, 16, 4, 4)
+        # strip 64x64, 4x1: trace blocks of 65, 130, 130 and 65 slots
+        _, prob, dec = make_instance(64, 64, 4, 1)
         trace = build_trace(build_facets(dec, "globs"), dec)
         imp = build_impedance(trace, "lumped_mass", 2.0)
         dual = build_dual_system(dec, trace, imp,
                                  build_exchange(trace, imp, "weighted"), prob.alpha)
-        assert dual.dim > 2 * K_COLUMNS and dual.dim % K_COLUMNS
+        largest = max(sum(1 for i, _f, _k in trace.slots if i == s)
+                      for s in range(dec.n_sub))
+        assert largest > 2 * K_COLUMNS and largest % K_COLUMNS
         whole = dual.apply_K(np.eye(dual.dim, dtype=np.complex128))
         widths = []
-        apply_K = dual.apply_K
-        dual.apply_K = lambda lam: widths.append(lam.shape[1]) or apply_K(lam)
+        apply_inv = dual.aug.apply_inv
+        dual.aug.apply_inv = lambda g: widths.append(g.shape[1]) or apply_inv(g)
         K = dual.materialize_K()
-        assert max(widths) == K_COLUMNS and sum(widths) == dual.dim
+        # one packed column per slot of the largest trace block, not per trace slot
+        assert max(widths) == K_COLUMNS and sum(widths) == largest
         assert np.max(np.abs(K - whole)) <= 1e-13 * np.max(np.abs(whole))
 
 

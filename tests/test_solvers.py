@@ -87,9 +87,9 @@ class TestRichardson:
             M = ts.dual.M
             norm_Minv = staticmethod(ts.dual.norm_Minv)
             rhs_d = staticmethod(lambda: np.zeros(2, dtype=complex))
-            apply_K = staticmethod(lambda lam: -lam)
+            apply_K_and_loss = staticmethod(
+                lambda lam: (-lam, ts.dual.apply_K_and_loss(lam)[1]))
             primal_recover = staticmethod(ts.dual.primal_recover)
-            pseudo_energy = staticmethod(ts.dual.pseudo_energy)
             deflate = staticmethod(lambda v, Z=None: v)
 
         cfg = IterationConfig(beta=1.0, tol=1e-14, maxit=500, seed=2)
@@ -97,6 +97,20 @@ class TestRichardson:
                          u_ref=np.zeros(2, dtype=complex))
         assert rep.diverged and not rep.converged
         assert rep.iterations < 500
+
+    def test_two_augmented_solves_per_step(self):
+        dec, system, trace, imp, X, dual = dual_stack()
+        lam_ref = dual.solve_direct()
+        u_ref = primal_reference(dec)
+        solves = []
+        apply_inv = dual.aug.apply_inv
+        dual.aug.apply_inv = lambda g: solves.append(g) or apply_inv(g)
+        cfg = IterationConfig(beta=0.5, tol=1e-30, maxit=10, seed=0)
+        rep = richardson(dual, cfg, lam_ref=lam_ref, u_ref=u_ref)
+        assert rep.iterations == 10
+        # d and the final recovery, then K lam with p and u per logged step
+        assert len(solves) == 2 + 2 * (rep.iterations + 1)
+        assert rep.p_history[-1] == dual.pseudo_energy(rep.lam)[2]
 
     def test_non_finite_load_stops_at_once(self):
         dec, system, trace, imp, X, dual = dual_stack()

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse
 
-from schwarzlab.facets import build_facets
+from schwarzlab.facets import VARIANTS, build_facets
 from schwarzlab.formulations import build_dual_system
 from schwarzlab.solvers import IterationConfig, primal_iterate
 from schwarzlab.traces import (EXCHANGE_VARIANTS, IMPEDANCE_VARIANTS, build_exchange,
@@ -34,6 +34,17 @@ class TestTraceOperator:
             T = trace.matrix.toarray()
             assert np.all(T.sum(axis=1) == 1.0)
             assert set(np.unique(T)) <= {0.0, 1.0}
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("nx,px,py", [(4, 2, 2), (8, 4, 4), (8, 4, 1)])
+    def test_rows_run_subdomain_by_subdomain(self, variant, nx, px, py):
+        # DualSystem.materialize_K packs one trace row of every subdomain per solve
+        dec = make_instance(nx, nx, px, py)[2]
+        T = build_trace(build_facets(dec, variant), dec).matrix
+        assert np.all(np.diff(T.indptr) == 1)
+        sub = np.searchsorted(dec.offsets, T.indices, side="right") - 1
+        assert np.all(np.diff(sub) >= 0)
+        assert np.array_equal(np.unique(sub), np.arange(dec.n_sub))
 
     def test_consistency_across_sides(self, cross_dec):
         # both sides of a facet see the same global values
