@@ -115,11 +115,15 @@ class DualSystem:
         lam = np.asarray(lam, np.complex128)
         return self._K_from_trace(lam, self.T @ self.aug.apply_inv(self._Tt @ lam))
 
-    def apply_K_and_loss(self, lam) -> tuple[np.ndarray, float]:
-        """K lam and pseudo_energy's loss p at lam from one augmented solve."""
+    def apply_K_and_loss(self, lam) -> tuple[np.ndarray, float, np.ndarray]:
+        """K lam, pseudo_energy's loss p at lam, and v = Atilde^{-1} T^T lam.
+
+        All three come from one augmented solve; primal_recover(lam) is
+        Atilde^{-1} f + v by linearity.
+        """
         lam = np.asarray(lam, np.complex128)
         v = self.aug.apply_inv(self._Tt @ lam)
-        return self._K_from_trace(lam, self.T @ v), self._loss(v)
+        return self._K_from_trace(lam, self.T @ v), self._loss(v), v
 
     def rhs_d(self) -> np.ndarray:
         return self.X.T @ self._outgoing(self.aug.apply_inv(self.f))
@@ -189,19 +193,22 @@ class DualSystem:
         K = self.materialize_K()
         d = self.rhs_d()
         lam, *_ = np.linalg.lstsq(K, d, rcond=None)
-        if deflate is not None and deflate.shape[1] > 0:
-            lam = self.deflate(lam, deflate)
-        return lam
+        return self.deflation(deflate)(lam)
 
-    def deflate(self, lam, basis) -> np.ndarray:
-        """Remove redundancy components, orthogonally in the M^-1 metric."""
+    def deflation(self, basis):
+        """The map removing redundancy components of lam, orthogonally in
+        the M^-1 metric; M^-1 Z and the Gram matrix Z^H M^-1 Z are formed
+        once, so repeated applications make no M solve."""
         if basis is None or basis.shape[1] == 0:
-            return np.asarray(lam, np.complex128)
+            return lambda lam: np.asarray(lam, np.complex128)
         Z = basis.astype(np.complex128)
         WZ = self.ip.apply_weight(Z)
         gram = Z.conj().T @ WZ
-        coef = np.linalg.solve(gram, WZ.conj().T @ lam)
-        return np.asarray(lam, np.complex128) - Z @ coef
+
+        def deflate(lam) -> np.ndarray:
+            coef = np.linalg.solve(gram, WZ.conj().T @ lam)
+            return np.asarray(lam, np.complex128) - Z @ coef
+        return deflate
 
 
 def build_dual_system(decomp: Decomposition, trace: TraceOperator,

@@ -107,6 +107,11 @@ def richardson(dual: DualSystem, cfg: IterationConfig,
     (optionally) the per-iteration energy-decay defect. Fifty consecutive
     non-decreasing residuals, or a non-finite residual or error, flag
     divergence; the partial run is preserved.
+
+    A step costs one augmented solve v = Atilde^{-1} T^T lam: it gives K lam
+    and the loss p, and the recovered primal is Atilde^{-1} f + v, with
+    Atilde^{-1} f solved once per run. The deflation's M^-1 Z and Gram
+    matrix are also formed once per run.
     """
     report = ConvergenceReport(method="richardson", beta=cfg.beta, seed=cfg.seed)
     d = dual.rhs_d()
@@ -119,13 +124,16 @@ def richardson(dual: DualSystem, cfg: IterationConfig,
         u_ref = reference_primal(dual.decomp)
     u_scale = float(np.linalg.norm(u_ref)) or 1.0
 
+    deflate = dual.deflation(redundancy)
+    u_f = dual.aug.apply_inv(dual.f)
+
     lam = _initial_multiplier(dual.dim, cfg.seed)
     stall = 0
     for it in range(cfg.maxit + 1):
-        K_lam, p = dual.apply_K_and_loss(lam)
+        K_lam, p, v = dual.apply_K_and_loss(lam)
         residual = dual.norm_Minv(d - K_lam) / scale
-        mu = dual.deflate(lam - lam_ref, redundancy)
-        u = dual.primal_recover(lam)
+        mu = deflate(lam - lam_ref)
+        u = u_f + v
         report.residuals.append(residual)
         report.error_norms.append(dual.norm_Minv(mu))
         report.primal_errors.append(float(np.linalg.norm(u - u_ref)) / u_scale)
@@ -152,7 +160,7 @@ def richardson(dual: DualSystem, cfg: IterationConfig,
 
     report.iterations = len(report.residuals) - 1
     report.lam = lam
-    report.u = dual.primal_recover(lam)
+    report.u = u
     return report.finalize(gamma, cfg.beta)
 
 
@@ -184,13 +192,20 @@ def primal_iterate(dual: DualSystem, cfg: IterationConfig,
     A u_0 - f lies in range(T^T) as the recurrence requires. The extension
     E (T E = I) is T^T, which exists exactly when the trace is surjective,
     that is, when no column of T holds more than one entry.
+
+    The interface map is composed once per call: with the sparse
+    B = T^T (alpha M X T - X^T T A) and g = f + T^T X^T T f, a step is
+    u_{n+1} = (1-beta) u_n + beta * Atilde^{-1} (g + B u_n), one sparse
+    product and one augmented solve.
     """
     A, T, Tt, M, X, f = dual._A_csr, dual.T, dual._Tt, dual.M, dual.X, dual.f
     if np.diff(Tt.indptr).max(initial=0) > 1:
         raise ValueError("extension needs a surjective trace; bilateral systems "
                          "with cross points (multiplicity > 2) are rank-deficient")
+    XtT = X.T @ T
+    B = (Tt @ (dual.alpha * (M @ X @ T) - XtT @ A)).tocsr()
+    g = f + Tt @ (XtT @ f)
     report = ConvergenceReport(method="primal", beta=cfg.beta, seed=None)
-    Xt = X.T
     u = dual.aug.apply_inv(f) if u0 is None else np.asarray(u0, np.complex128).copy()
     if u_ref is None:
         u_ref = reference_primal(dual.decomp)
@@ -216,8 +231,7 @@ def primal_iterate(dual: DualSystem, cfg: IterationConfig,
             stall = 0
         if it == cfg.maxit:
             break
-        incoming = dual.alpha * (M @ (X @ (T @ u))) - Xt @ (T @ (A @ u - f))
-        u = (1.0 - cfg.beta) * u + cfg.beta * dual.aug.apply_inv(f + Tt @ incoming)
+        u = (1.0 - cfg.beta) * u + cfg.beta * dual.aug.apply_inv(g + B @ u)
 
     report.iterations = len(report.primal_errors) - 1
     report.u = u

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from schwarzlab import cli
 from schwarzlab.facets import build_facets, redundancy_basis
 from schwarzlab.formulations import (build_dual_system, exceptional_system,
                                      twin_scalar)
@@ -87,10 +88,11 @@ class TestRichardson:
             M = ts.dual.M
             norm_Minv = staticmethod(ts.dual.norm_Minv)
             rhs_d = staticmethod(lambda: np.zeros(2, dtype=complex))
+            aug = ts.dual.aug
+            f = ts.dual.f
             apply_K_and_loss = staticmethod(
-                lambda lam: (-lam, ts.dual.apply_K_and_loss(lam)[1]))
-            primal_recover = staticmethod(ts.dual.primal_recover)
-            deflate = staticmethod(lambda v, Z=None: v)
+                lambda lam: (-lam, *ts.dual.apply_K_and_loss(lam)[1:]))
+            deflation = staticmethod(lambda Z: lambda v: v)
 
         cfg = IterationConfig(beta=1.0, tol=1e-14, maxit=500, seed=2)
         rep = richardson(Amplifier(), cfg, lam_ref=np.zeros(2, dtype=complex),
@@ -98,7 +100,7 @@ class TestRichardson:
         assert rep.diverged and not rep.converged
         assert rep.iterations < 500
 
-    def test_two_augmented_solves_per_step(self):
+    def test_one_augmented_solve_per_step(self):
         dec, system, trace, imp, X, dual = dual_stack()
         lam_ref = dual.solve_direct()
         u_ref = primal_reference(dec)
@@ -108,9 +110,32 @@ class TestRichardson:
         cfg = IterationConfig(beta=0.5, tol=1e-30, maxit=10, seed=0)
         rep = richardson(dual, cfg, lam_ref=lam_ref, u_ref=u_ref)
         assert rep.iterations == 10
-        # d and the final recovery, then K lam with p and u per logged step
-        assert len(solves) == 2 + 2 * (rep.iterations + 1)
+        # d and Atilde^{-1} f once, then K lam with p and u per logged step
+        assert len(solves) == 2 + (rep.iterations + 1)
         assert rep.p_history[-1] == dual.pseudo_energy(rep.lam)[2]
+        u = dual.primal_recover(rep.lam)
+        assert np.linalg.norm(rep.u - u) <= 1e-13 * np.linalg.norm(u)
+
+    def test_deflation_built_once(self):
+        dec, system, trace, imp, X, dual = dual_stack(
+            facet_variant="bilateral_max", exchange="swap")
+        Z = redundancy_basis(system, trace).vectors
+        assert Z.shape[1] > 0
+        lam_ref = dual.solve_direct(deflate=Z)
+        u_ref = primal_reference(dec)
+        weighs = []
+        apply_weight = dual.ip.apply_weight
+        dual.ip.apply_weight = lambda x: weighs.append(x) or apply_weight(x)
+        cfg = IterationConfig(beta=0.5, tol=1e-30, maxit=10, seed=0)
+        rep = richardson(dual, cfg, lam_ref=lam_ref, u_ref=u_ref, redundancy=Z)
+        assert rep.iterations == 10
+        # |d| and M^-1 Z once, then the residual and error norms per logged step
+        assert len(weighs) == 2 + 2 * (rep.iterations + 1)
+        # the same operations as a fresh M^-1 Z and Gram matrix, bit for bit
+        lam = rep.lam - lam_ref
+        WZ = apply_weight(Z.astype(np.complex128))
+        coef = np.linalg.solve(Z.conj().T @ WZ, WZ.conj().T @ lam)
+        assert np.array_equal(dual.deflation(Z)(lam), lam - Z @ coef)
 
     def test_non_finite_load_stops_at_once(self):
         dec, system, trace, imp, X, dual = dual_stack()
@@ -150,6 +175,58 @@ class TestPrimalIteration:
         rep = primal_iterate(dual, cfg, u_ref=primal_reference(dec))
         assert rep.diverged and not rep.converged
         assert rep.iterations == 0
+
+
+TWO_PI = "6.283185307179586"
+
+
+def complete_comm(p, wave):
+    """The complete_comm preset at 16x16 on p x p subdomains."""
+    overrides = {"problem.nx": "16", "problem.ny": "16",
+                 "decomposition.px": str(p), "decomposition.py": str(p)}
+    if wave:
+        overrides.update({"problem.type": "helmholtz", "problem.kappa": TWO_PI,
+                          "problem.eta": TWO_PI, "interface.sigma": TWO_PI})
+    inst = cli.build_instance(cli.load_config(None, "complete_comm", overrides))
+    return inst.dual, reference_primal(inst.decomp)
+
+
+def seven_product_step(dual, u, beta, apply_inv):
+    """One primal step with the interface map applied product by product."""
+    A, T, M, X, f = dual._A_csr, dual.T, dual.M, dual.X, dual.f
+    incoming = dual.alpha * (M @ (X @ (T @ u))) - X.T @ (T @ (A @ u - f))
+    return (1.0 - beta) * u + beta * apply_inv(f + T.T @ incoming)
+
+
+class TestPrimalOracle:
+    @pytest.mark.parametrize("p", [2, 4])
+    @pytest.mark.parametrize("wave", [False, True], ids=["coercive", "helmholtz"])
+    def test_matches_seven_product_recurrence(self, p, wave):
+        dual, u_ref = complete_comm(p, wave)
+        assert dual.alpha == (1j if wave else 1.0)
+        apply_inv = dual.aug.apply_inv
+        solves = []
+        dual.aug.apply_inv = lambda g: solves.append(apply_inv(g)) or solves[-1]
+        cfg = IterationConfig(beta=0.5, tol=1e-9, maxit=30000)
+        rep = primal_iterate(dual, cfg, u_ref=u_ref)
+        assert rep.converged
+        assert len(solves) == rep.iterations + 1
+
+        # the first 50 iterates, rebuilt from the solves by the same update
+        u, oracle = solves[0], apply_inv(dual.f)
+        assert np.array_equal(u, oracle)
+        for w in solves[1:51]:
+            u = (1.0 - cfg.beta) * u + cfg.beta * w
+            oracle = seven_product_step(dual, oracle, cfg.beta, apply_inv)
+            assert np.linalg.norm(u - oracle) <= 1e-12 * np.linalg.norm(oracle)
+
+        oracle = apply_inv(dual.f)
+        u_scale = np.linalg.norm(u_ref)
+        for iterations in range(cfg.maxit + 1):
+            if np.linalg.norm(oracle - u_ref) / u_scale <= cfg.tol:
+                break
+            oracle = seven_product_step(dual, oracle, cfg.beta, apply_inv)
+        assert iterations == rep.iterations
 
 
 class TestGmres:
