@@ -437,9 +437,8 @@ def execute(inst: Instance) -> dict:
 
     if g("interface", "exchange") == "exceptional":
         dual = inst.dual
-        d = dual.rhs_d()
+        d, u0 = dual.rhs_d_and_u_f()     # u0 = primal_recover(0)
         lam = d.copy()           # one undamped update from zero
-        u0 = dual.primal_recover(np.zeros_like(lam))
         u = dual.primal_recover(lam)
         residual0 = 1.0
         residual = dual.norm_Minv(d - dual.apply_K(lam)) / (dual.norm_Minv(d) or 1.0)

@@ -125,8 +125,13 @@ class DualSystem:
         v = self.aug.apply_inv(self._Tt @ lam)
         return self._K_from_trace(lam, self.T @ v), self._loss(v), v
 
+    def rhs_d_and_u_f(self) -> tuple[np.ndarray, np.ndarray]:
+        """d = X^T 2 alpha M T u_f and u_f = Atilde^{-1} f, from one solve."""
+        u_f = self.aug.apply_inv(self.f)
+        return self.X.T @ self._outgoing(u_f), u_f
+
     def rhs_d(self) -> np.ndarray:
-        return self.X.T @ self._outgoing(self.aug.apply_inv(self.f))
+        return self.rhs_d_and_u_f()[0]
 
     def primal_recover(self, lam) -> np.ndarray:
         """u = (A + alpha T^T M T)^{-1} (f + T^T lambda)."""

@@ -83,7 +83,8 @@ def accumulate(rows, cols, values, shape):
 
 @dataclass(frozen=True)
 class SparseFactorization:
-    """Sparse LU (SuperLU, fill-reducing column order) of a square matrix."""
+    """Sparse LU (SuperLU) of a square matrix, ordered symmetrically by
+    minimum degree on A + A^T, with threshold-1 partial pivoting."""
 
     size: int
     lu: scipy.sparse.linalg.SuperLU = field(repr=False)
@@ -107,7 +108,13 @@ def factorize(A) -> SparseFactorization:
     """Sparse LU with partial pivoting; rejects singular-to-tolerance pivots.
 
     Sparse and dense inputs alike are converted to CSC and factorized by
-    SuperLU. A pivot of magnitude at most PIVOT_TOL * max|A| raises
+    SuperLU. Every matrix the lab factorizes has a symmetric pattern, so the
+    fill-reducing order is a minimum-degree ordering of A + A^T applied to
+    rows and columns alike (SymmetricMode). The pivot threshold stays at
+    SuperLU's default 1.0: the diagonal is taken only when it is the largest
+    entry of its column, which is plain partial pivoting and keeps matrices
+    with a zero diagonal block, like the bordered redundancy system,
+    factorizable. A pivot of magnitude at most PIVOT_TOL * max|A| raises
     SingularMatrixError, and `solve` takes 1-D or 2-D right-hand sides.
     """
     A = scipy.sparse.csc_array(A, dtype=np.complex128)
@@ -115,7 +122,8 @@ def factorize(A) -> SparseFactorization:
         raise ValueError("factorize expects a square matrix")
     scale = float(np.abs(A.data).max()) if A.nnz else 0.0
     try:
-        lu = scipy.sparse.linalg.splu(A)
+        lu = scipy.sparse.linalg.splu(A, permc_spec="MMD_AT_PLUS_A",
+                                      options={"SymmetricMode": True})
     except RuntimeError as exc:     # SuperLU: "Factor is exactly singular"
         raise SingularMatrixError(f"matrix is singular ({exc})") from exc
     _check_pivots(np.abs(lu.U.diagonal()), scale)

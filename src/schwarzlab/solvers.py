@@ -110,11 +110,11 @@ def richardson(dual: DualSystem, cfg: IterationConfig,
 
     A step costs one augmented solve v = Atilde^{-1} T^T lam: it gives K lam
     and the loss p, and the recovered primal is Atilde^{-1} f + v, with
-    Atilde^{-1} f solved once per run. The deflation's M^-1 Z and Gram
-    matrix are also formed once per run.
+    Atilde^{-1} f solved once per run, in the solve that forms d. The
+    deflation's M^-1 Z and Gram matrix are also formed once per run.
     """
     report = ConvergenceReport(method="richardson", beta=cfg.beta, seed=cfg.seed)
-    d = dual.rhs_d()
+    d, u_f = dual.rhs_d_and_u_f()
     d_norm = dual.norm_Minv(d)
     scale = d_norm if d_norm > 0.0 else 1.0
 
@@ -125,7 +125,6 @@ def richardson(dual: DualSystem, cfg: IterationConfig,
     u_scale = float(np.linalg.norm(u_ref)) or 1.0
 
     deflate = dual.deflation(redundancy)
-    u_f = dual.aug.apply_inv(dual.f)
 
     lam = _initial_multiplier(dual.dim, cfg.seed)
     stall = 0

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 import scipy.sparse
+import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from schwarzlab.cli import build_instance, load_config
 from schwarzlab.linalg import (PIVOT_TOL, SingularMatrixError,
                                SparseFactorization, WeightedInnerProduct, accumulate,
                                factorize, gmres, load_matrix_market, save_matrix_market)
@@ -86,6 +88,47 @@ class TestSparseFactorize:
             factorize(scipy.sparse.csr_array(dense))
         with pytest.raises(SingularMatrixError):
             factorize(np.array(dense))
+
+
+def _bordered_cycle() -> np.ndarray:
+    """[[S^H S, Z], [Z^H, 0]] for a complex 4-cycle incidence S, ker S = span Z."""
+    S = (np.eye(4) - np.roll(np.eye(4), 1, axis=1)) * np.exp(0.3j)
+    Z = np.ones((4, 1))
+    return np.block([[S.conj().T @ S, Z], [Z.T, np.zeros((1, 1))]])
+
+
+class TestPartialPivoting:
+    """The symmetric ordering keeps threshold-1 partial pivoting."""
+
+    @pytest.mark.parametrize("dense", [
+        # whichever index the ordering eliminates first, one of the two
+        # needs a row swap at the tiny diagonal
+        [[1e-14, 1.0], [1.0, 1.0]],
+        [[1.0, 1.0], [1.0, 1e-14]],
+        [[0.99, 1.0], [1.0, 0.99]],             # every order needs a row swap
+        _bordered_cycle(),                      # zero diagonal block
+    ])
+    def test_off_diagonal_pivot(self, dense):
+        A = np.array(dense, dtype=np.complex128)
+        fac = factorize(A)                      # passes the PIVOT_TOL check
+        # partial pivoting bounds every multiplier by 1; a pivot threshold
+        # below 1 takes a smaller diagonal and a multiplier above 1
+        assert np.abs(fac.lu.L.data).max() <= 1.0
+        b = np.arange(1.0, len(A) + 1.0) + 1j
+        x = fac.solve(b)
+        assert np.linalg.norm(A @ x - b) <= 1e-14 * np.linalg.norm(b)
+
+
+def test_symmetric_ordering_reduces_fill():
+    """MMD on A + A^T fills less than SuperLU's COLAMD default."""
+    cfg = load_config(preset="loisel", overrides={
+        "problem.nx": "32", "problem.ny": "32",
+        "decomposition.px": "4", "decomposition.py": "4"})
+    inst = build_instance(cfg)
+    for A in (inst.dual.aug.matrix, inst.problem.A_hat()):
+        ours = factorize(A).lu
+        colamd = scipy.sparse.linalg.splu(scipy.sparse.csc_array(A), permc_spec="COLAMD")
+        assert ours.L.nnz + ours.U.nnz < colamd.L.nnz + colamd.U.nnz
 
 
 class TestWeightedInnerProduct:
