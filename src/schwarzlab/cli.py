@@ -25,8 +25,9 @@ from .decomp import (ASSEMBLY_TOL, Decomposition, build_restrictions, check_asse
                      partition_grid)
 from .facets import VARIANTS as FACET_VARIANTS
 from .facets import build_facets, check_admissibility, redundancy_basis
-from .formulations import (DualSystem, build_dual_system, exceptional_system,
-                           fetih_assembling_deviation, fetih_build, fetih_solve)
+from .formulations import (DualSystem, build_dual_system, exceptional_exchange,
+                           exceptional_system, fetih_assembling_deviation, fetih_build,
+                           fetih_solve)
 from .linalg import SingularMatrixError, factorize, save_matrix_market
 from .meshfem import assemble, build_mesh
 from .solvers import (IterationConfig, estimate_gamma, gmres_dual, primal_iterate,
@@ -298,7 +299,8 @@ def build_instance(cfg: RunConfig) -> Instance:
     inst = Instance(cfg=cfg, problem=problem, decomp=decomp)
 
     if g("interface", "exchange") == "exceptional":
-        inst.dual = exceptional_system(decomp)
+        inst.exchange = exceptional_exchange(decomp)
+        inst.dual = exceptional_system(decomp, inst.exchange)
         return inst
 
     inst.system = build_facets(decomp, g("interface", "facets"))
@@ -429,7 +431,7 @@ def execute(inst: Instance) -> dict:
     g = inst.cfg.get
     method = g("solver", "method")
     t0 = time.perf_counter()
-    u_ref = reference_primal(inst.decomp)
+    u_ref = reference_primal(inst.decomp, inst.exchange and inst.exchange.factor)
     u_scale = float(np.linalg.norm(u_ref)) or 1.0
     gamma = None
     skipped: dict[str, str] = {}

@@ -52,13 +52,9 @@ def partition_grid(mesh: StructuredMesh, px: int, py: int) -> Partition:
     if px < 1 or py < 1 or mesh.nx % px or mesh.ny % py:
         raise ValueError(f"partition {px}x{py} does not divide the {mesh.nx}x{mesh.ny} grid")
     cw, ch = mesh.nx // px, mesh.ny // py
-    owner = np.empty(mesh.n_triangles, dtype=np.int64)
-    for iy in range(mesh.ny):
-        for ix in range(mesh.nx):
-            sub = (iy // ch) * px + (ix // cw)
-            t = 2 * (iy * mesh.nx + ix)
-            owner[t] = sub
-            owner[t + 1] = sub
+    # cell (ix, iy) lies in subdomain (iy // ch) * px + ix // cw; both its triangles follow
+    cells = (np.arange(mesh.ny)[:, None] // ch) * px + np.arange(mesh.nx) // cw
+    owner = np.repeat(cells.ravel(), 2)
     return Partition(n_subdomains=px * py, owner=owner, px=px, py=py)
 
 
@@ -72,13 +68,15 @@ class Multiplicities:
 
 
 def _multiplicities(n: int, maps) -> Multiplicities:
-    sharing = [[] for _ in range(n)]
-    for i, g in enumerate(maps):
-        for k in g:
-            sharing[int(k)].append(i)
-    mu = np.array([len(s) for s in sharing], dtype=np.int64)
-    return Multiplicities(mu=mu, sharing=tuple(tuple(s) for s in sharing),
-                          interface_dofs=np.flatnonzero(mu >= 2))
+    dofs = np.concatenate(maps)
+    subs = np.repeat(np.arange(len(maps)), [len(g) for g in maps])
+    mu = np.bincount(dofs, minlength=n)
+    # a stable sort by dof keeps each dof's subdomains in ascending order
+    flat = subs[np.argsort(dofs, kind="stable")].tolist()
+    ends = np.cumsum(mu)
+    bounds = map(slice, (ends - mu).tolist(), ends.tolist())
+    sharing = tuple(map(tuple, map(flat.__getitem__, bounds)))
+    return Multiplicities(mu=mu, sharing=sharing, interface_dofs=np.flatnonzero(mu >= 2))
 
 
 class Decomposition:
@@ -151,20 +149,27 @@ class Decomposition:
     # -- canonical re-accumulation ----------------------------------------
 
     def accumulate_global(self, local_parts=None, f_locals=None):
-        """sum_i R_i^T A_i R_i and sum_i R_i^T f_i in canonical order."""
+        """sum_i R_i^T A_i R_i and sum_i R_i^T f_i in canonical order.
+
+        Parts with one CSR pattern in every subdomain, as build_restrictions
+        makes them, share one sort.
+        """
         local_parts = self.local_parts if local_parts is None else local_parts
         f_locals = self.f_locals if f_locals is None else f_locals
-        summed = {}
-        for name in _PARTS:
-            rows, cols, vals = [], [], []
-            for i in range(self.n_sub):
-                coo = scipy.sparse.coo_array(local_parts[i][name])
-                g = self.maps[i]
-                rows.append(g[coo.row])
-                cols.append(g[coo.col])
-                vals.append(coo.data)
-            summed[name] = accumulate(np.concatenate(rows), np.concatenate(cols),
-                                      np.concatenate(vals), (self.n, self.n))
+        summed, pending = {}, list(_PARTS)
+        while pending:
+            first = [parts[pending[0]] for parts in local_parts]
+            same = [name for name in pending if all(
+                np.array_equal(parts[name].indptr, A.indptr)
+                and np.array_equal(parts[name].indices, A.indices)
+                for parts, A in zip(local_parts, first))]
+            rows = np.concatenate([g[np.repeat(np.arange(len(g)), np.diff(A.indptr))]
+                                   for g, A in zip(self.maps, first)])
+            cols = np.concatenate([g[A.indices] for g, A in zip(self.maps, first)])
+            values = [np.concatenate([parts[name].data for parts in local_parts])
+                      for name in same]
+            summed.update(zip(same, accumulate(rows, cols, values, (self.n, self.n))))
+            pending = [name for name in pending if name not in same]
         f_hat = accumulate(np.concatenate(self.maps), None, np.concatenate(f_locals),
                            (self.n,))
         return summed, f_hat
@@ -190,18 +195,16 @@ def build_restrictions(mesh: StructuredMesh, partition: Partition,
         elements = partition.elements_of(i)
         if len(elements) == 0:
             raise ValueError(f"subdomain {i} owns no elements")
-        dofs = dof_map[np.unique(mesh.triangles[elements])]
-        g = np.unique(dofs[dofs >= 0])
-        n_i = len(g)
         dofs_t = dof_map[contribs.nodes[elements]]           # (ne, 3)
         keep = dofs_t >= 0
+        g = np.unique(dofs_t[keep])
+        n_i = len(g)
         local = np.searchsorted(g, np.where(keep, dofs_t, g[0]))
         pair_mask = keep[:, :, None] & keep[:, None, :]      # (ne, 3, 3)
         rows = np.broadcast_to(local[:, :, None], pair_mask.shape)[pair_mask]
         cols = np.broadcast_to(local[:, None, :], pair_mask.shape)[pair_mask]
-        parts = {name: accumulate(rows, cols, values[elements][pair_mask], (n_i, n_i))
-                 for name, values in (("A0", contribs.K), ("A1", contribs.A1),
-                                      ("A2", contribs.A2))}
+        values = [part[elements][pair_mask] for part in (contribs.K, contribs.A1, contribs.A2)]
+        parts = dict(zip(_PARTS, accumulate(rows, cols, values, (n_i, n_i))))
         f_rows = local[keep]
         f_vals = contribs.f[elements][keep]
         if point_dof is not None and not point_assigned and np.isin(point_dof, g):

@@ -235,13 +235,15 @@ def exceptional_exchange(decomp: Decomposition) -> ExchangeOperator:
     complex LinearOperator: X v = 2 R Ahat^{-1} R^T A v - v and
     X^T v = 2 A R Ahat^{-T} R^T v - v cost one sparse solve with the Ahat
     factor per column, for 1-D and 2-D v alike; X is never formed. X is
-    real, so the transpose callable also serves as the adjoint.
+    real, so the transpose callable also serves as the adjoint. The
+    operator keeps the Ahat factor as `factor`, for the run's reference
+    solve.
     """
     problem = decomp.problem
     if problem.wave:
         raise ValueError("the one-step reflection needs the coercive regime "
                          "(real symmetric positive definite operators)")
-    A = decomp.A_blockdiag().real
+    A = decomp.A_blockdiag()        # imaginary part zero in the coercive regime
     R = decomp.R_stacked().real
     Ahat_fac = factorize(problem.A_hat())
 
@@ -254,17 +256,19 @@ def exceptional_exchange(decomp: Decomposition) -> ExchangeOperator:
     X = scipy.sparse.linalg.LinearOperator(
         A.shape, matvec=apply, matmat=apply, rmatvec=apply_transpose,
         rmatmat=apply_transpose, dtype=np.complex128)
-    return ExchangeOperator("exceptional", X)
+    return ExchangeOperator("exceptional", X, factor=Ahat_fac)
 
 
-def exceptional_system(decomp: Decomposition) -> DualSystem:
+def exceptional_system(decomp: Decomposition,
+                       exchange: ExchangeOperator | None = None) -> DualSystem:
     """Dual system of the one-step configuration: T = I, M = A, alpha = 1.
 
     The augmented blocks are A_i + A_i = 2 A_i. The scattering operator
     degenerates to zero, so one undamped update from lambda = 0 reproduces
-    the restricted global solution exactly.
+    the restricted global solution exactly. `exchange` is the reflection
+    from exceptional_exchange, built here when not given.
     """
-    X = exceptional_exchange(decomp)
+    X = exceptional_exchange(decomp) if exchange is None else exchange
     A = decomp.A_blockdiag().real
     identity = scipy.sparse.identity(A.shape[0], format="csr")
     return DualSystem(decomp, identity, A, X.matrix, 1.0)

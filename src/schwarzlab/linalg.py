@@ -49,36 +49,38 @@ def accumulate(rows, cols, values, shape):
 
     With 2-D `shape` the (row, col, value) triplets become a canonical complex
     CSR array; with cols=None and shape=(n,) the (row, value) pairs become a
-    dense complex vector. np.add.reduceat adds group members sequentially
-    left to right, so the result is bitwise reproducible for a fixed order.
+    dense complex vector. `values` may also be a list of 1-D value arrays on
+    one pattern: one stable sort of the pattern then serves them all, and
+    the result is a list with one output per array. CSR index arrays are
+    int64. Each group of duplicates is reduced by np.add.reduceat over its
+    members in order of appearance, so the result is bitwise reproducible
+    for a fixed triplet order.
     """
-    rows = np.asarray(rows, dtype=np.int64)
-    values = np.asarray(values, dtype=np.complex128)
-    if cols is None:
-        out = np.zeros(shape, dtype=np.complex128)
-        keys = (np.arange(len(rows)), rows)
-    else:
-        cols = np.asarray(cols, dtype=np.int64)
-        out = scipy.sparse.csr_array(shape, dtype=np.complex128)
-        keys = (np.arange(len(rows)), cols, rows)
-    if len(values) == 0:
-        return out
-    order = np.lexsort(keys)            # stable within each (row, col) group
-    r, v = rows[order], values[order]
-    boundary = np.empty(len(r), dtype=bool)
-    boundary[0] = True
-    boundary[1:] = r[1:] != r[:-1]
+    several = isinstance(values, list) and len(values) > 0 and np.ndim(values[0]) == 1
+    key = np.asarray(rows, dtype=np.int64)
     if cols is not None:
-        c = cols[order]
-        boundary[1:] |= c[1:] != c[:-1]
-    starts = np.flatnonzero(boundary)
-    summed = np.add.reduceat(v, starts)
-    if cols is None:
-        out[r[starts]] = summed
-        return out
-    csr = scipy.sparse.csr_array((summed, (r[starts], c[starts])), shape=shape)
-    csr.sort_indices()
-    return csr
+        key = key * shape[1] + np.asarray(cols, dtype=np.int64)
+    order = np.argsort(key, kind="stable")      # ties keep order of appearance
+    key = key[order]
+    starts = np.flatnonzero(np.diff(key, prepend=-1))
+    key = key[starts]
+    if cols is not None:
+        indices = key % shape[1]
+        indptr = np.zeros(shape[0] + 1, dtype=np.int64)
+        np.cumsum(np.bincount(key // shape[1], minlength=shape[0]), out=indptr[1:])
+    out = []
+    for part in values if several else [values]:
+        summed = np.add.reduceat(
+            np.asarray(np.asarray(part)[order], dtype=np.complex128), starts)
+        if cols is None:
+            vector = np.zeros(shape, dtype=np.complex128)
+            vector[key] = summed
+            out.append(vector)
+        else:
+            csr = scipy.sparse.csr_array((summed, indices, indptr), shape=shape)
+            csr.has_canonical_format = True
+            out.append(csr)
+    return out if several else out[0]
 
 
 @dataclass(frozen=True)

@@ -66,30 +66,23 @@ class StructuredMesh:
     def n_triangles(self) -> int:
         return 2 * self.nx * self.ny
 
-    def node_index(self, ix: int, iy: int) -> int:
-        return iy * (self.nx + 1) + ix
+    def boundary_edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """All exterior edges as arrays (node_a, node_b, owning_triangle).
 
-    def boundary_edges(self) -> list[tuple[int, int, int]]:
-        """All exterior edges as (node_a, node_b, owning_triangle).
-
-        Each exterior edge belongs to exactly one triangle, which pins its
-        contributions to one subdomain during element-ownership splitting.
+        Bottom, right, top and left sides in turn, each in increasing ix or
+        iy. Each exterior edge belongs to exactly one triangle, which pins
+        its contributions to one subdomain during element-ownership
+        splitting.
         """
         nx, ny = self.nx, self.ny
-        edges = []
-        for ix in range(nx):  # bottom, edge of triangle (a, b, c) in cell (ix, 0)
-            edges.append((self.node_index(ix, 0), self.node_index(ix + 1, 0),
-                          2 * (0 * nx + ix)))
-        for iy in range(ny):  # right, edge b-c of triangle 1 in cell (nx-1, iy)
-            edges.append((self.node_index(nx, iy), self.node_index(nx, iy + 1),
-                          2 * (iy * nx + nx - 1)))
-        for ix in range(nx):  # top, edge d-c of triangle 2 in cell (ix, ny-1)
-            edges.append((self.node_index(ix, ny), self.node_index(ix + 1, ny),
-                          2 * ((ny - 1) * nx + ix) + 1))
-        for iy in range(ny):  # left, edge a-d of triangle 2 in cell (0, iy)
-            edges.append((self.node_index(0, iy), self.node_index(0, iy + 1),
-                          2 * (iy * nx + 0) + 1))
-        return edges
+        ix, iy = np.arange(nx), np.arange(ny)
+        bottom, top = ix, ny * (nx + 1) + ix
+        right, left = iy * (nx + 1) + nx, iy * (nx + 1)
+        # edges a-b and b-c of (a, b, c), then d-c and a-d of (a, c, d), in the side's cells
+        owner = np.concatenate([2 * ix, 2 * (iy * nx + nx - 1), 2 * ((ny - 1) * nx + ix) + 1,
+                                2 * iy * nx + 1])
+        return (np.concatenate([bottom, right, top, left]),
+                np.concatenate([bottom + 1, right + nx + 1, top + 1, left + nx + 1]), owner)
 
 
 def build_mesh(nx: int, ny: int, boundary: str = "dirichlet") -> StructuredMesh:
@@ -108,25 +101,15 @@ def build_mesh(nx: int, ny: int, boundary: str = "dirichlet") -> StructuredMesh:
     gx, gy = np.meshgrid(xs, ys)
     coords = np.column_stack([gx.ravel(), gy.ravel()])
 
-    tris = np.empty((2 * nx * ny, 3), dtype=np.int64)
-    for iy in range(ny):
-        for ix in range(nx):
-            a = iy * (nx + 1) + ix
-            b = a + 1
-            c = a + nx + 2
-            d = a + nx + 1
-            t = 2 * (iy * nx + ix)
-            tris[t] = (a, b, c)       # positive orientation
-            tris[t + 1] = (a, c, d)   # positive orientation
+    a = (np.arange(ny)[:, None] * (nx + 1) + np.arange(nx)).ravel()   # lower-left node per cell
+    c = a + nx + 2
+    # per cell (a, b, c) then (a, c, d), both positively oriented
+    tris = np.column_stack([a, a + 1, c, a, c, a + nx + 1]).reshape(-1, 3)
 
-    tags = np.full(coords.shape[0], int(BoundaryTag.INTERIOR), dtype=np.int64)
-    on_boundary = (
-        np.isclose(coords[:, 0], 0.0) | np.isclose(coords[:, 0], 1.0)
-        | np.isclose(coords[:, 1], 0.0) | np.isclose(coords[:, 1], 1.0)
-    )
-    tags[on_boundary] = int(tag)
+    tags = np.full((ny + 1, nx + 1), int(BoundaryTag.INTERIOR), dtype=np.int64)
+    tags[[0, -1], :] = tags[:, [0, -1]] = int(tag)      # rows iy = 0, ny; columns ix = 0, nx
     return StructuredMesh(nx=nx, ny=ny, coords=coords, triangles=tris,
-                          boundary_tags=tags)
+                          boundary_tags=tags.flatten())
 
 
 _MASS_TEMPLATE = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
@@ -154,13 +137,13 @@ def element_contributions(mesh: StructuredMesh, kappa: float, eta: float,
     """
     robin = mesh.boundary_tags == int(BoundaryTag.ROBIN)
     edge_lumped = np.zeros((mesh.n_triangles, 3))
-    for a, b, tri in mesh.boundary_edges():
-        if robin[a] and robin[b]:
-            length = float(np.linalg.norm(mesh.coords[b] - mesh.coords[a]))
-            nodes = mesh.triangles[tri]
-            for node in (a, b):
-                local = int(np.flatnonzero(nodes == node)[0])
-                edge_lumped[tri, local] += 0.5 * eta * length
+    node_a, node_b, tri = mesh.boundary_edges()
+    on = robin[node_a] & robin[node_b]
+    length = np.linalg.norm(mesh.coords[node_b[on]] - mesh.coords[node_a[on]], axis=1)
+    nodes = np.column_stack([node_a[on], node_b[on]]).ravel()   # per edge: a, then b
+    tris = np.repeat(tri[on], 2)
+    local = np.argmax(mesh.triangles[tris] == nodes[:, None], axis=1)
+    np.add.at(edge_lumped, (tris, local), np.repeat(0.5 * eta * length, 2))
 
     pts = mesh.coords[mesh.triangles]            # (nt, 3, 2)
     x, y = pts[:, :, 0], pts[:, :, 1]
@@ -260,10 +243,8 @@ def assemble(mesh: StructuredMesh, kappa: float, eta: float,
     pair_mask = keep[:, :, None] & keep[:, None, :]          # (nt, 3, 3)
     rows = np.broadcast_to(dofs[:, :, None], pair_mask.shape)[pair_mask]
     cols = np.broadcast_to(dofs[:, None, :], pair_mask.shape)[pair_mask]
-    matrices = {
-        name: accumulate(rows, cols, local[pair_mask], (n, n))
-        for name, local in (("A0", batch.K), ("A1", batch.A1), ("A2", batch.A2))
-    }
+    A0, A1, A2 = accumulate(rows, cols, [batch.K[pair_mask], batch.A1[pair_mask],
+                                         batch.A2[pair_mask]], (n, n))
     f = np.zeros(n, dtype=np.complex128)
     np.add.at(f, dofs[keep], batch.f[keep].astype(np.complex128))
     point = _nearest_free_dof(mesh, free_nodes, source)
@@ -271,8 +252,7 @@ def assemble(mesh: StructuredMesh, kappa: float, eta: float,
         f[point] += 1.0
 
     return GlobalProblem(mesh=mesh, kappa=kappa, eta=eta, absorption=absorption,
-                         wave=wave, source=source, A0=matrices["A0"],
-                         A1=matrices["A1"], A2=matrices["A2"], f=f,
+                         wave=wave, source=source, A0=A0, A1=A1, A2=A2, f=f,
                          dof_map=dof_map, free_nodes=free_nodes)
 
 

@@ -90,9 +90,12 @@ def _initial_multiplier(dim: int, seed: int | None) -> np.ndarray:
     return rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
 
 
-def reference_primal(decomp: Decomposition) -> np.ndarray:
-    """Restriction of the direct global solve onto the product space."""
-    return decomp.apply_R(np.asarray(decomp.problem.direct_solve()))
+def reference_primal(decomp: Decomposition, factor=None) -> np.ndarray:
+    """Restriction of the direct global solve onto the product space; it
+    reuses `factor`, an LU of decomp.problem.A_hat(), when one is given."""
+    problem = decomp.problem
+    uhat = problem.direct_solve() if factor is None else factor.solve(problem.f)
+    return decomp.apply_R(np.asarray(uhat))
 
 
 def richardson(dual: DualSystem, cfg: IterationConfig,

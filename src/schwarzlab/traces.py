@@ -201,12 +201,15 @@ def build_impedance(trace: TraceOperator, variant: str, sigma: float) -> Impedan
 
 class ExchangeOperator:
     """Real involution X on the trace space; a LinearOperator only for the
-    one-step reflection, which is applied and never formed."""
+    one-step reflection, which is applied and never formed. `factor` is the
+    one-step reflection's LU of Ahat, None for every other variant."""
 
     def __init__(self, variant: str,
-                 matrix: scipy.sparse.csr_array | scipy.sparse.linalg.LinearOperator):
+                 matrix: scipy.sparse.csr_array | scipy.sparse.linalg.LinearOperator,
+                 factor=None):
         self.variant = variant
         self.matrix = matrix
+        self.factor = factor
 
 
 def build_exchange(trace: TraceOperator, impedance: ImpedanceOperator | None,

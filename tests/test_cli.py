@@ -543,6 +543,22 @@ class TestExceptionalPreset:
         assert report["iterations"] == 1
         assert report["final_primal_error"] <= 1e-10
 
+    def test_one_step_factorizes_the_global_operator_once(self, monkeypatch):
+        splu = scipy.sparse.linalg.splu
+        sizes = []
+
+        def counting(A, *args, **kwargs):
+            sizes.append(A.shape[0])
+            return splu(A, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", counting)
+        inst = build_instance(load_config(preset="exceptional", overrides={
+            "problem.nx": "16", "problem.ny": "16",
+            "decomposition.px": "2", "decomposition.py": "2"}))
+        execute(inst)
+        # the reference solve reuses the reflection's factor of Ahat
+        assert sizes.count(inst.problem.n) == 1
+
     def test_battery_covers_the_one_step_reflection(self):
         inst = build_instance(load_config(preset="exceptional", overrides=dict(
             s.split("=") for s in FAST)))

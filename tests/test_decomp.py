@@ -31,6 +31,17 @@ class TestPartitionGrid:
         assert part.n_subdomains == 2
         assert len(part.elements_of(0)) == len(part.elements_of(1)) == 8
 
+    # non-square grids and a 1 x 2 strip, where an x/y transposition shows
+    @pytest.mark.parametrize("nx, ny, px, py", [(6, 4, 3, 2), (3, 4, 1, 2), (6, 2, 3, 1)])
+    def test_owner_follows_the_documented_formula(self, nx, ny, px, py):
+        mesh = build_mesh(nx, ny, boundary="robin")
+        owner = partition_grid(mesh, px, py).owner
+        cw, ch = nx // px, ny // py
+        for iy in range(ny):
+            for ix in range(nx):
+                t = 2 * (iy * nx + ix)
+                assert owner[t] == owner[t + 1] == (iy // ch) * px + ix // cw
+
     def test_indivisible_rejected(self):
         mesh = build_mesh(5, 4, boundary="robin")
         with pytest.raises(ValueError):
@@ -94,6 +105,20 @@ class TestAssembling:
         from schwarzlab.formulations import twin_scalar
         ts = twin_scalar(a=(1.0, 1.0), m=1.0, alpha=1.0, f=(1.0, 1.0))
         assert ts.decomp.problem.A_hat().toarray()[0, 0] == 2.0
+
+
+@pytest.mark.parametrize("nx, ny, px, py", [(6, 4, 3, 2), (3, 4, 1, 2), (6, 2, 3, 1)])
+def test_multiplicities_follow_the_maps(nx, ny, px, py):
+    _, _, dec = make_instance(nx, ny, px, py)
+    sharing = [[] for _ in range(dec.n)]
+    for i, g in enumerate(dec.maps):
+        for k in g:
+            sharing[int(k)].append(i)       # subdomains in ascending order
+    mult = dec.multiplicities
+    assert mult.sharing == tuple(tuple(s) for s in sharing)
+    assert all(type(i) is int for s in mult.sharing for i in s)
+    assert mult.mu.tolist() == [len(s) for s in sharing]
+    assert mult.interface_dofs.tolist() == [k for k, s in enumerate(sharing) if len(s) >= 2]
 
 
 class TestBubbles:

@@ -29,6 +29,55 @@ class TestAccumulate:
         assert np.array_equal(accumulate([], None, [], (2,)), [0.0, 0.0])
 
 
+def _grouped_reference(keys, values):
+    """Each key's values gathered in order of appearance, then reduced.
+
+    np.add.reduceat adds a group's first member to numpy's pairwise sum of
+    the others, which a plain left-to-right loop does not reproduce, so each
+    gathered group is reduced by that same call on its own.
+    """
+    groups = {}
+    for key, value in zip(keys, values):
+        groups.setdefault(key, []).append(complex(value))
+    return {key: np.add.reduceat(np.array(group), [0])[0]
+            for key, group in sorted(groups.items())}
+
+
+# heavy duplication (4 x 3 slots) and magnitudes 1e16 apart, so that
+# 1e16 + 1 - 1e16 cancels differently in any order but appearance order
+_MAGNITUDE = st.sampled_from([1e16, -1e16, 1.0, -1.0, 3.0, 1e-16, 0.0, -0.0])
+_VALUE = st.one_of(_MAGNITUDE, st.floats(-1e3, 1e3, allow_nan=False))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_accumulate_sums_each_group_in_order_of_appearance(data):
+    n = data.draw(st.integers(0, 60))
+    entries = st.lists(st.integers(0, 3), min_size=n, max_size=n)
+    rows, cols = data.draw(entries), data.draw(entries.map(lambda e: [k % 3 for k in e]))
+    parts = data.draw(st.lists(
+        st.lists(st.builds(complex, _VALUE, _VALUE), min_size=n, max_size=n),
+        min_size=1, max_size=3))
+    listed = accumulate(rows, cols, [np.array(p, dtype=np.complex128) for p in parts], (4, 3))
+    assert len(listed) == len(parts)
+    for A, values in zip([accumulate(rows, cols, parts[0], (4, 3))] + listed,
+                         [parts[0]] + parts):
+        expected = _grouped_reference(zip(rows, cols), values)
+        assert isinstance(A, scipy.sparse.csr_array) and A.shape == (4, 3)
+        keys = np.repeat(np.arange(4), np.diff(A.indptr)) * 3 + A.indices
+        assert np.all(np.diff(keys) > 0)         # sorted indices, no duplicates
+        assert [divmod(int(k), 3) for k in keys] == list(expected)
+        assert A.data.tobytes() == np.array(list(expected.values()),
+                                            dtype=np.complex128).tobytes()
+    vectors = accumulate(rows, None, [np.array(p, dtype=np.complex128) for p in parts], (4,))
+    for v, values in zip([accumulate(rows, None, parts[0], (4,))] + vectors,
+                         [parts[0]] + parts):
+        expected = np.zeros(4, dtype=np.complex128)
+        for row, total in _grouped_reference(rows, values).items():
+            expected[row] = total
+        assert v.tobytes() == expected.tobytes()
+
+
 class TestFactorize:
     def test_scalar(self):
         fac = factorize(scipy.sparse.csr_array([[2.0]]))

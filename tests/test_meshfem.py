@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from schwarzlab.meshfem import (BoundaryTag, assemble, build_mesh,
+from schwarzlab.meshfem import (BoundaryTag, assemble, build_mesh, element_contributions,
                                 export_mesh_text, point_source_dof)
 
 
@@ -23,6 +23,39 @@ class TestBuildMesh:
         mesh = build_mesh(4, 2, boundary="robin")
         assert mesh.n_nodes == 15
         assert mesh.n_triangles == 16
+
+    # non-square grids, where an x/y transposition of the numbering shows
+    @pytest.mark.parametrize("nx, ny", [(6, 4), (1, 2), (3, 1)])
+    def test_numbering_follows_the_documented_formulas(self, nx, ny):
+        mesh = build_mesh(nx, ny, boundary="robin")
+        xs, ys = np.linspace(0.0, 1.0, nx + 1), np.linspace(0.0, 1.0, ny + 1)
+        for iy in range(ny + 1):
+            for ix in range(nx + 1):
+                assert tuple(mesh.coords[iy * (nx + 1) + ix]) == (xs[ix], ys[iy])
+        for iy in range(ny):
+            for ix in range(nx):
+                a = iy * (nx + 1) + ix
+                b, c, d = a + 1, a + nx + 2, a + nx + 1
+                t = 2 * (iy * nx + ix)
+                assert tuple(mesh.triangles[t]) == (a, b, c)
+                assert tuple(mesh.triangles[t + 1]) == (a, c, d)
+
+    @pytest.mark.parametrize("nx, ny", [(6, 4), (1, 2), (3, 1)])
+    def test_boundary_edges_side_by_side(self, nx, ny):
+        mesh = build_mesh(nx, ny, boundary="robin")
+
+        def node(ix, iy):
+            return iy * (nx + 1) + ix
+
+        expected = ([(node(ix, 0), node(ix + 1, 0), 2 * ix) for ix in range(nx)]
+                    + [(node(nx, iy), node(nx, iy + 1), 2 * (iy * nx + nx - 1))
+                       for iy in range(ny)]
+                    + [(node(ix, ny), node(ix + 1, ny), 2 * ((ny - 1) * nx + ix) + 1)
+                       for ix in range(nx)]
+                    + [(node(0, iy), node(0, iy + 1), 2 * iy * nx + 1) for iy in range(ny)])
+        assert list(zip(*(e.tolist() for e in mesh.boundary_edges()))) == expected
+        for a, b, tri in expected:
+            assert {a, b} <= set(mesh.triangles[tri].tolist())
 
 
 class TestAssemble:
@@ -98,6 +131,28 @@ class TestAssemble:
         k = point_source_dof(prob)
         assert prob.f[k] == 1.0
         assert np.count_nonzero(prob.f) == 1
+
+
+def test_assembly_matches_an_element_loop():
+    # each entry's contributions gathered element by element, in element
+    # order, and reduced as accumulate documents
+    mesh = build_mesh(3, 2, boundary="robin")
+    prob = assemble(mesh, kappa=1.7, eta=2.3, absorption=0.3, wave=True)
+    batch = element_contributions(mesh, 1.7, 2.3, 0.3)
+    for name, local in (("A0", batch.K), ("A1", batch.A1), ("A2", batch.A2)):
+        groups = {}
+        for t, nodes in enumerate(mesh.triangles):
+            for i in range(3):
+                for j in range(3):
+                    key = (int(prob.dof_map[nodes[i]]), int(prob.dof_map[nodes[j]]))
+                    groups.setdefault(key, []).append(complex(local[t, i, j]))
+        keys = sorted(groups)
+        data = np.array([np.add.reduceat(np.array(groups[k]), [0])[0] for k in keys])
+        indptr = np.searchsorted([r for r, _ in keys], np.arange(prob.n + 1))
+        A = getattr(prob, name)
+        assert A.data.tobytes() == data.tobytes()
+        assert A.indices.tobytes() == np.array([c for _, c in keys], dtype=np.int64).tobytes()
+        assert A.indptr.tobytes() == indptr.astype(np.int64).tobytes()
 
 
 def test_export_mesh_text(tmp_path):
