@@ -33,7 +33,6 @@ from .meshfem import assemble, build_mesh
 from .solvers import (IterationConfig, estimate_gamma, gmres_dual, primal_iterate,
                       reference_primal, richardson)
 from .traces import IMPEDANCE_VARIANTS, build_exchange, build_impedance, build_trace
-from .traces import EXCHANGE_VARIANTS as _INTERFACE_EXCHANGES
 
 __all__ = [
     "RunConfig",
@@ -49,7 +48,7 @@ __all__ = [
 ]
 
 PROBLEM_TYPES = ("laplace", "reaction_diffusion", "helmholtz")
-EXCHANGE_VARIANTS = _INTERFACE_EXCHANGES + ("exceptional",)
+EXCHANGE_VARIANTS = ("reflection", "exceptional")
 METHODS = ("richardson", "gmres", "primal", "fetih")
 
 GAMMA_DIM_LIMIT = 400    # budget for gamma's dense eigh of M and SVD of K (cubic in dim)
@@ -73,7 +72,7 @@ SCHEMA = {
     },
     "interface": {
         "facets": (str, "globs"),
-        "exchange": (str, "weighted"),
+        "exchange": (str, "reflection"),
         "impedance": (str, "lumped_mass"),
         "sigma": (float, 1.0),
     },
@@ -92,25 +91,21 @@ SCHEMA = {
 
 PRESETS = {
     "feti2lm": {
-        "interface": {"facets": "bilateral_properly_closed", "exchange": "swap",
-                      "impedance": "lumped_mass"},
+        "interface": {"facets": "bilateral_properly_closed"},
         "solver": {"method": "gmres"},
     },
     "loisel": {
-        "interface": {"facets": "globs", "exchange": "multiplicity",
-                      "impedance": "diagonal"},
+        "interface": {"facets": "globs"},
         "solver": {"method": "gmres"},
     },
     "complete_comm": {
-        "interface": {"facets": "globs", "exchange": "weighted",
-                      "impedance": "lumped_mass"},
+        "interface": {"facets": "globs"},
         "solver": {"method": "primal", "beta": "0.5", "tol": "1e-9",
                    "maxit": "30000"},
     },
     "fetih": {
         "problem": {"boundary": "dirichlet"},
-        "interface": {"facets": "bilateral_non_redundant", "exchange": "swap",
-                      "impedance": "lumped_mass"},
+        "interface": {"facets": "bilateral_non_redundant"},
         "solver": {"method": "fetih", "tol": "1e-10", "maxit": "500"},
     },
     "exceptional": {
@@ -223,18 +218,6 @@ def validate(cfg: RunConfig) -> list[str]:
         errors.append(f"solver.method must be one of {METHODS}")
 
     bilateral = facets != "globs"
-    if exchange == "swap" and not bilateral:
-        errors.append("the swap reflection exchanges the two sides of a facet "
-                      "and needs a bilateral facet system")
-    if exchange in ("multiplicity", "weighted", "glob_local") and bilateral:
-        errors.append(f"the {exchange} reflection averages over all sharing "
-                      "subdomains and needs a glob facet system")
-    if exchange == "weighted" and g("interface", "impedance") == "glob_block":
-        errors.append("the weighted reflection takes its weights from a diagonal "
-                      "impedance; glob_block is not diagonal")
-    if exchange == "global" and bilateral and px > 1 and py > 1:
-        errors.append("the global reflection needs a surjective trace, which a "
-                      "bilateral facet system has only on a strip (px = 1 or py = 1)")
     if exchange == "exceptional":
         if ptype == "helmholtz":
             errors.append("the one-step reflection needs the coercive regime; "
@@ -311,8 +294,7 @@ def build_instance(cfg: RunConfig) -> Instance:
     if g("solver", "method") == "fetih":
         inst.fetih = fetih_build(decomp, inst.impedance)
     else:
-        inst.exchange = build_exchange(inst.trace, inst.impedance,
-                                       g("interface", "exchange"))
+        inst.exchange = build_exchange(inst.trace)
         inst.dual = build_dual_system(decomp, inst.trace, inst.impedance,
                                       inst.exchange, problem.alpha)
     return inst

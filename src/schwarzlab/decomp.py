@@ -27,7 +27,6 @@ __all__ = [
     "partition_grid",
     "build_restrictions",
     "check_assembling",
-    "bubble_dofs",
 ]
 
 _PARTS = ("A0", "A1", "A2")
@@ -106,12 +105,6 @@ class Decomposition:
             raise ValueError("some global dof is not covered by any subdomain")
 
     # -- restriction operators --------------------------------------------
-
-    def R_matrix(self, i: int) -> scipy.sparse.csr_array:
-        g = self.maps[i]
-        return scipy.sparse.csr_array(
-            (np.ones(len(g), dtype=np.complex128), (np.arange(len(g)), g)),
-            shape=(len(g), self.n))
 
     def R_stacked(self) -> scipy.sparse.csr_array:
         """The compound restriction R: global space -> product space U."""
@@ -266,9 +259,3 @@ def check_assembling(decomp: Decomposition, local_parts=None, f_locals=None,
     return AssemblingReport(max_dev_matrix=max_dev, max_dev_load=dev_f,
                             worst_entry=worst, mesh_order_dev=mesh_dev,
                             passed=passed and mesh_dev <= tol)
-
-
-def bubble_dofs(decomp: Decomposition) -> list[np.ndarray]:
-    """Per-subdomain mask of local dofs extendible by zero (multiplicity 1)."""
-    mu = decomp.multiplicities.mu
-    return [mu[g] == 1 for g in decomp.maps]

@@ -28,7 +28,6 @@ __all__ = [
     "check_admissibility",
     "redundancy_basis",
     "spanning_forest",
-    "export_facets_text",
 ]
 
 BILATERAL_VARIANTS = ("bilateral_max", "bilateral_properly_closed", "bilateral_non_redundant")
@@ -286,12 +285,3 @@ def _tree_path(adj, start, goal):
                 seen.add(w)
                 stack.append((w, path + [w]))
     raise ValueError("vertices lie in different components")
-
-
-def export_facets_text(system: FacetSystem, path) -> None:
-    """One line per facet: kind, adjacency set, sorted dof set."""
-    with open(path, "w", encoding="ascii") as handle:
-        for F in system.facets:
-            subs = ",".join(str(s) for s in F.subdomains)
-            dofs = ",".join(str(k) for k in sorted(F.dofs))
-            handle.write(f"{F.kind} [{subs}] [{dofs}]\n")

@@ -13,6 +13,7 @@ augmented operator.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse
@@ -83,8 +84,12 @@ class DualSystem:
         self.f = decomp.f_concat
         self.dim = T.shape[0]
         self._Tt = T.T.tocsr()
-        self.ip = WeightedInnerProduct(M, mode="M_inverse")
         self._A_csr = decomp.A_blockdiag()
+
+    @cached_property
+    def ip(self) -> WeightedInnerProduct:
+        """The M^-1 inner product, through one LU of M made at first use."""
+        return WeightedInnerProduct(factorize(self.M).solve)
 
     # -- norms -------------------------------------------------------------
 
@@ -256,7 +261,7 @@ def exceptional_exchange(decomp: Decomposition) -> ExchangeOperator:
     X = scipy.sparse.linalg.LinearOperator(
         A.shape, matvec=apply, matmat=apply, rmatvec=apply_transpose,
         rmatmat=apply_transpose, dtype=np.complex128)
-    return ExchangeOperator("exceptional", X, factor=Ahat_fac)
+    return ExchangeOperator(X, factor=Ahat_fac)
 
 
 def exceptional_system(decomp: Decomposition,
@@ -266,12 +271,17 @@ def exceptional_system(decomp: Decomposition,
     The augmented blocks are A_i + A_i = 2 A_i. The scattering operator
     degenerates to zero, so one undamped update from lambda = 0 reproduces
     the restricted global solution exactly. `exchange` is the reflection
-    from exceptional_exchange, built here when not given.
+    from exceptional_exchange, built here when not given. The augmented
+    factor of 2 A also serves the M^-1 inner product as M^-1 = 2 Atilde^-1
+    (scaling by 2 is exact), so A is factorized once.
     """
     X = exceptional_exchange(decomp) if exchange is None else exchange
     A = decomp.A_blockdiag().real
     identity = scipy.sparse.identity(A.shape[0], format="csr")
-    return DualSystem(decomp, identity, A, X.matrix, 1.0)
+    dual = DualSystem(decomp, identity, A, X.matrix, 1.0)
+    aug = dual.aug
+    dual.ip = WeightedInnerProduct(lambda x: 2.0 * aug.apply_inv(x))
+    return dual
 
 
 # -- twin-scalar fixture ---------------------------------------------------
@@ -336,7 +346,7 @@ def twin_scalar(a=(1.0, 1.0), m: float = 1.0, alpha: complex = 1.0,
                          n_subdomains=2)
     trace = build_trace(system, decomp)
     impedance = build_impedance(trace, "scalar", m)
-    exchange = build_exchange(trace, impedance, "swap")
+    exchange = build_exchange(trace)
     dual = build_dual_system(decomp, trace, impedance, exchange, complex(alpha))
     return TwinScalar(decomp=decomp, system=system, trace=trace,
                       impedance=impedance, exchange=exchange, dual=dual)

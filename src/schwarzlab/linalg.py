@@ -133,32 +133,14 @@ def factorize(A) -> SparseFactorization:
 
 
 class WeightedInnerProduct:
-    """Inner product <x, y> = y^H W x with W symmetric positive definite.
+    """Inner product <x, y> = y^H M^{-1} x with M Hermitian positive definite.
 
-    mode "M" uses W itself, mode "M_inverse" uses W^{-1} (solved through a
-    factorization of W; W is never inverted explicitly). W is held as a
-    sparse csr_array.
+    `solve` applies M^{-1} to a 1-D or 2-D complex array, for example the
+    `solve` of a factorization of M; M is never inverted explicitly.
     """
 
-    def __init__(self, weight, mode: str = "M"):
-        if mode not in ("M", "M_inverse"):
-            raise ValueError("mode must be 'M' or 'M_inverse'")
-        W = scipy.sparse.csr_array(weight, dtype=np.complex128)
-        if abs(W - W.T).max() > 1e-12 * max(abs(W).max(), 1.0):
-            raise ValueError("weight must be symmetric")
-        self.mode = mode
-        self._w = W
-        self._fac = factorize(W) if mode == "M_inverse" else None
-
-    @property
-    def dim(self) -> int:
-        return self._w.shape[0]
-
-    def apply_weight(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=np.complex128)
-        if self.mode == "M":
-            return self._w @ x
-        return self._fac.solve(x)
+    def __init__(self, solve: Callable[[np.ndarray], np.ndarray]):
+        self.apply_weight = solve
 
     def dot(self, x, y) -> complex:
         return complex(np.vdot(np.asarray(y), self.apply_weight(x)))
@@ -180,18 +162,18 @@ def gmres(
     ip: WeightedInnerProduct | None = None,
     tol: float = 1e-10,
     maxit: int | None = None,
-    x0=None,
 ) -> tuple[np.ndarray, list[float]]:
     """Full (restart-free) GMRES in a weighted inner product.
 
     W must be Hermitian positive definite (None means W = I). The basis V
     is stored together with Z = W V, so the weight is applied once per
-    Krylov vector, plus once for the initial residual and once for |b|_W.
-    Arnoldi orthogonalizes by two passes of block classical Gram-Schmidt:
-    h = V^H W w, then w -= V h and W w -= Z h. Returns the iterate and the
-    history of relative weighted residual norms (history[0] is 1.0 for a
-    nonzero right-hand side). A non-finite initial residual or Arnoldi
-    vector ends the run at once, with a non-finite last history entry.
+    Krylov vector, plus once for the initial residual b, which also gives
+    |b|_W. Arnoldi orthogonalizes by two passes of block classical
+    Gram-Schmidt: h = V^H W w, then w -= V h and W w -= Z h. Returns the
+    iterate and the history of relative weighted residual norms (history[0]
+    is 1.0 for a nonzero right-hand side). A non-finite initial residual or
+    Arnoldi vector ends the run at once, with a non-finite last history
+    entry.
     """
     b = np.asarray(b, dtype=np.complex128)
     n = b.shape[0]
@@ -200,12 +182,10 @@ def gmres(
         maxit = n
     maxit = min(maxit, n)
 
-    x = np.zeros(n, dtype=np.complex128) if x0 is None else np.asarray(x0, np.complex128).copy()
-    r = b - apply(x) if x0 is not None else b.copy()
-    Wr = weigh(r)
-    beta = _weighted_norm(r, Wr)
-    bnorm = ip.norm(b) if ip is not None else _weighted_norm(b, b)
-    ref = bnorm if bnorm > 0.0 else 1.0
+    x = np.zeros(n, dtype=np.complex128)
+    Wb = weigh(b)                   # the initial residual is b
+    beta = _weighted_norm(b, Wb)
+    ref = beta if beta > 0.0 else 1.0
     history = [beta / ref]
     if beta / ref <= tol or n == 0 or not np.isfinite(beta):
         return x, history
@@ -213,8 +193,8 @@ def gmres(
     V = np.zeros((maxit + 1, n), dtype=np.complex128)
     Z = np.zeros((maxit + 1, n), dtype=np.complex128)
     H = np.zeros((maxit + 1, maxit), dtype=np.complex128)
-    V[0] = r / beta
-    Z[0] = Wr / beta
+    V[0] = b / beta
+    Z[0] = Wb / beta
     # Givens rotation data and transformed rhs
     cs = np.zeros(maxit, dtype=np.complex128)
     sn = np.zeros(maxit, dtype=np.complex128)

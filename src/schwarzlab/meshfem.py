@@ -27,7 +27,6 @@ __all__ = [
     "assemble",
     "element_contributions",
     "point_source_dof",
-    "export_mesh_text",
 ]
 
 
@@ -269,16 +268,3 @@ def _nearest_free_dof(mesh: StructuredMesh, free_nodes: np.ndarray,
 def point_source_dof(problem: GlobalProblem) -> int | None:
     """Dof index of a point source spec, or None for volume sources."""
     return _nearest_free_dof(problem.mesh, problem.free_nodes, problem.source)
-
-
-def export_mesh_text(mesh: StructuredMesh, path) -> None:
-    """Plain-text node and element lists (one node / triangle per line)."""
-    with open(path, "w", encoding="ascii") as handle:
-        handle.write(f"nodes {mesh.n_nodes}\n")
-        for idx in range(mesh.n_nodes):
-            x, y = mesh.coords[idx]
-            tag = BoundaryTag(int(mesh.boundary_tags[idx])).name.lower()
-            handle.write(f"{idx} {x!r} {y!r} {tag}\n")
-        handle.write(f"triangles {mesh.n_triangles}\n")
-        for idx, (a, b, c) in enumerate(mesh.triangles):
-            handle.write(f"{idx} {a} {b} {c}\n")

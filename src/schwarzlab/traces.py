@@ -7,8 +7,7 @@ exchange operator X is a real involution whose fixed set is exactly the
 trace image of globally conforming functions. Because M is side-equal and
 block-diagonal by facet, the M-orthogonal reflection around the
 single-valued interface space is unique: the per-(facet, dof) average
-X = 2/m J - I. The five exchange variants therefore share one construction
-and differ only in the facet systems and impedances they admit. M and X
+X = 2/m J - I, one operator for every facet system and impedance. M and X
 are sparse csr_arrays.
 """
 
@@ -28,11 +27,9 @@ __all__ = [
     "build_impedance",
     "build_exchange",
     "IMPEDANCE_VARIANTS",
-    "EXCHANGE_VARIANTS",
 ]
 
-IMPEDANCE_VARIANTS = ("scalar", "lumped_mass", "glob_block", "diagonal")
-EXCHANGE_VARIANTS = ("swap", "multiplicity", "weighted", "glob_local", "global")
+IMPEDANCE_VARIANTS = ("scalar", "lumped_mass", "glob_block")
 
 
 class TraceOperator:
@@ -79,16 +76,6 @@ class TraceOperator:
     def slot_range(self, i: int, fidx: int) -> tuple[int, int]:
         start = self.slot(i, fidx, self.system.facets[fidx].dofs[0])
         return start, start + len(self.system.facets[fidx].dofs)
-
-    @property
-    def surjective(self) -> bool:
-        """True iff the rows of T are independent (each local dof used once)."""
-        used = set()
-        for i, _fidx, k in self.slots:
-            if (i, k) in used:
-                return False
-            used.add((i, k))
-        return True
 
 
 def build_trace(system: FacetSystem, decomp: Decomposition) -> TraceOperator:
@@ -151,7 +138,6 @@ class ImpedanceOperator:
         self.sigma = sigma
         self.matrix = matrix                  # sparse real (dim, dim)
         self.facet_blocks = facet_blocks      # facet index -> shared block
-        self.is_diagonal = variant != "glob_block"
 
 
 def build_impedance(trace: TraceOperator, variant: str, sigma: float) -> ImpedanceOperator:
@@ -159,8 +145,6 @@ def build_impedance(trace: TraceOperator, variant: str, sigma: float) -> Impedan
 
     scalar:      sigma * identity.
     lumped_mass: diagonal, sigma times the lumped facet-internal edge length.
-    diagonal:    the same diagonal as lumped_mass, under the name the loisel
-                 preset uses.
     glob_block:  consistent 1D mass over facet-internal edges (SPD block per
                  facet, identical on every side).
     """
@@ -176,7 +160,7 @@ def build_impedance(trace: TraceOperator, variant: str, sigma: float) -> Impedan
     else:
         lumped, facet_edges, h_min = _interface_edge_weights(trace, sigma)
         for fidx, F in enumerate(trace.system.facets):
-            if variant in ("lumped_mass", "diagonal"):
+            if variant == "lumped_mass":
                 facet_blocks[fidx] = np.diag(lumped[fidx])
             else:  # glob_block: consistent 1D interface mass
                 block = np.zeros((len(F.dofs), len(F.dofs)))
@@ -202,48 +186,25 @@ def build_impedance(trace: TraceOperator, variant: str, sigma: float) -> Impedan
 class ExchangeOperator:
     """Real involution X on the trace space; a LinearOperator only for the
     one-step reflection, which is applied and never formed. `factor` is the
-    one-step reflection's LU of Ahat, None for every other variant."""
+    one-step reflection's LU of Ahat, None for the facet reflection."""
 
-    def __init__(self, variant: str,
-                 matrix: scipy.sparse.csr_array | scipy.sparse.linalg.LinearOperator,
+    def __init__(self, matrix: scipy.sparse.csr_array | scipy.sparse.linalg.LinearOperator,
                  factor=None):
-        self.variant = variant
         self.matrix = matrix
         self.factor = factor
 
 
-def build_exchange(trace: TraceOperator, impedance: ImpedanceOperator | None,
-                   variant: str) -> ExchangeOperator:
-    """Build the exchange operator X as a sparse csr_array.
+def build_exchange(trace: TraceOperator) -> ExchangeOperator:
+    """Build the facet reflection X as a sparse csr_array.
 
-    The variants differ only in the configurations they admit: swap
-    exchanges the two sides of a bilateral facet; multiplicity, weighted
-    (partition of unity from a diagonal impedance) and glob_local (local
-    M-block weights) average over the sides of a glob; global is the
-    M-orthogonal reflection 2 R_L (R_L^T M R_L)^{-1} R_L^T M - I around the
-    single-valued interface space and needs a surjective trace. Every
-    impedance here is side-equal and block-diagonal by facet, so all of
-    these weights reduce to 1/m and the reflection is unique: per facet
-    and dof, the m sharing slots carry the block 2/m J - I.
+    X is the M-orthogonal reflection around the single-valued interface
+    space. Every impedance here is side-equal and block-diagonal by facet,
+    so that reflection is the same for all of them and for every facet
+    system: per facet and dof, the m sharing slots carry the block
+    2/m J - I. On a bilateral facet (m = 2) it swaps the two sides.
     """
-    if variant not in EXCHANGE_VARIANTS:
-        raise ValueError(f"unknown exchange variant {variant!r}")
-    system = trace.system
-    if variant == "swap" and not system.is_bilateral:
-        raise ValueError("swap exchange needs a bilateral facet system; "
-                         "glob facets have no two-sided structure")
-    if variant in ("multiplicity", "weighted", "glob_local") and system.is_bilateral:
-        raise ValueError(f"{variant} reflection needs a glob facet system")
-    if variant == "weighted" and (impedance is None or not impedance.is_diagonal):
-        raise ValueError("weighted reflection needs a diagonal impedance")
-    if variant in ("glob_local", "global") and impedance is None:
-        raise ValueError(f"{variant} reflection needs an impedance operator")
-    if variant == "global" and not trace.surjective:
-        raise ValueError("global reflection needs a surjective trace "
-                         "(each local interface dof selected exactly once)")
-
     rows, cols, vals = [], [], []
-    for fidx, F in enumerate(system.facets):
+    for fidx, F in enumerate(trace.system.facets):
         m, size = len(F.subdomains), len(F.dofs)
         starts = [trace.slot_range(i, fidx)[0] for i in F.subdomains]
         for a in starts:
@@ -257,4 +218,4 @@ def build_exchange(trace: TraceOperator, impedance: ImpedanceOperator | None,
     X = scipy.sparse.csr_array(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(dim, dim))
-    return ExchangeOperator(variant, X)
+    return ExchangeOperator(X)

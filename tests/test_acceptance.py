@@ -13,7 +13,7 @@ from click.testing import CliRunner
 
 from schwarzlab.cli import main
 from schwarzlab.decomp import check_assembling
-from schwarzlab.facets import build_facets, redundancy_basis
+from schwarzlab.facets import VARIANTS, build_facets, redundancy_basis
 from schwarzlab.formulations import (build_dual_system, exceptional_system,
                                      twin_scalar)
 from schwarzlab.solvers import (IterationConfig, estimate_gamma, fit_rate,
@@ -28,21 +28,11 @@ def report(name, ok, detail):
     assert ok, f"{name}: {detail}"
 
 
-VALID_COMBOS = [("bilateral_max", "swap"),
-                ("bilateral_properly_closed", "swap"),
-                ("bilateral_non_redundant", "swap"),
-                ("globs", "multiplicity"),
-                ("globs", "weighted"),
-                ("globs", "glob_local"),
-                ("globs", "global")]
-
-
-def dual_stack(dec, alpha, facet_variant="globs", exchange="weighted",
-               sigma=2.0):
+def dual_stack(dec, alpha, facet_variant="globs", sigma=2.0):
     system = build_facets(dec, facet_variant)
     trace = build_trace(system, dec)
     imp = build_impedance(trace, "lumped_mass", sigma)
-    X = build_exchange(trace, imp, exchange)
+    X = build_exchange(trace)
     return system, trace, imp, X, build_dual_system(dec, trace, imp, X, alpha)
 
 
@@ -65,18 +55,16 @@ def test_02_exchange_involution_and_conformity():
     _, prob, dec = make_instance(8, 8, 2, 2)
     rng = np.random.default_rng(0)
     worst = 0.0
-    for facet_variant, exchange in VALID_COMBOS:
-        system = build_facets(dec, facet_variant)
-        trace = build_trace(system, dec)
-        imp = build_impedance(trace, "lumped_mass", 1.0)
-        X = build_exchange(trace, imp, exchange).matrix
+    for facet_variant in VARIANTS:
+        trace = build_trace(build_facets(dec, facet_variant), dec)
+        X = build_exchange(trace).matrix
         worst = max(worst, float(np.max(np.abs(X @ X - np.eye(X.shape[0])))))
         for _ in range(100):
             vhat = rng.standard_normal(prob.n)
             t = trace.matrix @ dec.apply_R(vhat)
             worst = max(worst, float(np.max(np.abs(t - X @ t))))
     report("exchange-involution-conformity", worst <= 1e-12,
-           f"worst defect {worst:.1e} over {len(VALID_COMBOS)} combinations, "
+           f"worst defect {worst:.1e} over {len(VARIANTS)} facet systems, "
            "tolerance 1e-12")
 
 
@@ -95,8 +83,7 @@ def test_03_redundancy_dimension():
         _, _, dec = make_instance(8, 8, px, py)
         system = build_facets(dec, variant)
         trace = build_trace(system, dec)
-        imp = build_impedance(trace, "scalar", 1.0)
-        X = build_exchange(trace, imp, "swap").matrix
+        X = build_exchange(trace).matrix
         stacked = np.vstack([trace.matrix.T.toarray(),
                              np.eye(trace.dim_lambda) + X.T])
         s = np.linalg.svd(stacked, compute_uv=False)
@@ -167,7 +154,7 @@ def test_05_preset_methods_converge(preset, wave, tmp_path, monkeypatch):
 def test_06_contraction_rate_bound():
     # observed rates stay under the linear bound from the interface gap
     _, prob, dec = make_instance(8, 8, 2, 2, source="point:0.3,0.4")
-    _sys, _tr, _imp, _X, dual = dual_stack(dec, prob.alpha, exchange="global")
+    _sys, _tr, _imp, _X, dual = dual_stack(dec, prob.alpha)
     gamma = estimate_gamma(dual)
     rep = richardson(dual, IterationConfig(beta=0.5, tol=1e-9, maxit=4000,
                                            seed=0), gamma=gamma)

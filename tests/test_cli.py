@@ -44,7 +44,7 @@ class TestLoadConfig:
     def test_preset_overrides_defaults(self):
         cfg = load_config(preset="loisel")
         assert cfg.get("interface", "facets") == "globs"
-        assert cfg.get("interface", "exchange") == "multiplicity"
+        assert cfg.get("interface", "exchange") == "reflection"
 
     def test_explicit_override_wins(self):
         cfg = load_config(preset="loisel", overrides={"solver.beta": "0.75"})
@@ -76,19 +76,13 @@ class TestValidate:
     def test_default_config_valid(self):
         assert validate(self.base()) == []
 
-    def test_swap_needs_bilateral(self):
-        errs = validate(self.base(**{"interface.facets": "globs",
-                                     "interface.exchange": "swap"}))
-        assert any("bilateral" in e for e in errs)
-
     def test_fetih_needs_lossfree(self):
         errs = validate(self.base(**{"solver.method": "fetih"}))
         assert any("loss-free" in e for e in errs)
 
     def test_primal_needs_globs(self):
         errs = validate(self.base(**{"solver.method": "primal",
-                                     "interface.facets": "bilateral_max",
-                                     "interface.exchange": "swap"}))
+                                     "interface.facets": "bilateral_max"}))
         assert any("glob" in e for e in errs)
 
     @pytest.mark.parametrize("px,py,over,valid", [
@@ -125,23 +119,18 @@ class TestValidate:
                                      "decomposition.px": "2"}))
         assert any("divide" in e for e in errs)
 
-    def test_weighted_needs_diagonal_impedance(self):
-        errs = validate(self.base(**{"interface.impedance": "glob_block"}))
-        assert any("diagonal" in e for e in errs)
-
     @pytest.mark.parametrize("px,py", [(2, 1), (1, 3), (4, 1), (2, 2), (3, 2), (4, 4)])
     def test_bilateral_global_needs_strip(self, px, py):
-        # the rule matches the library: bilateral traces are surjective on strips
+        # a bilateral trace has orthonormal rows, T T^T = I, exactly on strips
         strip = px == 1 or py == 1
         for facets in ("bilateral_max", "bilateral_properly_closed",
                        "bilateral_non_redundant"):
             over = {"problem.nx": "12", "problem.ny": "12",
                     "decomposition.px": str(px), "decomposition.py": str(py),
                     "interface.facets": facets}
-            swap = build_instance(self.base(**over, **{"interface.exchange": "swap"}))
-            assert swap.trace.surjective == strip
-            errs = validate(self.base(**over, **{"interface.exchange": "global"}))
-            assert (errs == []) == strip
+            T = build_instance(self.base(**over)).trace.matrix
+            TTt = (T @ T.T).toarray()
+            assert np.array_equal(TTt, np.eye(T.shape[0])) == strip
 
 
 class TestChecks:
@@ -352,9 +341,12 @@ def test_each_operator_is_built_once(preset, monkeypatch):
     def times_factorized(B):
         return sum(A.shape == B.shape and not (A != B).nnz for A in factorized)
 
-    # M is factorized by the dual system alone; FETI-H never solves with it
+    interface_checks(inst, n_random=1)
+    # M is factorized by the dual system alone, once; the one-step system
+    # takes M^-1 = 2 Atilde^-1 from the augmented factor, and FETI-H never
+    # solves with M
     M = inst.impedance.matrix if preset == "fetih" else inst.dual.M
-    assert times_factorized(M) == (0 if preset == "fetih" else 1)
+    assert times_factorized(M) == (1 if preset in ("loisel", "complete_comm") else 0)
     # the augmented operator is factorized whole, once
     aug = (inst.fetih if preset == "fetih" else inst.dual).aug
     assert times_factorized(aug.matrix) == 1
@@ -396,15 +388,33 @@ class TestRunCommand:
         assert result.exit_code == 2
 
     @pytest.mark.parametrize("preset,setting", [
-        ("complete_comm", "interface.impedance=glob_block"),
         ("feti2lm", "interface.exchange=global"),
+        ("feti2lm", "interface.exchange=swap"),
+        ("loisel", "interface.exchange=multiplicity"),
+        ("complete_comm", "interface.exchange=weighted"),
+        ("loisel", "interface.exchange=glob_local"),
+        ("loisel", "interface.impedance=diagonal"),
     ])
     def test_inadmissible_exchange_exits_two(self, tmp_path, monkeypatch,
                                              preset, setting):
+        # former names of the one reflection and of lumped_mass are unknown
         result = run_cli(["run", "--preset", preset, "--set", setting]
                          + [f"--set={s}" for s in FAST], tmp_path, monkeypatch)
         assert result.exit_code == 2, result.output
         assert "invalid configuration" in result.output
+        valid = (cli.EXCHANGE_VARIANTS if "exchange" in setting
+                 else cli.IMPEDANCE_VARIANTS)
+        assert str(valid) in result.output
+
+    @pytest.mark.parametrize("p", [2, 4])
+    def test_complete_comm_runs_with_glob_block(self, p, tmp_path, monkeypatch):
+        result = run_cli(["run", "--preset", "complete_comm",
+                          "--set", "interface.impedance=glob_block"]
+                         + [f"--set={s}" for s in sized(16, p)], tmp_path, monkeypatch)
+        assert result.exit_code == 0, result.output
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["converged"]
+        assert all(c["passed"] for c in report["checks"].values())
 
     def test_run_writes_outputs(self, tmp_path, monkeypatch):
         result = run_cli(["run", "--preset", "loisel"]
@@ -417,7 +427,7 @@ class TestRunCommand:
         assert len(history) > 1
         report = json.loads((outdir / "report.json").read_text())
         assert report["converged"]
-        assert report["config"]["interface"]["exchange"] == "multiplicity"
+        assert report["config"]["interface"]["exchange"] == "reflection"
 
     def test_nonconvergence_exits_three(self, tmp_path, monkeypatch):
         result = run_cli(["run", "--preset", "loisel", "--set",
@@ -525,11 +535,11 @@ class TestSweepCommand:
 
     def test_sweep_skips_invalid_points(self, tmp_path, monkeypatch):
         result = run_cli(["sweep", "--preset", "loisel",
-                          "--vary", "interface.exchange=multiplicity,swap"]
+                          "--vary", "interface.exchange=reflection,swap"]
                          + [f"--set={s}" for s in FAST],
                          tmp_path, monkeypatch)
         assert result.exit_code == 2
-        assert (tmp_path / "out" / "exchange=multiplicity"
+        assert (tmp_path / "out" / "exchange=reflection"
                 / "report.json").exists()
 
 
@@ -556,8 +566,9 @@ class TestExceptionalPreset:
             "problem.nx": "16", "problem.ny": "16",
             "decomposition.px": "2", "decomposition.py": "2"}))
         execute(inst)
-        # the reference solve reuses the reflection's factor of Ahat
-        assert sizes.count(inst.problem.n) == 1
+        # Ahat once (the reference solve reuses the reflection's factor), then
+        # the augmented 2 A, whose factor also applies M^-1 = A^-1
+        assert sizes == [inst.problem.n, inst.decomp.offsets[-1]]
 
     def test_battery_covers_the_one_step_reflection(self):
         inst = build_instance(load_config(preset="exceptional", overrides=dict(

@@ -4,8 +4,7 @@ import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schwarzlab.decomp import (bubble_dofs, build_restrictions, check_assembling,
-                               partition_grid)
+from schwarzlab.decomp import build_restrictions, check_assembling, partition_grid
 from schwarzlab.meshfem import assemble, build_mesh
 
 from conftest import make_instance
@@ -48,6 +47,12 @@ class TestPartitionGrid:
             partition_grid(mesh, 2, 2)
 
 
+def R_blocks(dec):
+    """The per-subdomain restrictions R_i, as row blocks of the stacked R."""
+    R = dec.R_stacked().toarray().real
+    return [R[dec.offsets[i]:dec.offsets[i + 1]] for i in range(dec.n_sub)]
+
+
 class TestRestrictions:
     def test_cross_point_multiplicity(self):
         _, _, dec = make_instance(4, 4, 2, 2)
@@ -57,19 +62,17 @@ class TestRestrictions:
 
     def test_single_subdomain_identity(self):
         _, prob, dec = make_instance(4, 4, 1, 1)
-        R = dec.R_matrix(0).toarray().real
+        (R,) = R_blocks(dec)
         assert np.array_equal(R, np.eye(prob.n))
 
     def test_RRt_identity(self):
         _, _, dec = make_instance(8, 8, 2, 2)
-        for i in range(dec.n_sub):
-            R = dec.R_matrix(i).toarray().real
+        for R in R_blocks(dec):
             assert np.array_equal(R @ R.T, np.eye(R.shape[0]))
 
     def test_RtR_multiplicities(self):
         _, _, dec = make_instance(8, 8, 4, 2)
-        total = sum(dec.R_matrix(i).toarray().real.T @ dec.R_matrix(i).toarray().real
-                    for i in range(dec.n_sub))
+        total = sum(R.T @ R for R in R_blocks(dec))
         assert np.array_equal(total, np.diag(dec.multiplicities.mu.astype(float)))
 
     def test_coverage(self):
@@ -119,27 +122,6 @@ def test_multiplicities_follow_the_maps(nx, ny, px, py):
     assert all(type(i) is int for s in mult.sharing for i in s)
     assert mult.mu.tolist() == [len(s) for s in sharing]
     assert mult.interface_dofs.tolist() == [k for k, s in enumerate(sharing) if len(s) >= 2]
-
-
-class TestBubbles:
-    def test_single_subdomain_all_bubbles(self):
-        _, prob, dec = make_instance(4, 4, 1, 1)
-        masks = bubble_dofs(dec)
-        assert int(np.sum(masks[0])) == prob.n
-
-    def test_two_strips_interface_excluded(self):
-        _, _, dec = make_instance(4, 4, 2, 1)
-        masks = bubble_dofs(dec)
-        interface = set(int(k) for k in dec.multiplicities.interface_dofs)
-        for i, mask in enumerate(masks):
-            local_interface = {int(g) for g in dec.maps[i][~mask]}
-            assert local_interface == interface
-
-    def test_twin_scalar_no_bubbles(self):
-        from schwarzlab.formulations import twin_scalar
-        ts = twin_scalar()
-        masks = bubble_dofs(ts.decomp)
-        assert not any(mask.any() for mask in masks)
 
 
 @settings(max_examples=15, deadline=None)

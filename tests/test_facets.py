@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from schwarzlab.facets import (build_facets, check_admissibility, connectivity_graphs,
-                               export_facets_text, Facet, FacetSystem,
-                               redundancy_basis)
-from schwarzlab.traces import build_exchange, build_impedance, build_trace
+                               Facet, FacetSystem, redundancy_basis)
+from schwarzlab.traces import build_exchange, build_trace
 
 from conftest import make_instance
 
@@ -90,8 +89,7 @@ class TestAdmissibility:
 class TestRedundancyBasis:
     def svd_nullity(self, dec, system):
         trace = build_trace(system, dec)
-        imp = build_impedance(trace, "scalar", 1.0)
-        X = build_exchange(trace, imp, "swap").matrix
+        X = build_exchange(trace).matrix
         stacked = np.vstack([trace.matrix.T.toarray(),
                              np.eye(trace.dim_lambda) + X.T])
         s = np.linalg.svd(stacked, compute_uv=False)
@@ -111,8 +109,7 @@ class TestRedundancyBasis:
     def test_exact_annihilation(self, cross_dec):
         system = build_facets(cross_dec, "bilateral_max")
         trace = build_trace(system, cross_dec)
-        imp = build_impedance(trace, "scalar", 1.0)
-        X = build_exchange(trace, imp, "swap").matrix
+        X = build_exchange(trace).matrix
         Z = redundancy_basis(system, trace).vectors
         assert Z.shape[1] == 3
         assert np.max(np.abs(trace.matrix.T @ Z)) == 0.0
@@ -130,12 +127,3 @@ class TestRedundancyBasis:
         system = build_facets(cross_dec, "globs")
         basis = redundancy_basis(system, build_trace(system, cross_dec))
         assert basis.dimension == 0
-
-
-def test_export_facets_text(tmp_path, cross_dec):
-    system = build_facets(cross_dec, "globs")
-    path = tmp_path / "facets.txt"
-    export_facets_text(system, path)
-    lines = path.read_text().strip().splitlines()
-    assert len(lines) == len(system.facets)
-    assert all(line.startswith("glob") for line in lines)

@@ -42,7 +42,7 @@ class TestAugmented:
         _, prob, dec = coercive_2x2
         trace = build_trace(build_facets(dec, "globs"), dec)
         imp = build_impedance(trace, "lumped_mass", 1.0)
-        X = build_exchange(trace, imp, "weighted")
+        X = build_exchange(trace)
         _, _, dec_d = make_instance(4, 4, 2, 2, boundary="dirichlet")
         system_d = build_facets(dec_d, "bilateral_non_redundant")
         imp_d = build_impedance(build_trace(system_d, dec_d), "lumped_mass", 1.0)
@@ -88,7 +88,7 @@ class TestScattering:
         _, prob, dec = helmholtz_2x2
         trace = build_trace(build_facets(dec, "globs"), dec)
         imp = build_impedance(trace, "lumped_mass", 2.0)
-        X = build_exchange(trace, imp, "weighted")
+        X = build_exchange(trace)
         dual = build_dual_system(dec, trace, imp, X, prob.alpha)
         assert np.max(np.abs(dual.apply_S(np.zeros(dual.dim)))) == 0.0
 
@@ -96,7 +96,7 @@ class TestScattering:
         _, prob, dec = helmholtz_2x2
         trace = build_trace(build_facets(dec, "globs"), dec)
         imp = build_impedance(trace, "lumped_mass", 2.0)
-        X = build_exchange(trace, imp, "weighted")
+        X = build_exchange(trace)
         dual = build_dual_system(dec, trace, imp, X, prob.alpha)
         rng = np.random.default_rng(0)
         for _ in range(100):
@@ -123,21 +123,15 @@ class TestRhsAndRecovery:
         ts = twin_scalar(f=(0.0, 0.0))
         assert np.max(np.abs(ts.dual.primal_recover(np.zeros(2)))) == 0.0
 
-    @pytest.mark.parametrize("facet_variant,exchange_variant", [
-        ("bilateral_properly_closed", "swap"),
-        ("bilateral_max", "swap"),
-        ("globs", "multiplicity"),
-        ("globs", "weighted"),
-        ("globs", "glob_local"),
-        ("globs", "global"),
-    ])
-    def test_equivalence_chain(self, helmholtz_2x2, facet_variant, exchange_variant):
+    @pytest.mark.parametrize("facet_variant", ["bilateral_properly_closed",
+                                               "bilateral_max", "globs"])
+    def test_equivalence_chain(self, helmholtz_2x2, facet_variant):
         # any dual solution recovers the restricted global solution
         _, prob, dec = helmholtz_2x2
         system = build_facets(dec, facet_variant)
         trace = build_trace(system, dec)
         imp = build_impedance(trace, "lumped_mass", 2.0)
-        X = build_exchange(trace, imp, exchange_variant)
+        X = build_exchange(trace)
         dual = build_dual_system(dec, trace, imp, X, prob.alpha)
         Z = redundancy_basis(system, trace).vectors
         lam = dual.solve_direct(deflate=Z if Z.size else None)
@@ -150,7 +144,7 @@ class TestRhsAndRecovery:
         system = build_facets(dec, "bilateral_max")
         trace = build_trace(system, dec)
         imp = build_impedance(trace, "lumped_mass", 1.0)
-        X = build_exchange(trace, imp, "swap")
+        X = build_exchange(trace)
         dual = build_dual_system(dec, trace, imp, X, prob.alpha)
         K = dual.materialize_K()
         s = np.linalg.svd(K, compute_uv=False)
@@ -159,36 +153,32 @@ class TestRhsAndRecovery:
 
 
 class TestBlockApplication:
-    @pytest.mark.parametrize("nx,px,py,facet_variant,exchange_variant,impedance,wave", [
-        pytest.param(8, 2, 2, "bilateral_max", "swap", "lumped_mass", True,
-                     id="bilateral_max-swap-True"),
-        pytest.param(8, 2, 2, "globs", "weighted", "lumped_mass", True,
-                     id="globs-weighted-True"),
-        pytest.param(8, 2, 2, "globs", "glob_local", "lumped_mass", False,
-                     id="globs-glob_local-False"),
+    @pytest.mark.parametrize("nx,px,py,facet_variant,impedance,wave", [
+        pytest.param(8, 2, 2, "bilateral_max", "lumped_mass", True,
+                     id="bilateral_max-True"),
+        pytest.param(8, 2, 2, "globs", "lumped_mass", True, id="globs-True"),
+        pytest.param(8, 2, 2, "globs", "lumped_mass", False, id="globs-False"),
         # trace blocks of 9, 13 and 16 slots
-        pytest.param(16, 4, 4, "globs", "weighted", "lumped_mass", False,
-                     id="unequal_blocks"),
-        pytest.param(16, 4, 1, "globs", "weighted", "lumped_mass", False, id="strip"),
-        pytest.param(8, 2, 2, "globs", "glob_local", "glob_block", False,
-                     id="glob_block"),
+        pytest.param(16, 4, 4, "globs", "lumped_mass", False, id="unequal_blocks"),
+        pytest.param(16, 4, 1, "globs", "lumped_mass", False, id="strip"),
+        pytest.param(8, 2, 2, "globs", "glob_block", False, id="glob_block"),
         # 9 cycles
-        pytest.param(16, 4, 4, "bilateral_properly_closed", "swap", "lumped_mass",
+        pytest.param(16, 4, 4, "bilateral_properly_closed", "lumped_mass",
                      True, id="bilateral_wave_cycles"),
     ])
     def test_materialize_K_matches_columns(self, nx, px, py, facet_variant,
-                                           exchange_variant, impedance, wave):
+                                           impedance, wave):
         _, prob, dec = make_instance(nx, nx, px, py, wave=wave,
                                      kappa=2.0 if wave else 0.0,
                                      eta=2.0 if wave else 1.0,
                                      source="point:0.3,0.4")
         trace = build_trace(build_facets(dec, facet_variant), dec)
         imp = build_impedance(trace, impedance, 2.0)
-        X = build_exchange(trace, imp, exchange_variant)
+        X = build_exchange(trace)
         dual = build_dual_system(dec, trace, imp, X, prob.alpha)
         columns = np.column_stack([dual.apply_K(e) for e in np.eye(dual.dim)])
         K = dual.materialize_K()
-        if imp.is_diagonal:
+        if impedance != "glob_block":
             assert np.array_equal(K, columns)
         else:
             scale = max(1.0, np.max(np.abs(columns)))
@@ -200,7 +190,7 @@ class TestBlockApplication:
         trace = build_trace(build_facets(dec, "globs"), dec)
         imp = build_impedance(trace, "lumped_mass", 2.0)
         dual = build_dual_system(dec, trace, imp,
-                                 build_exchange(trace, imp, "weighted"), prob.alpha)
+                                 build_exchange(trace), prob.alpha)
         largest = max(sum(1 for i, _f, _k in trace.slots if i == s)
                       for s in range(dec.n_sub))
         assert largest > 2 * K_COLUMNS and largest % K_COLUMNS
@@ -219,7 +209,7 @@ class TestPseudoEnergy:
         _, prob, dec = helmholtz_2x2
         trace = build_trace(build_facets(dec, "globs"), dec)
         imp = build_impedance(trace, "lumped_mass", 2.0)
-        X = build_exchange(trace, imp, "weighted")
+        X = build_exchange(trace)
         dual = build_dual_system(dec, trace, imp, X, prob.alpha)
         solves = []
         apply_inv = dual.aug.apply_inv
@@ -249,7 +239,7 @@ class TestPseudoEnergy:
                                      eta=2.0 if alpha_wave else 1.0)
         trace = build_trace(build_facets(dec, "globs"), dec)
         imp = build_impedance(trace, "lumped_mass", 2.0)
-        X = build_exchange(trace, imp, "weighted")
+        X = build_exchange(trace)
         dual = build_dual_system(dec, trace, imp, X, prob.alpha)
         rng = np.random.default_rng(2)
         for _ in range(50):
@@ -264,7 +254,7 @@ class TestRobinEquivalence:
         _, prob, dec = make_instance(4, 4, 2, 1, wave=True, kappa=2.0, eta=2.0)
         trace = build_trace(build_facets(dec, "globs"), dec)
         imp = build_impedance(trace, "lumped_mass", 2.0)
-        X = build_exchange(trace, imp, "weighted").matrix
+        X = build_exchange(trace).matrix
         dim = trace.dim_lambda
         I = np.eye(dim)
         combined = np.hstack([prob.alpha * imp.matrix @ (I - X), I + X.T])

@@ -183,7 +183,7 @@ def test_symmetric_ordering_reduces_fill():
 class TestWeightedInnerProduct:
     def test_positive(self):
         W = np.array([[2.0, 1.0], [1.0, 2.0]])
-        ip = WeightedInnerProduct(W)
+        ip = WeightedInnerProduct(factorize(W).solve)
         rng = np.random.default_rng(0)
         for _ in range(20):
             x = rng.standard_normal(2) + 1j * rng.standard_normal(2)
@@ -191,13 +191,9 @@ class TestWeightedInnerProduct:
 
     def test_inverse_mode(self):
         W = np.diag([2.0, 4.0])
-        ip = WeightedInnerProduct(W, mode="M_inverse")
+        ip = WeightedInnerProduct(factorize(W).solve)
         x = np.array([2.0, 2.0])
         assert ip.dot(x, x) == pytest.approx(4 / 2 + 4 / 4)
-
-    def test_asymmetric_rejected(self):
-        with pytest.raises(ValueError):
-            WeightedInnerProduct(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
 
 def _spd(rng, n):
@@ -252,22 +248,21 @@ class TestGmres:
         B = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         A = B.conj().T @ B + n * np.eye(n)    # Hermitian positive definite
         W = np.diag(rng.uniform(0.5, 2.0, n))
-        ip = WeightedInnerProduct(W, mode="M_inverse")
+        ip = WeightedInnerProduct(factorize(W).solve)
         b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         _, hist = gmres(lambda v: A @ v, b, ip=ip, tol=1e-12)
         assert all(b <= a + 1e-14 for a, b in zip(hist, hist[1:]))
 
-    @pytest.mark.parametrize("mode", ["M", "M_inverse"])
-    def test_weighted_least_squares_every_step(self, mode):
-        # complex non-symmetric operator, non-diagonal SPD weight
+    def test_weighted_least_squares_every_step(self):
+        # complex non-symmetric operator, non-diagonal SPD M, M^-1 inner product
         rng = np.random.default_rng(5)
         n = 7
         A = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
              + 3.0 * np.eye(n))
         b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         Wmat = _spd(rng, n)
-        ip = WeightedInnerProduct(Wmat, mode=mode)
-        W = Wmat if mode == "M" else np.linalg.inv(Wmat)
+        ip = WeightedInnerProduct(factorize(Wmat).solve)
+        W = np.linalg.inv(Wmat)
         for k in range(1, n + 1):
             x, hist = gmres(lambda v: A @ v, b, ip=ip, tol=1e-300, maxit=k)
             x_ls, res_ls = _weighted_minimizer(A, b, W, k)
@@ -275,27 +270,20 @@ class TestGmres:
             assert np.linalg.norm(x - x_ls) <= 1e-9 * np.linalg.norm(x_ls)
             assert hist[-1] == pytest.approx(res_ls, rel=1e-6, abs=1e-12)
 
-    @pytest.mark.parametrize("with_x0", [False, True])
-    def test_one_weight_application_per_krylov_vector(self, with_x0):
+    def test_one_weight_application_per_krylov_vector(self):
         rng = np.random.default_rng(9)
         n = 40
         A = np.eye(n) + 0.3 * rng.standard_normal((n, n)) / np.sqrt(n)
         Wmat = _spd(rng, n)
         b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
 
-        class CountingWeight(WeightedInnerProduct):
-            calls = 0
-
-            def apply_weight(self, x):
-                self.calls += 1
-                return super().apply_weight(x)
-
-        ip = CountingWeight(Wmat, mode="M_inverse")
-        x0 = rng.standard_normal(n) if with_x0 else None
-        x, hist = gmres(lambda v: A @ v, b, ip=ip, tol=1e-12, x0=x0)
+        solve, calls = factorize(Wmat).solve, []
+        ip = WeightedInnerProduct(lambda x: calls.append(1) or solve(x))
+        x, hist = gmres(lambda v: A @ v, b, ip=ip, tol=1e-12)
         iterations = len(hist) - 1
         assert hist[-1] <= 1e-12 and iterations > 5
-        assert ip.calls <= iterations + 2
+        # one for the initial residual b, which also gives |b|, one per step
+        assert len(calls) <= iterations + 1
         assert np.linalg.norm(A @ x - b) <= 1e-9 * np.linalg.norm(b)
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from schwarzlab.meshfem import (BoundaryTag, assemble, build_mesh, element_contributions,
-                                export_mesh_text, point_source_dof)
+                                point_source_dof)
 
 
 class TestBuildMesh:
@@ -153,11 +153,3 @@ def test_assembly_matches_an_element_loop():
         assert A.data.tobytes() == data.tobytes()
         assert A.indices.tobytes() == np.array([c for _, c in keys], dtype=np.int64).tobytes()
         assert A.indptr.tobytes() == indptr.astype(np.int64).tobytes()
-
-
-def test_export_mesh_text(tmp_path):
-    mesh = build_mesh(2, 2, boundary="robin")
-    path = tmp_path / "mesh.txt"
-    export_mesh_text(mesh, path)
-    content = path.read_text()
-    assert content.strip()

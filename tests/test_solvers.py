@@ -14,8 +14,8 @@ from schwarzlab.traces import build_exchange, build_impedance, build_trace
 from conftest import make_instance, primal_reference
 
 
-def dual_stack(nx=8, ny=8, px=2, py=2, exchange="weighted",
-               facet_variant="globs", sigma=2.0, wave=False):
+def dual_stack(nx=8, ny=8, px=2, py=2, facet_variant="globs", sigma=2.0,
+               wave=False):
     _, prob, dec = make_instance(nx, ny, px, py, wave=wave,
                                  kappa=2.0 if wave else 0.0,
                                  eta=2.0 if wave else 1.0,
@@ -23,7 +23,7 @@ def dual_stack(nx=8, ny=8, px=2, py=2, exchange="weighted",
     system = build_facets(dec, facet_variant)
     trace = build_trace(system, dec)
     imp = build_impedance(trace, "lumped_mass", sigma)
-    X = build_exchange(trace, imp, exchange)
+    X = build_exchange(trace)
     dual = build_dual_system(dec, trace, imp, X, prob.alpha)
     return dec, system, trace, imp, X, dual
 
@@ -117,7 +117,7 @@ class TestRichardson:
 
     def test_deflation_built_once(self):
         dec, system, trace, imp, X, dual = dual_stack(
-            facet_variant="bilateral_max", exchange="swap")
+            facet_variant="bilateral_max")
         Z = redundancy_basis(system, trace).vectors
         assert Z.shape[1] > 0
         lam_ref = dual.solve_direct(deflate=Z)
@@ -245,14 +245,14 @@ class TestGmres:
 
     def test_unique_solution_without_redundancy(self):
         dec, system, trace, imp, X, dual = dual_stack(
-            facet_variant="bilateral_non_redundant", exchange="swap")
+            facet_variant="bilateral_non_redundant")
         assert redundancy_basis(system, trace).dimension == 0
         rep = gmres_dual(dual, tol=1e-12, maxit=400)
         assert np.allclose(rep.lam, dual.solve_direct(), atol=1e-8)
 
     def test_redundant_system_still_recovers_primal(self):
         dec, system, trace, imp, X, dual = dual_stack(
-            facet_variant="bilateral_max", exchange="swap")
+            facet_variant="bilateral_max")
         assert redundancy_basis(system, trace).dimension > 0
         rep = gmres_dual(dual, tol=1e-12, maxit=400)
         u = dual.primal_recover(rep.lam)
@@ -279,7 +279,7 @@ class TestGamma:
 
     def test_deflation_ignores_redundancy(self):
         dec, system, trace, imp, X, dual = dual_stack(
-            facet_variant="bilateral_max", exchange="swap")
+            facet_variant="bilateral_max")
         Z = redundancy_basis(system, trace).vectors
         gamma = estimate_gamma(dual, redundancy=Z)
         assert gamma > 0.0
