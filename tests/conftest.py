@@ -17,6 +17,66 @@ def make_instance(nx=8, ny=8, px=2, py=2, *, wave=False, kappa=0.0, eta=1.0,
     return mesh, problem, decomp
 
 
+# The closed forms in which the exchange is written in the literature. With a
+# side-equal, facet-block-diagonal M each one is the M-orthogonal reflection
+# around the single-valued interface space, wherever it is defined.
+REFLECTION_FORMS = ("swap", "multiplicity", "weighted", "glob_local", "global")
+
+
+def reflection_form(trace, imp, form):
+    """Dense 2 P - I for the projection P that `form` names, or None.
+
+    swap:         the two sides of each (facet, dof) trade values; None unless
+                  every facet is bilateral.
+    multiplicity: plain average over each (facet, dof) group.
+    weighted:     average over each group, weighted by the diagonal of M.
+    glob_local:   per facet, the M_F-orthogonal projection onto the traces
+                  that agree on all sides of the facet.
+    global:       the M-orthogonal projection onto range(T R); None unless
+                  T T^T = I.
+    """
+    dim = trace.dim_lambda
+    M = imp.matrix.toarray()
+    facets = trace.system.facets
+    groups = [[trace.slot(i, fidx, k) for i in F.subdomains]
+              for fidx, F in enumerate(facets) for k in F.dofs]
+    if form == "swap":
+        if any(len(g) != 2 for g in groups):
+            return None
+        X = np.zeros((dim, dim))
+        for a, b in groups:
+            X[a, b] = X[b, a] = 1.0
+        return X
+    P = np.zeros((dim, dim))
+    if form in ("multiplicity", "weighted"):
+        d = np.diagonal(M) if form == "weighted" else np.ones(dim)
+        for g in groups:
+            P[np.ix_(g, g)] = d[g] / d[g].sum()
+    elif form == "glob_local":
+        for fidx, F in enumerate(facets):
+            rows = [trace.slot(i, fidx, k) for i in F.subdomains for k in F.dofs]
+            B = np.tile(np.eye(len(F.dofs)), (len(F.subdomains), 1))
+            MF = M[np.ix_(rows, rows)]
+            P[np.ix_(rows, rows)] = B @ np.linalg.solve(B.T @ MF @ B, B.T @ MF)
+    elif form == "global":
+        T = trace.matrix
+        if not np.array_equal((T @ T.T).toarray(), np.eye(dim)):
+            return None
+        TR = (T @ trace.decomp.R_stacked()).real.toarray()
+        B = TR[:, np.any(TR != 0.0, axis=0)]
+        P = B @ np.linalg.solve(B.T @ M @ B, B.T @ M)
+    else:
+        raise ValueError(f"unknown reflection form {form!r}")
+    return 2.0 * P - np.eye(dim)
+
+
+def assert_reflection_form(trace, imp, X, form):
+    """X is the closed form `form` of the reflection for this trace and M."""
+    expected = reflection_form(trace, imp, form)
+    assert expected is not None, f"{form} is not defined on this facet system"
+    assert np.max(np.abs(X.matrix.toarray() - expected)) <= 1e-12
+
+
 def primal_reference(decomp):
     uhat = np.asarray(decomp.problem.direct_solve())
     return decomp.apply_R(uhat)

@@ -13,7 +13,7 @@ from schwarzlab.formulations import (K_COLUMNS, AugmentedLocal, build_dual_syste
 from schwarzlab.linalg import SingularMatrixError, SparseFactorization
 from schwarzlab.traces import (build_exchange, build_impedance, build_trace)
 
-from conftest import make_instance, primal_reference
+from conftest import assert_reflection_form, make_instance, primal_reference
 
 
 def _blocks(aug, dec):
@@ -123,15 +123,22 @@ class TestRhsAndRecovery:
         ts = twin_scalar(f=(0.0, 0.0))
         assert np.max(np.abs(ts.dual.primal_recover(np.zeros(2)))) == 0.0
 
-    @pytest.mark.parametrize("facet_variant", ["bilateral_properly_closed",
-                                               "bilateral_max", "globs"])
-    def test_equivalence_chain(self, helmholtz_2x2, facet_variant):
+    @pytest.mark.parametrize("facet_variant,form", [
+        ("bilateral_properly_closed", "swap"),
+        ("bilateral_max", "swap"),
+        ("globs", "multiplicity"),
+        ("globs", "weighted"),
+        ("globs", "glob_local"),
+        ("globs", "global"),
+    ])
+    def test_equivalence_chain(self, helmholtz_2x2, facet_variant, form):
         # any dual solution recovers the restricted global solution
         _, prob, dec = helmholtz_2x2
         system = build_facets(dec, facet_variant)
         trace = build_trace(system, dec)
         imp = build_impedance(trace, "lumped_mass", 2.0)
         X = build_exchange(trace)
+        assert_reflection_form(trace, imp, X, form)
         dual = build_dual_system(dec, trace, imp, X, prob.alpha)
         Z = redundancy_basis(system, trace).vectors
         lam = dual.solve_direct(deflate=Z if Z.size else None)
@@ -153,21 +160,26 @@ class TestRhsAndRecovery:
 
 
 class TestBlockApplication:
-    @pytest.mark.parametrize("nx,px,py,facet_variant,impedance,wave", [
-        pytest.param(8, 2, 2, "bilateral_max", "lumped_mass", True,
-                     id="bilateral_max-True"),
-        pytest.param(8, 2, 2, "globs", "lumped_mass", True, id="globs-True"),
-        pytest.param(8, 2, 2, "globs", "lumped_mass", False, id="globs-False"),
+    # form: the closed form of the reflection that X is checked against
+    @pytest.mark.parametrize("nx,px,py,facet_variant,form,impedance,wave", [
+        pytest.param(8, 2, 2, "bilateral_max", "swap", "lumped_mass", True,
+                     id="bilateral_max-swap-True"),
+        pytest.param(8, 2, 2, "globs", "weighted", "lumped_mass", True,
+                     id="globs-weighted-True"),
+        pytest.param(8, 2, 2, "globs", "glob_local", "lumped_mass", False,
+                     id="globs-glob_local-False"),
         # trace blocks of 9, 13 and 16 slots
-        pytest.param(16, 4, 4, "globs", "lumped_mass", False, id="unequal_blocks"),
-        pytest.param(16, 4, 1, "globs", "lumped_mass", False, id="strip"),
-        pytest.param(8, 2, 2, "globs", "glob_block", False, id="glob_block"),
+        pytest.param(16, 4, 4, "globs", "weighted", "lumped_mass", False,
+                     id="unequal_blocks"),
+        pytest.param(16, 4, 1, "globs", "weighted", "lumped_mass", False, id="strip"),
+        pytest.param(8, 2, 2, "globs", "glob_local", "glob_block", False,
+                     id="glob_block"),
         # 9 cycles
-        pytest.param(16, 4, 4, "bilateral_properly_closed", "lumped_mass",
+        pytest.param(16, 4, 4, "bilateral_properly_closed", "swap", "lumped_mass",
                      True, id="bilateral_wave_cycles"),
     ])
     def test_materialize_K_matches_columns(self, nx, px, py, facet_variant,
-                                           impedance, wave):
+                                           form, impedance, wave):
         _, prob, dec = make_instance(nx, nx, px, py, wave=wave,
                                      kappa=2.0 if wave else 0.0,
                                      eta=2.0 if wave else 1.0,
@@ -175,6 +187,7 @@ class TestBlockApplication:
         trace = build_trace(build_facets(dec, facet_variant), dec)
         imp = build_impedance(trace, impedance, 2.0)
         X = build_exchange(trace)
+        assert_reflection_form(trace, imp, X, form)
         dual = build_dual_system(dec, trace, imp, X, prob.alpha)
         columns = np.column_stack([dual.apply_K(e) for e in np.eye(dual.dim)])
         K = dual.materialize_K()

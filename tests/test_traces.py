@@ -9,7 +9,7 @@ from schwarzlab.formulations import build_dual_system
 from schwarzlab.solvers import IterationConfig, primal_iterate
 from schwarzlab.traces import IMPEDANCE_VARIANTS, build_exchange, build_impedance, build_trace
 
-from conftest import make_instance
+from conftest import REFLECTION_FORMS, assert_reflection_form, make_instance, reflection_form
 
 
 @pytest.fixture(scope="module")
@@ -137,10 +137,21 @@ class TestImpedance:
             build_impedance(trace, "scalar", 0.0)
 
 
+# every facet system, each with the closed forms that its exchange is written in
+FORM_CASES = ([(fv, "swap") for fv in VARIANTS if fv != "globs"]
+              + [("globs", form) for form in REFLECTION_FORMS if form != "swap"])
+
+
+def build_form_stack(dec, facet_variant, form):
+    system, trace, imp, X = build_stack(dec, facet_variant)
+    assert_reflection_form(trace, imp, X, form)
+    return system, trace, imp, X
+
+
 class TestExchange:
-    @pytest.mark.parametrize("facet_variant", VARIANTS)
-    def test_involution_and_conformity(self, cross_dec, facet_variant):
-        _, trace, _imp, X = build_stack(cross_dec, facet_variant)
+    @pytest.mark.parametrize("facet_variant,form", FORM_CASES)
+    def test_involution_and_conformity(self, cross_dec, facet_variant, form):
+        _, trace, _imp, X = build_form_stack(cross_dec, facet_variant, form)
         dim = trace.dim_lambda
         assert np.max(np.abs(X.matrix @ X.matrix - np.eye(dim))) <= 1e-12
         assert np.max(np.abs(X.matrix.imag)) == 0.0
@@ -150,16 +161,16 @@ class TestExchange:
             t = trace.matrix @ cross_dec.apply_R(vhat)
             assert np.max(np.abs(t - X.matrix @ t)) <= 1e-12
 
-    @pytest.mark.parametrize("facet_variant", VARIANTS)
-    def test_projections_idempotent(self, cross_dec, facet_variant):
-        _, trace, _imp, X = build_stack(cross_dec, facet_variant)
+    @pytest.mark.parametrize("facet_variant,form", FORM_CASES)
+    def test_projections_idempotent(self, cross_dec, facet_variant, form):
+        _, trace, _imp, X = build_form_stack(cross_dec, facet_variant, form)
         for sign in (+1.0, -1.0):
             P = 0.5 * (np.eye(trace.dim_lambda) + sign * X.matrix)
             assert np.max(np.abs(P @ P - P)) <= 1e-12
 
-    @pytest.mark.parametrize("facet_variant", VARIANTS)
-    def test_impedance_isometry(self, cross_dec, facet_variant):
-        _, _trace, imp, X = build_stack(cross_dec, facet_variant)
+    @pytest.mark.parametrize("facet_variant,form", FORM_CASES)
+    def test_impedance_isometry(self, cross_dec, facet_variant, form):
+        _, _trace, imp, X = build_form_stack(cross_dec, facet_variant, form)
         M = imp.matrix
         scale = np.max(np.abs(M))
         assert np.max(np.abs(X.matrix.T @ M @ X.matrix - M)) <= 1e-10 * scale
@@ -183,10 +194,13 @@ class TestExchange:
         assert np.allclose(block, expected, atol=1e-14)
 
     @pytest.mark.parametrize("impedance", IMPEDANCE_VARIANTS)
-    def test_one_reflection_per_slot_group(self, cross_dec, impedance):
+    @pytest.mark.parametrize("form", REFLECTION_FORMS)
+    def test_one_reflection_per_slot_group(self, cross_dec, form, impedance):
         # side-equal, facet-block-diagonal M: the M-orthogonal reflection is
-        # unique, 2/m J - I on each (facet, dof) group, for every facet system
+        # unique, 2/m J - I on each (facet, dof) group, for every facet system,
+        # and it is the closed form wherever that form is defined
         strip = make_instance(4, 4, 2, 1)[2]
+        defined = 0
         for dec in (cross_dec, strip):
             for facet_variant in VARIANTS:
                 system, trace, imp, X = build_stack(dec, facet_variant, impedance)
@@ -202,6 +216,11 @@ class TestExchange:
                 assert np.array_equal(X.toarray(), expected)
                 M = imp.matrix
                 assert abs(X.T @ M @ X - M).max() <= 1e-14 * abs(M).max()
+                closed = reflection_form(trace, imp, form)
+                if closed is not None:
+                    defined += 1
+                    assert np.max(np.abs(X.toarray() - closed)) <= 1e-12
+        assert defined > 0
 
 
 def test_every_variant_name_builds_a_distinct_operator(cross_dec):
