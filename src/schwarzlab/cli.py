@@ -51,7 +51,7 @@ PROBLEM_TYPES = ("laplace", "reaction_diffusion", "helmholtz")
 EXCHANGE_VARIANTS = ("reflection", "exceptional")
 METHODS = ("richardson", "gmres", "primal", "fetih")
 
-GAMMA_DIM_LIMIT = 400    # budget for gamma's dense eigh of M and SVD of K (cubic in dim)
+GAMMA_DIM_LIMIT = 400    # budget for gamma's dense SVD of K (cubic in dim)
 CSV_FORMAT = "%.17g"
 
 # section -> key -> (parser, default); every key is explicit in emitted reports

@@ -39,8 +39,9 @@ __all__ = [
     "TwinScalar",
 ]
 
-#: identity columns per K application in DualSystem.materialize_K
-K_COLUMNS = 64
+#: packed columns per augmented solve in DualSystem.materialize_K; K is
+#: bitwise the same at every width, and a narrow one keeps the work small
+K_COLUMNS = 8
 
 
 class AugmentedLocal:
@@ -167,8 +168,9 @@ class DualSystem:
         unit vector of every subdomain's trace block at once: packed column
         j returns column j of every diagonal block, unmixed (the sparse LU
         makes no fill between blocks). The solves run K_COLUMNS packed
-        columns at a time, which bounds the work array to n_u x K_COLUMNS.
-        K is then formed one subdomain's columns at a time from its block.
+        columns at a time, which bounds the solve's work arrays to
+        n_u x K_COLUMNS; the only dim x dim array is K itself. K is then
+        formed one subdomain's columns at a time from its block.
         """
         # subdomain of each trace row, from the one column it selects
         row_sub = np.searchsorted(self.decomp.offsets, self.T.indices, side="right") - 1

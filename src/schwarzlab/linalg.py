@@ -169,7 +169,9 @@ def gmres(
     is stored together with Z = W V, so the weight is applied once per
     Krylov vector, plus once for the initial residual b, which also gives
     |b|_W. Arnoldi orthogonalizes by two passes of block classical
-    Gram-Schmidt: h = V^H W w, then w -= V h and W w -= Z h. Returns the
+    Gram-Schmidt: h = V^H W w, then w -= V h and W w -= Z h. The rotated
+    Hessenberg columns grow with the iterations run, and the Givens
+    rotations are applied on Python complex scalars. Returns the
     iterate and the history of relative weighted residual norms (history[0]
     is 1.0 for a nonzero right-hand side). A non-finite initial residual or
     Arnoldi vector ends the run at once, with a non-finite last history
@@ -192,57 +194,58 @@ def gmres(
 
     V = np.zeros((maxit + 1, n), dtype=np.complex128)
     Z = np.zeros((maxit + 1, n), dtype=np.complex128)
-    H = np.zeros((maxit + 1, maxit), dtype=np.complex128)
     V[0] = b / beta
     Z[0] = Wb / beta
-    # Givens rotation data and transformed rhs
-    cs = np.zeros(maxit, dtype=np.complex128)
-    sn = np.zeros(maxit, dtype=np.complex128)
-    g = np.zeros(maxit + 1, dtype=np.complex128)
-    g[0] = beta
+    # rotated Hessenberg columns, Givens rotations (c, s) and the rotated
+    # rhs, grown per iteration and held as Python complex scalars
+    columns, rotations, g = [], [], [complex(beta)]
 
-    k_used = 0
     for k in range(maxit):
         # copies: both are updated in place below
         w = np.array(apply(V[k]), dtype=np.complex128)
         Ww = np.array(weigh(w), dtype=np.complex128)
         # classical Gram-Schmidt, two passes; V^H W w = conj(V conj(W w))
+        h_col = np.zeros(k + 1, dtype=np.complex128)
         for _pass in range(2):
             h = np.conj(V[:k + 1] @ np.conj(Ww))
-            H[:k + 1, k] += h
+            h_col += h
             w -= h @ V[:k + 1]
             Ww -= h @ Z[:k + 1]
         hk1 = _weighted_norm(w, Ww)
         if not np.isfinite(hk1):
             history.append(float("nan"))
             break
-        H[k + 1, k] = hk1
 
         # apply stored rotations to the new column
-        for j in range(k):
-            t = cs[j] * H[j, k] + sn[j] * H[j + 1, k]
-            H[j + 1, k] = -np.conj(sn[j]) * H[j, k] + np.conj(cs[j]) * H[j + 1, k]
-            H[j, k] = t
-        # new rotation eliminating H[k+1, k]
-        denom = np.sqrt(np.abs(H[k, k]) ** 2 + np.abs(H[k + 1, k]) ** 2)
+        col = h_col.tolist()
+        for j, (c, s) in enumerate(rotations):
+            col[j], col[j + 1] = (c * col[j] + s * col[j + 1],
+                                  -s.conjugate() * col[j] + c.conjugate() * col[j + 1])
+        # new rotation eliminating H[k+1, k] = hk1, with numpy's abs, sqrt
+        # and complex division
+        denom = np.sqrt(np.abs(col[k]) ** 2 + np.abs(hk1) ** 2)
         if denom == 0.0:
             raise GmresBreakdownError(k)
-        cs[k] = np.conj(H[k, k]) / denom
-        sn[k] = np.conj(H[k + 1, k]) / denom
-        H[k, k] = denom
-        H[k + 1, k] = 0.0
-        g[k + 1] = -np.conj(sn[k]) * g[k]
-        g[k] = cs[k] * g[k]
+        c = complex(np.conj(col[k]) / denom)
+        s = complex(np.conj(complex(hk1)) / denom)
+        rotations.append((c, s))
+        col[k] = complex(denom)
+        columns.append(col)
+        g.append(-s.conjugate() * g[k])
+        g[k] = c * g[k]
 
-        res = abs(g[k + 1]) / ref
-        history.append(float(res))
-        k_used = k + 1
+        res = float(np.abs(g[k + 1]) / ref)
+        history.append(res)
         if res <= tol or hk1 <= 1e-14 * beta:
             break
         V[k + 1] = w / hk1
         Z[k + 1] = Ww / hk1
 
-    y = scipy.linalg.solve_triangular(H[:k_used, :k_used], g[:k_used], check_finite=False)
+    k_used = len(columns)
+    H = np.zeros((k_used, k_used), dtype=np.complex128)
+    for j, col in enumerate(columns):
+        H[:j + 1, j] = col
+    y = scipy.linalg.solve_triangular(H, np.array(g[:k_used]), check_finite=False)
     x = x + V[:k_used].T @ y
     return x, history
 

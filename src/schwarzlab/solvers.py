@@ -262,6 +262,54 @@ def gmres_dual(dual: DualSystem, tol: float = 1e-10,
     return report
 
 
+def _block_roots(M):
+    """M^{1/2} and M^{-1/2} of a block-diagonal symmetric positive definite M.
+
+    The blocks are the smallest contiguous diagonal blocks of M's pattern:
+    1 x 1 for the lumped_mass and scalar impedances, one per facet for
+    glob_block, one per subdomain for the one-step M = A. One stacked eigh
+    per block size gives each block's roots V w^{1/2} V^T and V w^{-1/2} V^T,
+    so no eigh is wider than M's widest block. Each root is returned as a
+    pair: a vector with the 1 x 1 roots (1.0 on the rows of wider blocks),
+    and a list of (start, root block) for the wider blocks.
+    """
+    coo = M.tocoo()
+    rows = np.arange(M.shape[0])
+    reach = rows.copy()
+    np.maximum.at(reach, coo.row, coo.col)
+    stops = np.flatnonzero(np.maximum.accumulate(reach) == rows) + 1
+    starts = np.concatenate(([0], stops[:-1]))
+    sizes = stops - starts
+    block = np.repeat(np.arange(len(sizes)), sizes)     # block of each row
+    root, inv_root = (np.ones(M.shape[0]), []), (np.ones(M.shape[0]), [])
+    for size in np.unique(sizes):
+        members = sizes == size
+        keep = members[block[coo.row]]
+        b = block[coo.row[keep]]
+        stack = np.zeros((members.sum(), size, size), dtype=M.dtype)
+        np.add.at(stack, ((np.cumsum(members) - 1)[b], coo.row[keep] - starts[b],
+                          coo.col[keep] - starts[b]), coo.data[keep])
+        w, V = np.linalg.eigh(stack)
+        if w.min() <= 0.0:
+            raise ValueError("impedance weight must be positive definite")
+        sqrt_w, Vt = np.sqrt(w)[:, None, :], V.transpose(0, 2, 1)
+        for (diagonal, wide), R in ((root, (V * sqrt_w) @ Vt),
+                                    (inv_root, (V / sqrt_w) @ Vt)):
+            if size == 1:
+                diagonal[starts[members]] = R[:, 0, 0]
+            else:
+                wide.extend(zip(starts[members], R))
+    return root, inv_root
+
+
+def _apply_rows(X, root) -> None:
+    """X <- R X in place, for a root R from _block_roots."""
+    diagonal, wide = root
+    X *= diagonal[:, None]
+    for a, R in wide:
+        X[a:a + len(R)] = R @ X[a:a + len(R)]
+
+
 def estimate_gamma(dual: DualSystem,
                    redundancy: np.ndarray | None = None) -> float:
     """Smallest singular value of M^{-1/2} (I - X^T S) M^{1/2}.
@@ -269,19 +317,23 @@ def estimate_gamma(dual: DualSystem,
     Equals the best constant gamma in |(I - X^T S) lam|_{M^-1} >=
     gamma |lam|_{M^-1}. Redundancy directions (where the operator vanishes
     by construction) are deflated before taking the minimum.
+
+    The roots of M are taken per diagonal block and applied to K in place,
+    rows first, then columns: on a diagonal M, row i is scaled by
+    fl(1/sqrt(m_i)), then column j by fl(sqrt(m_j)), the bits of the dense
+    products. Besides K, only the deflation holds dim x dim arrays (its
+    basis and the deflated K); the SVD stays cubic in dim lambda.
     """
     K = dual.materialize_K()
-    w, V = np.linalg.eigh(dual.M.toarray())
-    if w[0] <= 0.0:
-        raise ValueError("impedance weight must be positive definite")
-    M_half = (V * np.sqrt(w)) @ V.T
-    M_inv_half = (V / np.sqrt(w)) @ V.T
-    B = M_inv_half @ K @ M_half
+    root, inv_root = _block_roots(dual.M)
+    _apply_rows(K, inv_root)
+    _apply_rows(K.T, root)          # K M^{1/2}, as M^{1/2} is symmetric
     if redundancy is not None and redundancy.shape[1] > 0:
         # orthonormal basis of the complement of the transformed nullspace
-        Q = scipy.linalg.null_space((M_inv_half @ redundancy).conj().T)
-        B = B @ Q
-    return float(np.linalg.svd(B, compute_uv=False)[-1])
+        W = redundancy.astype(np.result_type(redundancy, 1.0))
+        _apply_rows(W, inv_root)
+        K = K @ scipy.linalg.null_space(W.conj().T)
+    return float(np.linalg.svd(K, compute_uv=False)[-1])
 
 
 def fit_rate(history) -> float:

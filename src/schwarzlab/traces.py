@@ -131,11 +131,9 @@ class ImpedanceOperator:
     the exchange an M-isometry (side-equal impedance).
     """
 
-    def __init__(self, trace: TraceOperator, variant: str, sigma: float,
-                 matrix: scipy.sparse.csr_array, facet_blocks: dict[int, np.ndarray]):
+    def __init__(self, trace: TraceOperator, matrix: scipy.sparse.csr_array,
+                 facet_blocks: dict[int, np.ndarray]):
         self.trace = trace
-        self.variant = variant
-        self.sigma = sigma
         self.matrix = matrix                  # sparse real (dim, dim)
         self.facet_blocks = facet_blocks      # facet index -> shared block
 
@@ -180,7 +178,7 @@ def build_impedance(trace: TraceOperator, variant: str, sigma: float) -> Impedan
     M = scipy.sparse.csr_array(scipy.sparse.block_diag(
         [facet_blocks[fidx] for fids in trace.facet_order for fidx in fids]))
     M.eliminate_zeros()
-    return ImpedanceOperator(trace, variant, sigma, M, facet_blocks)
+    return ImpedanceOperator(trace, M, facet_blocks)
 
 
 class ExchangeOperator:

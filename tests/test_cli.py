@@ -8,10 +8,11 @@ import scipy.sparse
 import scipy.sparse.linalg
 from click.testing import CliRunner
 
-from schwarzlab import cli, decomp
+from schwarzlab import cli, decomp, formulations
 from schwarzlab.cli import (build_instance, execute, interface_checks,
                             load_config, main, validate)
 from schwarzlab.formulations import DualSystem
+from schwarzlab.solvers import estimate_gamma
 
 
 FAST = ["problem.nx=8", "problem.ny=8"]
@@ -268,6 +269,33 @@ def test_battery_allocates_less_than_a_dense_square(preset, size):
     finally:
         tracemalloc.stop()
     assert peak < size(inst) ** 2 * 16
+
+
+@pytest.mark.parametrize("impedance", ["lumped_mass", "glob_block"])
+def test_gamma_allocates_within_the_trace_space(impedance, monkeypatch):
+    # feti2lm 64x64, 2x2, Helmholtz kappa = 8: dim lambda 264, n_u 4356
+    inst = build_instance(load_config(preset="feti2lm", overrides={
+        "problem.nx": "64", "problem.ny": "64", "problem.type": "helmholtz",
+        "problem.kappa": "8", "interface.impedance": impedance}))
+    dim, n_u = inst.dual.dim, inst.decomp.offsets[-1]
+    # M's widest diagonal block: 1 for a diagonal M, else its widest facet block
+    widest = 1 if inst.dual.M.nnz == dim else max(
+        len(block) for block in inst.impedance.facet_blocks.values())
+    eigh, widths = np.linalg.eigh, []
+
+    def recording_eigh(a, *args, **kwargs):
+        widths.append(np.shape(a)[-1])
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+    tracemalloc.start()
+    try:
+        estimate_gamma(inst.dual, redundancy=inst.redundancy)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (4 * dim ** 2 + 3 * n_u * formulations.K_COLUMNS) * 16
+    assert widths and max(widths) <= widest
 
 
 def _dense_2d_arrays(root):

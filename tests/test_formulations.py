@@ -4,6 +4,7 @@ import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from schwarzlab import formulations
 from schwarzlab.decomp import check_assembling
 from schwarzlab.facets import build_facets, redundancy_basis
 from schwarzlab.formulations import (K_COLUMNS, AugmentedLocal, build_dual_system,
@@ -215,6 +216,28 @@ class TestBlockApplication:
         # one packed column per slot of the largest trace block, not per trace slot
         assert max(widths) == K_COLUMNS and sum(widths) == largest
         assert np.max(np.abs(K - whole)) <= 1e-13 * np.max(np.abs(whole))
+
+    @pytest.mark.parametrize("nx,px,py,facet_variant,impedance,wave", [
+        # trace blocks of 65, 130, 130 and 65 slots
+        pytest.param(64, 4, 1, "globs", "lumped_mass", False, id="strip"),
+        pytest.param(16, 4, 4, "bilateral_properly_closed", "lumped_mass", True,
+                     id="bilateral_wave_cycles"),
+        pytest.param(16, 4, 4, "globs", "glob_block", False, id="glob_block"),
+    ])
+    def test_materialize_K_is_bitwise_the_same_at_every_width(
+            self, nx, px, py, facet_variant, impedance, wave, monkeypatch):
+        _, prob, dec = make_instance(nx, nx, px, py, wave=wave,
+                                     kappa=2.0 if wave else 0.0,
+                                     eta=2.0 if wave else 1.0,
+                                     source="point:0.3,0.4")
+        trace = build_trace(build_facets(dec, facet_variant), dec)
+        imp = build_impedance(trace, impedance, 2.0)
+        dual = build_dual_system(dec, trace, imp, build_exchange(trace), prob.alpha)
+        K = {}
+        for width in (1, 8, 64):
+            monkeypatch.setattr(formulations, "K_COLUMNS", width)
+            K[width] = dual.materialize_K()
+        assert K[1].tobytes() == K[8].tobytes() == K[64].tobytes()
 
 
 class TestPseudoEnergy:

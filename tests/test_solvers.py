@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from schwarzlab import cli
 from schwarzlab.facets import build_facets, redundancy_basis
@@ -15,17 +16,30 @@ from conftest import make_instance, primal_reference
 
 
 def dual_stack(nx=8, ny=8, px=2, py=2, facet_variant="globs", sigma=2.0,
-               wave=False):
+               wave=False, impedance="lumped_mass"):
     _, prob, dec = make_instance(nx, ny, px, py, wave=wave,
                                  kappa=2.0 if wave else 0.0,
                                  eta=2.0 if wave else 1.0,
                                  source="point:0.3,0.4")
     system = build_facets(dec, facet_variant)
     trace = build_trace(system, dec)
-    imp = build_impedance(trace, "lumped_mass", sigma)
+    imp = build_impedance(trace, impedance, sigma)
     X = build_exchange(trace)
     dual = build_dual_system(dec, trace, imp, X, prob.alpha)
     return dec, system, trace, imp, X, dual
+
+
+def dense_gamma(dual, redundancy=None) -> float:
+    """gamma by the dense formula: one eigh of the whole M, M^{-1/2} K M^{1/2}
+    by two dense products, and a dense deflation basis."""
+    K = dual.materialize_K()
+    w, V = np.linalg.eigh(dual.M.toarray())
+    M_half = (V * np.sqrt(w)) @ V.T
+    M_inv_half = (V / np.sqrt(w)) @ V.T
+    B = M_inv_half @ K @ M_half
+    if redundancy is not None and redundancy.shape[1] > 0:
+        B = B @ scipy.linalg.null_space((M_inv_half @ redundancy).conj().T)
+    return float(np.linalg.svd(B, compute_uv=False)[-1])
 
 
 class TestConfig:
@@ -267,7 +281,41 @@ class TestGmres:
         assert all(b <= a for a, b in zip(rep.residuals, rep.residuals[1:]))
 
 
+# (mesh, subdomains per side, facet system, cycles)
+CYCLES = [(8, 2, "globs", 0), (8, 2, "bilateral_properly_closed", 1),
+          (16, 4, "bilateral_properly_closed", 9)]
+
+
 class TestGamma:
+    @pytest.mark.parametrize("impedance", ["lumped_mass", "scalar"])
+    @pytest.mark.parametrize("wave", [False, True], ids=["coercive", "wave"])
+    @pytest.mark.parametrize("nx,p,facet_variant,cycles", CYCLES,
+                             ids=[f"{c}_cycles" for *_, c in CYCLES])
+    def test_diagonal_M_gives_the_dense_formula_bits(self, nx, p, facet_variant,
+                                                    cycles, wave, impedance):
+        _dec, system, trace, _imp, _X, dual = dual_stack(
+            nx, nx, p, p, facet_variant=facet_variant, wave=wave, impedance=impedance)
+        Z = redundancy_basis(system, trace).vectors
+        assert Z.shape[1] == cycles
+        assert estimate_gamma(dual, redundancy=Z) == dense_gamma(dual, Z)
+
+    @pytest.mark.parametrize("nx,p,facet_variant,cycles", CYCLES[::2],
+                             ids=[f"{c}_cycles" for *_, c in CYCLES[::2]])
+    def test_glob_block_matches_the_dense_formula(self, nx, p, facet_variant, cycles):
+        _dec, system, trace, _imp, _X, dual = dual_stack(
+            nx, nx, p, p, facet_variant=facet_variant, wave=True,
+            impedance="glob_block")
+        Z = redundancy_basis(system, trace).vectors
+        assert dual.M.nnz > dual.dim and Z.shape[1] == cycles
+        expected = dense_gamma(dual, Z)
+        assert estimate_gamma(dual, redundancy=Z) == pytest.approx(expected, rel=1e-12)
+
+    def test_one_step_matches_the_dense_formula(self, coercive_2x2):
+        # M = A: one diagonal block per subdomain
+        _, _, dec = coercive_2x2
+        dual = exceptional_system(dec)
+        assert estimate_gamma(dual) == pytest.approx(dense_gamma(dual), rel=1e-12)
+
     def test_exceptional_gamma_one(self, coercive_2x2):
         _, _, dec = coercive_2x2
         dual = exceptional_system(dec)
