@@ -25,9 +25,9 @@ from .decomp import (ASSEMBLY_TOL, Decomposition, build_restrictions, check_asse
                      partition_grid)
 from .facets import VARIANTS as FACET_VARIANTS
 from .facets import build_facets, check_admissibility, redundancy_basis
-from .formulations import (DualSystem, build_dual_system, exceptional_exchange,
-                           exceptional_system, fetih_assembling_deviation, fetih_build,
-                           fetih_solve)
+from .formulations import (K_COLUMNS, DualSystem, build_dual_system,
+                           exceptional_exchange, exceptional_system,
+                           fetih_assembling_deviation, fetih_build, fetih_solve)
 from .linalg import SingularMatrixError, factorize, save_matrix_market
 from .meshfem import assemble, build_mesh
 from .solvers import (IterationConfig, estimate_gamma, gmres_dual, primal_iterate,
@@ -311,18 +311,31 @@ def interface_checks(inst: Instance, n_random: int = 20,
     the mesh-order assembly), facet admissibility, the involution and
     conformity-fixing properties of the exchange, isometry of the exchange in
     the impedance metric, the redundancy dimension against its cycle count,
-    and the pseudo-energy balance on random multipliers. The exchange checks
-    read X, T and M from the dual system, so every dual instance takes one
-    path. A sparse X is checked entrywise; an X that is only applied (the
-    one-step reflection) is checked on a random probe block P, through
-    |X X P - P| / |P| and |X^T M X P - M P| / (max|M| |P|).
+    the pseudo-energy balance on random multipliers, and the sign of their
+    subdomain loss. The exchange checks read X, T and M from the dual
+    system, so every dual instance takes one path. A sparse X is checked
+    entrywise; an X that is only applied (the one-step reflection) is
+    checked on a random probe block P, through |X X P - P| / |P| and
+    |X^T M X P - M P| / (max|M| |P|). Every random probe set is applied
+    K_COLUMNS probes at a time, one solve per block; the values equal those
+    of one probe at a time, bit for bit.
     """
     checks: dict[str, dict] = {}
     rng = np.random.default_rng(seed)
+    blocks = [slice(a, min(a + K_COLUMNS, n_random))
+              for a in range(0, n_random, K_COLUMNS)]
 
     def record(name, value, tol):
         checks[name] = {"value": float(value), "tolerance": float(tol),
                         "passed": bool(value <= tol)}
+
+    def probes(length, cols):
+        # one probe per column of the slice, each drawn real part first
+        block = np.empty((cols.stop - cols.start, length), dtype=np.complex128)
+        for row in block:
+            row.real = rng.standard_normal(length)
+            row.imag = rng.standard_normal(length)
+        return block.T
 
     asm = check_assembling(inst.decomp)
     deviation = max(asm.max_dev_matrix, asm.max_dev_load)
@@ -349,21 +362,27 @@ def interface_checks(inst: Instance, n_random: int = 20,
             involution = float(abs(X @ X - identity).max())
             isometry = float(abs(X.T @ M @ X - M).max()) / scale
         else:   # an applied X: probe both identities with a random block
-            P = (rng.standard_normal((dual.dim, n_random))
-                 + 1j * rng.standard_normal((dual.dim, n_random)))
-            p_scale = float(np.abs(P).max())
-            XP = X @ P
-            involution = float(np.abs(X @ XP - P).max()) / p_scale
-            isometry = (float(np.abs(X.T @ (M @ XP) - M @ P).max())
-                        / (scale * p_scale))
+            P = np.empty((dual.dim, n_random), dtype=np.complex128)
+            P.real = rng.standard_normal(P.shape)
+            P.imag = rng.standard_normal(P.shape)
+            sizes, involutions, isometries = [], [], []
+            for cols in blocks:
+                XP = X @ P[:, cols]
+                sizes.append(np.abs(P[:, cols]).max())
+                involutions.append(np.abs(X @ XP - P[:, cols]).max())
+                XP = X.T @ (M @ XP)
+                XP -= M @ P[:, cols]
+                isometries.append(np.abs(XP).max())
+            del P, XP       # the later probe sets need no room for them
+            p_scale = float(np.max(sizes))
+            involution = float(np.max(involutions)) / p_scale
+            isometry = float(np.max(isometries)) / (scale * p_scale)
         record("involution_defect", involution, 1e-12)
-        worst = 0.0
-        for _ in range(n_random):
-            vhat = (rng.standard_normal(inst.problem.n)
-                    + 1j * rng.standard_normal(inst.problem.n))
-            t = dual.T @ inst.decomp.apply_R(vhat)
-            worst = max(worst, float(np.max(np.abs(t - X @ t))))
-        record("conformity_fixed_defect", worst, 1e-12)
+        conformity = []
+        for cols in blocks:
+            t = dual.T @ inst.decomp.apply_R(probes(inst.problem.n, cols))
+            conformity.append(np.abs(t - X @ t).max())
+        record("conformity_fixed_defect", np.max(conformity), 1e-12)
         record("impedance_isometry_defect", isometry, 1e-12)
 
     if dual is not None and inst.redundancy is not None:
@@ -374,13 +393,13 @@ def interface_checks(inst: Instance, n_random: int = 20,
         }
 
     if dual is not None:
-        worst = 0.0
-        for _ in range(n_random):
-            lam = (rng.standard_normal(dual.dim)
-                   + 1j * rng.standard_normal(dual.dim))
-            lhs, rhs, _p = dual.pseudo_energy(lam)
-            worst = max(worst, abs(lhs - rhs) / max(rhs, 1e-300))
-        record("pseudo_energy_defect", worst, 1e-10)
+        balance, sign = [], []
+        for cols in blocks:
+            lhs, rhs, p = dual.pseudo_energy(probes(dual.dim, cols))
+            balance.append((np.abs(lhs - rhs) / np.maximum(rhs, 1e-300)).max())
+            sign.append((np.maximum(-p, 0.0) / np.maximum(rhs, 1e-300)).max())
+        record("pseudo_energy_defect", np.max(balance), 1e-10)
+        record("loss_sign_defect", np.max(sign), 1e-10)
 
     return checks
 

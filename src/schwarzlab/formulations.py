@@ -21,7 +21,8 @@ import scipy.sparse.linalg
 
 from .decomp import Decomposition
 from .facets import Facet, FacetSystem, spanning_forest
-from .linalg import SingularMatrixError, WeightedInnerProduct, accumulate, factorize, gmres
+from .linalg import (SingularMatrixError, WeightedInnerProduct, accumulate,
+                     block_diagonal_solver, column_vdots, factorize, gmres)
 from .traces import (ExchangeOperator, ImpedanceOperator, TraceOperator,
                      build_exchange, build_impedance, build_trace)
 
@@ -89,8 +90,8 @@ class DualSystem:
 
     @cached_property
     def ip(self) -> WeightedInnerProduct:
-        """The M^-1 inner product, through one LU of M made at first use."""
-        return WeightedInnerProduct(factorize(self.M).solve)
+        """The M^-1 inner product, through M's diagonal blocks."""
+        return WeightedInnerProduct(block_diagonal_solver(self.M))
 
     # -- norms -------------------------------------------------------------
 
@@ -107,9 +108,10 @@ class DualSystem:
         """K lam = lam - X^T (-lam + 2 alpha M T v) from T v, v = Atilde^{-1} T^T lam."""
         return lam - self.X.T @ (-lam + 2.0 * self.alpha * (self.M @ Tv))
 
-    def _loss(self, v) -> float:
-        """Subdomain loss Re or Im of <A v, conj(v)> (alpha = 1 or alpha = i)."""
-        quad = complex(np.vdot(v, self._A_csr @ v))
+    def _loss(self, V) -> np.ndarray:
+        """Subdomain loss Re or Im of <A v, conj(v)> (alpha = 1 or alpha = i)
+        for each column v of an n_u x k block V."""
+        quad = column_vdots(V, self._A_csr @ V)
         return quad.imag if self.alpha == 1j else quad.real
 
     def apply_S(self, lam) -> np.ndarray:
@@ -129,7 +131,7 @@ class DualSystem:
         """
         lam = np.asarray(lam, np.complex128)
         v = self.aug.apply_inv(self._Tt @ lam)
-        return self._K_from_trace(lam, self.T @ v), self._loss(v), v
+        return self._K_from_trace(lam, self.T @ v), float(self._loss(v[:, None])[0]), v
 
     def rhs_d_and_u_f(self) -> tuple[np.ndarray, np.ndarray]:
         """d = X^T 2 alpha M T u_f and u_f = Atilde^{-1} f, from one solve."""
@@ -145,19 +147,28 @@ class DualSystem:
 
     # -- diagnostics -------------------------------------------------------
 
-    def pseudo_energy(self, lam) -> tuple[float, float, float]:
+    def pseudo_energy(self, lam):
         """Return (|S lam|^2_{M^-1} + 4p, |lam|^2_{M^-1}, p).
 
         p is the subdomain loss Re<A v, conj(v)> (coercive, alpha = 1) or
         Im<A v, conj(v)> (wave, alpha = i) with v the augmented solve of
         T^T lam; the two sides agree identically, which is what makes the
         scattering operator non-expansive. S lam is formed from the same v.
+        A dim x k block lam gives three length-k arrays, one entry per
+        column, from one augmented solve and one M^-1 application; each
+        entry equals the call on that column alone, bit for bit.
         """
         lam = np.asarray(lam, dtype=np.complex128)
-        v = self.aug.apply_inv(self._Tt @ lam)
-        p = self._loss(v)
-        lhs = self.norm_Minv(-lam + self._outgoing(v)) ** 2 + 4.0 * p
-        rhs = self.norm_Minv(lam) ** 2
+        Lam = lam.reshape(self.dim, -1)
+        k = Lam.shape[1]
+        V = self.aug.apply_inv(self._Tt @ Lam)
+        p = self._loss(V)
+        norms = self.ip.norm(np.hstack([-Lam + self._outgoing(V), Lam])).tolist()
+        # Python's float power, as for one column
+        lhs = np.array([s ** 2 for s in norms[:k]]) + 4.0 * p
+        rhs = np.array([s ** 2 for s in norms[k:]])
+        if lam.ndim == 1:
+            return float(lhs[0]), float(rhs[0]), float(p[0])
         return lhs, rhs, p
 
     def materialize_K(self) -> np.ndarray:
@@ -244,21 +255,27 @@ def exceptional_exchange(decomp: Decomposition) -> ExchangeOperator:
     factor per column, for 1-D and 2-D v alike; X is never formed. X is
     real, so the transpose callable also serves as the adjoint. The
     operator keeps the Ahat factor as `factor`, for the run's reference
-    solve.
+    solve. A and R stay complex, so no product casts them, and the last
+    two steps update the product in place.
     """
     problem = decomp.problem
     if problem.wave:
         raise ValueError("the one-step reflection needs the coercive regime "
                          "(real symmetric positive definite operators)")
     A = decomp.A_blockdiag()        # imaginary part zero in the coercive regime
-    R = decomp.R_stacked().real
+    R = decomp.R_stacked()
     Ahat_fac = factorize(problem.A_hat())
 
+    def reflect(y, v):
+        y *= 2.0
+        y -= v
+        return y
+
     def apply(v):
-        return 2.0 * (R @ Ahat_fac.solve(R.T @ (A @ v))) - v
+        return reflect(R @ Ahat_fac.solve(R.T @ (A @ v)), v)
 
     def apply_transpose(v):
-        return 2.0 * (A @ (R @ Ahat_fac.solve(R.T @ v, trans="T"))) - v
+        return reflect(A @ (R @ Ahat_fac.solve(R.T @ v, trans="T")), v)
 
     X = scipy.sparse.linalg.LinearOperator(
         A.shape, matvec=apply, matmat=apply, rmatvec=apply_transpose,
@@ -275,11 +292,12 @@ def exceptional_system(decomp: Decomposition,
     the restricted global solution exactly. `exchange` is the reflection
     from exceptional_exchange, built here when not given. The augmented
     factor of 2 A also serves the M^-1 inner product as M^-1 = 2 Atilde^-1
-    (scaling by 2 is exact), so A is factorized once.
+    (scaling by 2 is exact), so A is factorized once. M is A itself and T
+    is complex, so no product with a complex block casts them.
     """
     X = exceptional_exchange(decomp) if exchange is None else exchange
-    A = decomp.A_blockdiag().real
-    identity = scipy.sparse.identity(A.shape[0], format="csr")
+    A = decomp.A_blockdiag()        # imaginary part zero in the coercive regime
+    identity = scipy.sparse.identity(A.shape[0], dtype=np.complex128, format="csr")
     dual = DualSystem(decomp, identity, A, X.matrix, 1.0)
     aug = dual.aug
     dual.ip = WeightedInnerProduct(lambda x: 2.0 * aug.apply_inv(x))

@@ -22,6 +22,9 @@ __all__ = [
     "SingularMatrixError",
     "GmresBreakdownError",
     "accumulate",
+    "block_diagonal_solver",
+    "column_vdots",
+    "diagonal_blocks",
     "factorize",
     "gmres",
     "save_matrix_market",
@@ -132,23 +135,94 @@ def factorize(A) -> SparseFactorization:
     return SparseFactorization(size=A.shape[0], lu=lu)
 
 
+def diagonal_blocks(M):
+    """The smallest contiguous diagonal blocks of a block-diagonal M.
+
+    M is square with a symmetric pattern. Its blocks are 1 x 1 for the
+    lumped_mass and scalar impedances, one per facet for glob_block, and one
+    per subdomain for the one-step M = A. Returns one (starts, stack) pair
+    per block size, in increasing size: the first row of every block of
+    that size, and the blocks as a (count, size, size) array.
+    """
+    coo = M.tocoo()
+    rows = np.arange(M.shape[0])
+    reach = rows.copy()
+    np.maximum.at(reach, coo.row, coo.col)
+    stops = np.flatnonzero(np.maximum.accumulate(reach) == rows) + 1
+    starts = np.concatenate(([0], stops[:-1]))
+    sizes = stops - starts
+    block = np.repeat(np.arange(len(sizes)), sizes)     # block of each row
+    out = []
+    for size in np.unique(sizes):
+        members = sizes == size
+        keep = members[block[coo.row]]
+        b = block[coo.row[keep]]
+        stack = np.zeros((members.sum(), size, size), dtype=M.dtype)
+        np.add.at(stack, ((np.cumsum(members) - 1)[b], coo.row[keep] - starts[b],
+                          coo.col[keep] - starts[b]), coo.data[keep])
+        out.append((starts[members], stack))
+    return out
+
+
+def block_diagonal_solver(M) -> Callable[[np.ndarray], np.ndarray]:
+    """M^{-1} for a Hermitian positive definite, block-diagonal M, by blocks.
+
+    Rows of 1 x 1 blocks are divided by M's (real) diagonal, bitwise what a
+    sparse LU solve of a diagonal M returns. Each wider block size takes one
+    stacked dense solve. The returned solve takes a 1-D or 2-D array.
+    """
+    diagonal = np.ones(M.shape[0])
+    wide = []
+    for starts, stack in diagonal_blocks(M):
+        if stack.shape[1] == 1:
+            diagonal[starts] = stack[:, 0, 0].real
+        else:
+            wide.append((starts[:, None] + np.arange(stack.shape[1]), stack))
+
+    def solve(x) -> np.ndarray:
+        x = np.asarray(x, dtype=np.complex128)
+        y = x / diagonal.reshape((-1,) + (1,) * (x.ndim - 1))
+        for rows, stack in wide:
+            b = x[rows]         # (count, size) or (count, size, k)
+            y[rows] = np.linalg.solve(stack, b.reshape(rows.shape + (-1,))).reshape(b.shape)
+        return y
+    return solve
+
+
+def column_vdots(X, Y) -> np.ndarray:
+    """vdot(X[:, k], Y[:, k]) for each column k of two n x k blocks.
+
+    Each column is reduced as one contiguous vector, so every entry equals
+    the vdot of that column alone bit for bit; a strided column would not.
+    """
+    return np.array([np.vdot(x, y) for x, y in
+                     zip(np.ascontiguousarray(X.T), np.ascontiguousarray(Y.T))],
+                    dtype=np.complex128)
+
+
 class WeightedInnerProduct:
     """Inner product <x, y> = y^H M^{-1} x with M Hermitian positive definite.
 
-    `solve` applies M^{-1} to a 1-D or 2-D complex array, for example the
-    `solve` of a factorization of M; M is never inverted explicitly.
+    `solve` applies M^{-1} to a 1-D or 2-D complex array, for example
+    `block_diagonal_solver(M)`; M is never inverted explicitly.
     """
 
     def __init__(self, solve: Callable[[np.ndarray], np.ndarray]):
         self.apply_weight = solve
 
-    def dot(self, x, y) -> complex:
+    def dot(self, x, y):
+        """y^H M^{-1} x; for n x k blocks, the k values y_j^H M^{-1} x_j from
+        one application of M^{-1}, each equal to the call on the columns
+        alone, bit for bit."""
+        if np.ndim(x) == 2:
+            return column_vdots(y, self.apply_weight(x))
         return complex(np.vdot(np.asarray(y), self.apply_weight(x)))
 
-    def norm(self, x) -> float:
-        value = self.dot(x, x).real
+    def norm(self, x):
+        """|x|_{M^-1}, or the k column norms of an n x k block."""
         # clip tiny negative round-off before the square root
-        return float(np.sqrt(max(value, 0.0)))
+        value = np.sqrt(np.maximum(self.dot(x, x).real, 0.0))
+        return float(value) if np.ndim(value) == 0 else value
 
 
 def _weighted_norm(x: np.ndarray, Wx: np.ndarray) -> float:
@@ -165,17 +239,17 @@ def gmres(
 ) -> tuple[np.ndarray, list[float]]:
     """Full (restart-free) GMRES in a weighted inner product.
 
-    W must be Hermitian positive definite (None means W = I). The basis V
-    is stored together with Z = W V, so the weight is applied once per
-    Krylov vector, plus once for the initial residual b, which also gives
-    |b|_W. Arnoldi orthogonalizes by two passes of block classical
-    Gram-Schmidt: h = V^H W w, then w -= V h and W w -= Z h. The rotated
-    Hessenberg columns grow with the iterations run, and the Givens
-    rotations are applied on Python complex scalars. Returns the
-    iterate and the history of relative weighted residual norms (history[0]
-    is 1.0 for a nonzero right-hand side). A non-finite initial residual or
-    Arnoldi vector ends the run at once, with a non-finite last history
-    entry.
+    W must be Hermitian positive definite (None means W = I). Arnoldi
+    orthogonalizes by two passes of block classical Gram-Schmidt,
+    h = V^H W w and w -= V h, with W w applied afresh before each pass and
+    once more for the norm of the new vector; the weight of the initial
+    residual b also gives |b|_W. The basis V doubles its capacity as the
+    iterations run, and the rotated Hessenberg columns grow one per
+    iteration, with the Givens rotations applied on Python complex scalars.
+    Returns the iterate and the history of relative weighted residual norms
+    (history[0] is 1.0 for a nonzero right-hand side). A non-finite initial
+    residual or Arnoldi vector ends the run at once, with a non-finite last
+    history entry.
     """
     b = np.asarray(b, dtype=np.complex128)
     n = b.shape[0]
@@ -185,33 +259,28 @@ def gmres(
     maxit = min(maxit, n)
 
     x = np.zeros(n, dtype=np.complex128)
-    Wb = weigh(b)                   # the initial residual is b
-    beta = _weighted_norm(b, Wb)
+    beta = _weighted_norm(b, weigh(b))      # the initial residual is b
     ref = beta if beta > 0.0 else 1.0
     history = [beta / ref]
     if beta / ref <= tol or n == 0 or not np.isfinite(beta):
         return x, history
 
-    V = np.zeros((maxit + 1, n), dtype=np.complex128)
-    Z = np.zeros((maxit + 1, n), dtype=np.complex128)
+    V = np.empty((1, n), dtype=np.complex128)
     V[0] = b / beta
-    Z[0] = Wb / beta
     # rotated Hessenberg columns, Givens rotations (c, s) and the rotated
     # rhs, grown per iteration and held as Python complex scalars
     columns, rotations, g = [], [], [complex(beta)]
 
     for k in range(maxit):
-        # copies: both are updated in place below
+        # a copy: w is updated in place below
         w = np.array(apply(V[k]), dtype=np.complex128)
-        Ww = np.array(weigh(w), dtype=np.complex128)
         # classical Gram-Schmidt, two passes; V^H W w = conj(V conj(W w))
         h_col = np.zeros(k + 1, dtype=np.complex128)
         for _pass in range(2):
-            h = np.conj(V[:k + 1] @ np.conj(Ww))
+            h = np.conj(V[:k + 1] @ np.conj(weigh(w)))
             h_col += h
             w -= h @ V[:k + 1]
-            Ww -= h @ Z[:k + 1]
-        hk1 = _weighted_norm(w, Ww)
+        hk1 = _weighted_norm(w, weigh(w))
         if not np.isfinite(hk1):
             history.append(float("nan"))
             break
@@ -238,8 +307,11 @@ def gmres(
         history.append(res)
         if res <= tol or hk1 <= 1e-14 * beta:
             break
+        if k + 1 == len(V):     # double the capacity, up to maxit + 1 rows
+            grown = np.empty((min(2 * len(V), maxit + 1), n), dtype=np.complex128)
+            grown[:len(V)] = V
+            V = grown
         V[k + 1] = w / hk1
-        Z[k + 1] = Ww / hk1
 
     k_used = len(columns)
     H = np.zeros((k_used, k_used), dtype=np.complex128)

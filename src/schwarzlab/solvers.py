@@ -14,7 +14,7 @@ import scipy.linalg
 
 from .decomp import Decomposition
 from .formulations import DualSystem
-from .linalg import gmres
+from .linalg import diagonal_blocks, gmres
 
 __all__ = [
     "IterationConfig",
@@ -263,42 +263,26 @@ def gmres_dual(dual: DualSystem, tol: float = 1e-10,
 
 
 def _block_roots(M):
-    """M^{1/2} and M^{-1/2} of a block-diagonal symmetric positive definite M.
+    """M^{1/2} and M^{-1/2} of a block-diagonal Hermitian positive definite M.
 
-    The blocks are the smallest contiguous diagonal blocks of M's pattern:
-    1 x 1 for the lumped_mass and scalar impedances, one per facet for
-    glob_block, one per subdomain for the one-step M = A. One stacked eigh
-    per block size gives each block's roots V w^{1/2} V^T and V w^{-1/2} V^T,
-    so no eigh is wider than M's widest block. Each root is returned as a
-    pair: a vector with the 1 x 1 roots (1.0 on the rows of wider blocks),
-    and a list of (start, root block) for the wider blocks.
+    The blocks are linalg.diagonal_blocks(M). One stacked eigh per block
+    size gives each block's roots V w^{1/2} V^H and V w^{-1/2} V^H, so no
+    eigh is wider than M's widest block. Each root is returned as a pair: a
+    vector with the 1 x 1 roots (1.0 on the rows of wider blocks), and a
+    list of (start, root block) for the wider blocks.
     """
-    coo = M.tocoo()
-    rows = np.arange(M.shape[0])
-    reach = rows.copy()
-    np.maximum.at(reach, coo.row, coo.col)
-    stops = np.flatnonzero(np.maximum.accumulate(reach) == rows) + 1
-    starts = np.concatenate(([0], stops[:-1]))
-    sizes = stops - starts
-    block = np.repeat(np.arange(len(sizes)), sizes)     # block of each row
     root, inv_root = (np.ones(M.shape[0]), []), (np.ones(M.shape[0]), [])
-    for size in np.unique(sizes):
-        members = sizes == size
-        keep = members[block[coo.row]]
-        b = block[coo.row[keep]]
-        stack = np.zeros((members.sum(), size, size), dtype=M.dtype)
-        np.add.at(stack, ((np.cumsum(members) - 1)[b], coo.row[keep] - starts[b],
-                          coo.col[keep] - starts[b]), coo.data[keep])
+    for starts, stack in diagonal_blocks(M):
         w, V = np.linalg.eigh(stack)
         if w.min() <= 0.0:
             raise ValueError("impedance weight must be positive definite")
-        sqrt_w, Vt = np.sqrt(w)[:, None, :], V.transpose(0, 2, 1)
+        sqrt_w, Vt = np.sqrt(w)[:, None, :], V.conj().transpose(0, 2, 1)
         for (diagonal, wide), R in ((root, (V * sqrt_w) @ Vt),
                                     (inv_root, (V / sqrt_w) @ Vt)):
-            if size == 1:
-                diagonal[starts[members]] = R[:, 0, 0]
+            if stack.shape[1] == 1:
+                diagonal[starts] = R[:, 0, 0]
             else:
-                wide.extend(zip(starts[members], R))
+                wide.extend(zip(starts, R))
     return root, inv_root
 
 

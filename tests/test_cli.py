@@ -12,6 +12,7 @@ from schwarzlab import cli, decomp, formulations
 from schwarzlab.cli import (build_instance, execute, interface_checks,
                             load_config, main, validate)
 from schwarzlab.formulations import DualSystem
+from schwarzlab.linalg import factorize
 from schwarzlab.solvers import estimate_gamma
 
 
@@ -298,6 +299,120 @@ def test_gamma_allocates_within_the_trace_space(impedance, monkeypatch):
     assert widths and max(widths) <= widest
 
 
+def _per_probe_battery(inst, n_random, seed):
+    """The battery's probe checks, one probe and one solve at a time."""
+    rng = np.random.default_rng(seed)
+    dual = inst.dual
+    X, M, Tt = dual.X, dual.M, dual.T.T
+    out = {}
+    if not scipy.sparse.issparse(X):
+        P = (rng.standard_normal((dual.dim, n_random))
+             + 1j * rng.standard_normal((dual.dim, n_random)))
+        XP = [X @ P[:, k] for k in range(n_random)]
+        out["involution_defect"] = max(
+            float(np.abs(X @ XP[k] - P[:, k]).max()) for k in range(n_random))
+        out["impedance_isometry_defect"] = max(
+            float(np.abs(X.T @ (M @ XP[k]) - M @ P[:, k]).max())
+            for k in range(n_random))
+        p_scale = float(np.abs(P).max())
+        out["involution_defect"] /= p_scale
+        out["impedance_isometry_defect"] /= (float(abs(M).max()) or 1.0) * p_scale
+    conformity = []
+    for _ in range(n_random):
+        vhat = (rng.standard_normal(inst.problem.n)
+                + 1j * rng.standard_normal(inst.problem.n))
+        t = dual.T @ inst.decomp.apply_R(vhat)
+        conformity.append(float(np.max(np.abs(t - X @ t))))
+    out["conformity_fixed_defect"] = max(conformity)
+    balance, sign = [], []
+    for _ in range(n_random):
+        lam = rng.standard_normal(dual.dim) + 1j * rng.standard_normal(dual.dim)
+        v = dual.aug.apply_inv(Tt @ lam)
+        quad = complex(np.vdot(v, dual._A_csr @ v))
+        p = quad.imag if dual.alpha == 1j else quad.real
+        S_lam = -lam + 2.0 * dual.alpha * (M @ (dual.T @ v))
+        lhs = dual.ip.norm(S_lam) ** 2 + 4.0 * p
+        rhs = dual.ip.norm(lam) ** 2
+        balance.append(abs(lhs - rhs) / max(rhs, 1e-300))
+        sign.append(max(-p, 0.0) / max(rhs, 1e-300))
+    out["pseudo_energy_defect"] = max(balance)
+    out["loss_sign_defect"] = max(sign)
+    return out
+
+
+@pytest.mark.parametrize("preset,overrides", [
+    ("loisel", {}),
+    ("feti2lm", {"problem.type": "helmholtz", "problem.kappa": "8"}),
+    ("complete_comm", {"problem.boundary": "dirichlet"}),
+    ("loisel", {"interface.impedance": "scalar"}),
+    ("exceptional", {}),
+    ("exceptional", {"problem.type": "reaction_diffusion", "problem.kappa": "1",
+                     "decomposition.px": "3", "decomposition.py": "3",
+                     "problem.nx": "12", "problem.ny": "12"}),
+], ids=["loisel", "feti2lm-helmholtz", "complete_comm-dirichlet", "loisel-scalar",
+        "exceptional", "exceptional-3x3"])
+@pytest.mark.parametrize("n_random,seed", [(20, 0), (11, 3)])
+def test_block_battery_matches_the_per_probe_values(preset, overrides, n_random, seed):
+    inst = build_instance(load_config(preset=preset, overrides={
+        "problem.nx": "16", "problem.ny": "16", **overrides}))
+    checks = interface_checks(inst, n_random=n_random, seed=seed)
+    reference = _per_probe_battery(inst, n_random, seed)
+    assert {name: checks[name]["value"] for name in reference} == reference
+    assert all(checks[name]["passed"] for name in reference)
+
+
+def test_one_step_battery_allocates_within_its_probe_blocks(monkeypatch):
+    # the probe block P plus transients of at most C column blocks of
+    # K_COLUMNS probes; 20-wide solves measured C = 15, K_COLUMNS-wide ones 6
+    C = 8
+    inst = sized_instance("exceptional", 32, 2)
+    execute(inst)
+    n_u, n_random = inst.decomp.offsets[-1], 20
+    check = cli.check_assembling
+
+    def probe_peak_only(decomposition):
+        # the assembling check's own arrays are its global matrices, not probes
+        report = check(decomposition)
+        tracemalloc.reset_peak()
+        return report
+
+    monkeypatch.setattr(cli, "check_assembling", probe_peak_only)
+    tracemalloc.start()
+    try:
+        checks = interface_checks(inst, n_random=n_random)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(c["passed"] for c in checks.values())
+    assert peak < (n_random + C * formulations.K_COLUMNS) * n_u * 16
+
+
+def _conjugate_loss(inst):
+    # Im A -> -Im A in A and in Atilde alike: the balance still holds, p < 0
+    dual = inst.dual
+    dual._A_csr = dual._A_csr.conj()
+    dual.aug.matrix = dual._A_csr + dual.alpha * (dual._Tt @ dual.M @ dual.T)
+    dual.aug.factor = factorize(dual.aug.matrix)
+
+
+def test_negative_loss_exits_four(tmp_path, monkeypatch):
+    build = cli.build_instance
+
+    def faulty(cfg):
+        inst = build(cfg)
+        _conjugate_loss(inst)
+        return inst
+
+    monkeypatch.setattr(cli, "build_instance", faulty)
+    result = run_cli(["verify", "--preset", "feti2lm", "--set=problem.type=helmholtz",
+                      "--set=problem.kappa=8"]
+                     + [f"--set={s}" for s in sized(16, 2)], tmp_path, monkeypatch)
+    assert result.exit_code == 4, result.output
+    assert "FAIL loss_sign_defect" in result.output
+    assert "PASS pseudo_energy_defect" in result.output
+    assert result.output.count("FAIL") == 1
+
+
 def _dense_2d_arrays(root):
     """Every 2-D ndarray reachable through containers, schwarzlab objects,
     LinearOperators and the closures of the functions they hold."""
@@ -370,11 +485,11 @@ def test_each_operator_is_built_once(preset, monkeypatch):
         return sum(A.shape == B.shape and not (A != B).nnz for A in factorized)
 
     interface_checks(inst, n_random=1)
-    # M is factorized by the dual system alone, once; the one-step system
-    # takes M^-1 = 2 Atilde^-1 from the augmented factor, and FETI-H never
-    # solves with M
+    # M is never factorized: the dual system applies M^-1 through M's
+    # diagonal blocks, the one-step system takes M^-1 = 2 Atilde^-1 from the
+    # augmented factor, and FETI-H never solves with M
     M = inst.impedance.matrix if preset == "fetih" else inst.dual.M
-    assert times_factorized(M) == (1 if preset in ("loisel", "complete_comm") else 0)
+    assert times_factorized(M) == 0
     # the augmented operator is factorized whole, once
     aug = (inst.fetih if preset == "fetih" else inst.dual).aug
     assert times_factorized(aug.matrix) == 1

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from schwarzlab import formulations
+from schwarzlab.cli import build_instance, load_config
 from schwarzlab.decomp import check_assembling
 from schwarzlab.facets import build_facets, redundancy_basis
 from schwarzlab.formulations import (K_COLUMNS, AugmentedLocal, build_dual_system,
@@ -282,6 +283,30 @@ class TestPseudoEnergy:
             lam = rng.standard_normal(dual.dim) + 1j * rng.standard_normal(dual.dim)
             lhs, rhs, _p = dual.pseudo_energy(lam)
             assert abs(lhs - rhs) <= 1e-10 * rhs
+
+
+@pytest.mark.parametrize("preset,overrides", [
+    ("loisel", {"decomposition.px": "4", "decomposition.py": "4"}),
+    ("feti2lm", {"problem.type": "helmholtz", "problem.kappa": "8"}),
+    ("exceptional", {}),
+], ids=["loisel", "feti2lm-helmholtz", "exceptional"])
+def test_block_pseudo_energy_is_bitwise_per_column(preset, overrides):
+    inst = build_instance(load_config(preset=preset, overrides={
+        "problem.nx": "16", "problem.ny": "16", **overrides}))
+    dual = inst.dual
+    rng = np.random.default_rng(6)
+    k = K_COLUMNS - 1
+    lam = rng.standard_normal((dual.dim, k)) + 1j * rng.standard_normal((dual.dim, k))
+    solves = []
+    apply_inv = dual.aug.apply_inv
+    dual.aug.apply_inv = lambda g: solves.append(g.shape) or apply_inv(g)
+    block = dual.pseudo_energy(lam)
+    # one augmented solve; the one-step M^-1 = 2 Atilde^-1 takes the second
+    assert len(solves) == (2 if preset == "exceptional" else 1)
+    assert all(len(part) == k for part in block)
+    for j in range(k):
+        single = dual.pseudo_energy(lam[:, j].copy())
+        assert single == tuple(float(part[j]) for part in block)
 
 
 class TestRobinEquivalence:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse
@@ -270,7 +272,7 @@ class TestGmres:
             assert np.linalg.norm(x - x_ls) <= 1e-9 * np.linalg.norm(x_ls)
             assert hist[-1] == pytest.approx(res_ls, rel=1e-6, abs=1e-12)
 
-    def test_one_weight_application_per_krylov_vector(self):
+    def test_three_weight_applications_per_krylov_vector(self):
         rng = np.random.default_rng(9)
         n = 40
         A = np.eye(n) + 0.3 * rng.standard_normal((n, n)) / np.sqrt(n)
@@ -282,9 +284,28 @@ class TestGmres:
         x, hist = gmres(lambda v: A @ v, b, ip=ip, tol=1e-12)
         iterations = len(hist) - 1
         assert hist[-1] <= 1e-12 and iterations > 5
-        # one for the initial residual b, which also gives |b|, one per step
-        assert len(calls) <= iterations + 1
+        # one for the initial residual b, which also gives |b|; per step one
+        # before each Gram-Schmidt pass and one for the new vector's norm
+        assert len(calls) == 3 * iterations + 1
         assert np.linalg.norm(A @ x - b) <= 1e-9 * np.linalg.norm(b)
+
+    def test_basis_grows_with_the_iterations_run(self):
+        # maxit defaults to n; a basis sized by maxit would take n^2 * 16 bytes
+        rng = np.random.default_rng(10)
+        n = 3000
+        diagonal = 1.0 + 0.1 * rng.random(n)
+        b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        tracemalloc.start()
+        try:
+            x, hist = gmres(lambda v: diagonal * v, b, tol=1e-12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        iterations = len(hist) - 1
+        assert hist[-1] <= 1e-12 and 5 < iterations < 30
+        # a basis of capacity at most 2 * (iterations + 1) rows, plus vectors
+        assert peak < (2 * (iterations + 1) + 8) * n * 16
+        assert np.linalg.norm(diagonal * x - b) <= 1e-9 * np.linalg.norm(b)
 
 
 class TestMatrixMarket:
