@@ -290,7 +290,7 @@ def build_instance(cfg: RunConfig) -> Instance:
     inst.trace = build_trace(inst.system, decomp)
     inst.impedance = build_impedance(inst.trace, g("interface", "impedance"),
                                      g("interface", "sigma"))
-    inst.redundancy = redundancy_basis(inst.system, inst.trace).vectors
+    inst.redundancy = redundancy_basis(inst.system, inst.trace)
     if g("solver", "method") == "fetih":
         inst.fetih = fetih_build(decomp, inst.impedance)
     else:
@@ -529,7 +529,7 @@ def write_outputs(report: dict, outdir: Path, inst: Instance | None = None,
         for it, res, err, p in rows:
             handle.write(f"{it},{_fmt(res)},{_fmt(err)},{_fmt(p)}\n")
     with open(outdir / "report.json", "w", encoding="ascii") as handle:
-        json.dump(report, handle, indent=2, default=_json_default)
+        json.dump(report, handle, indent=2)
         handle.write("\n")
     if dump_operators and inst is not None:
         save_matrix_market(outdir / "A_hat.mtx", inst.problem.A_hat())
@@ -537,16 +537,6 @@ def write_outputs(report: dict, outdir: Path, inst: Instance | None = None,
             save_matrix_market(outdir / f"A_{i}.mtx", inst.decomp.local_A(i))
         if inst.trace is not None:
             save_matrix_market(outdir / "T.mtx", inst.trace.matrix)
-
-
-def _json_default(value):
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    raise TypeError(f"not JSON serializable: {type(value)!r}")
 
 
 def resolve_outdir(cfg: RunConfig) -> Path:
@@ -632,7 +622,7 @@ def verify(config, preset, sets):
     outdir = resolve_outdir(cfg)
     outdir.mkdir(parents=True, exist_ok=True)
     with open(outdir / "report.json", "w", encoding="ascii") as handle:
-        json.dump(report, handle, indent=2, default=_json_default)
+        json.dump(report, handle, indent=2)
         handle.write("\n")
     if not all_passed:
         raise SystemExit(4)

@@ -118,9 +118,6 @@ class Decomposition:
         vhat = np.asarray(vhat, dtype=np.complex128)
         return np.concatenate([vhat[g] for g in self.maps])
 
-    def block(self, u, i: int) -> np.ndarray:
-        return np.asarray(u)[self.offsets[i]:self.offsets[i + 1]]
-
     # -- local operators ---------------------------------------------------
 
     def local_A(self, i: int) -> scipy.sparse.csr_array:
@@ -255,7 +252,6 @@ def check_assembling(decomp: Decomposition, local_parts=None, f_locals=None,
             mesh_dev = max(mesh_dev, float(np.max(np.abs(diff.data))))
     mesh_dev = max(mesh_dev, float(np.max(np.abs(f_hat - src.f))) if decomp.n else 0.0)
 
-    passed = (max_dev == 0.0 and dev_f == 0.0) or (max_dev <= tol and dev_f <= tol)
     return AssemblingReport(max_dev_matrix=max_dev, max_dev_load=dev_f,
                             worst_entry=worst, mesh_order_dev=mesh_dev,
-                            passed=passed and mesh_dev <= tol)
+                            passed=max_dev <= tol and dev_f <= tol and mesh_dev <= tol)

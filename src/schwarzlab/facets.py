@@ -9,7 +9,7 @@ the independent cycles that make Lagrange multipliers non-unique.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,13 +20,13 @@ __all__ = [
     "FacetSystem",
     "ConnectivityGraph",
     "AdmissibilityReport",
-    "RedundancyBasis",
     "build_bilateral",
     "build_globs",
     "build_facets",
     "connectivity_graphs",
     "check_admissibility",
     "redundancy_basis",
+    "rooted_forest",
     "spanning_forest",
 ]
 
@@ -40,7 +40,6 @@ class Facet:
 
     subdomains: tuple[int, ...]
     dofs: tuple[int, ...]
-    kind: str  # "bilateral" or "glob"
 
     @property
     def is_bilateral(self) -> bool:
@@ -60,24 +59,31 @@ class FacetSystem:
 
 @dataclass(frozen=True)
 class ConnectivityGraph:
-    """Per-dof graph: sharing subdomains as nodes, facet links as edges."""
+    """Per-dof graph: sharing subdomains as nodes, facet links as edges.
+
+    `tree` is the graph's spanning forest from spanning_forest; every edge
+    outside it closes one independent cycle.
+    """
 
     dof: int
     nodes: tuple[int, ...]
     edges: tuple[tuple[int, int], ...]   # (i, j) with i < j, one per linking facet
-    connected: bool
+    tree: tuple[tuple[int, int], ...]
+
+    @property
+    def connected(self) -> bool:
+        return len(self.tree) == len(self.nodes) - 1
 
     @property
     def n_cycles(self) -> int:
-        _tree, components = spanning_forest(self.nodes, self.edges)
-        return len(self.edges) - len(self.nodes) + components
+        return len(self.edges) - len(self.tree)
 
 
-def spanning_forest(nodes, edges) -> tuple[list[tuple[int, int]], int]:
+def spanning_forest(nodes, edges) -> list[tuple[int, int]]:
     """Kruskal (union-find) over the edges in sorted order.
 
-    Returns the forest's edges, in the order they were taken, and the number
-    of connected components.
+    Returns the forest's edges in the order they were taken; the forest has
+    len(nodes) - len(edges taken) components.
     """
     parent = {v: v for v in nodes}
 
@@ -93,7 +99,33 @@ def spanning_forest(nodes, edges) -> tuple[list[tuple[int, int]], int]:
         if ra != rb:
             parent[ra] = rb
             tree.append((a, b))
-    return tree, len(parent) - len(tree)
+    return tree
+
+
+def rooted_forest(nodes, tree) -> tuple[dict[int, int | None], dict[int, int]]:
+    """Parent and depth of every node of a forest, by one depth-first walk.
+
+    `tree` is the forest's edge list; each of its trees is rooted at its
+    first node in `nodes` order, whose parent is None and depth 0.
+    """
+    adj: dict[int, list[int]] = {v: [] for v in nodes}
+    for a, b in tree:
+        adj[a].append(b)
+        adj[b].append(a)
+    parent: dict[int, int | None] = {}
+    depth: dict[int, int] = {}
+    for root in nodes:
+        if root in parent:
+            continue
+        parent[root], depth[root] = None, 0
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            for w in adj[v]:
+                if w not in parent:
+                    parent[w], depth[w] = v, depth[v] + 1
+                    stack.append(w)
+    return parent, depth
 
 
 def _shared_dof_table(multiplicities: Multiplicities):
@@ -131,15 +163,14 @@ def build_bilateral(multiplicities: Multiplicities, variant: str,
         for k in multiplicities.interface_dofs:
             owners = multiplicities.sharing[int(k)]
             edges = [p for p in pairs if int(k) in table[p]]
-            tree = set(spanning_forest(owners, edges)[0])
+            tree = set(spanning_forest(owners, edges))
             for p in edges:
                 if p in tree:
                     kept[p].append(int(k))
-        facets = tuple(Facet(subdomains=p, dofs=tuple(sorted(kept[p])), kind="bilateral")
+        facets = tuple(Facet(subdomains=p, dofs=tuple(sorted(kept[p])))
                        for p in pairs if kept[p])
     else:
-        facets = tuple(Facet(subdomains=p, dofs=tuple(table[p]), kind="bilateral")
-                       for p in pairs)
+        facets = tuple(Facet(subdomains=p, dofs=tuple(table[p])) for p in pairs)
     return FacetSystem(variant=variant, facets=facets, n_subdomains=n_subdomains)
 
 
@@ -148,7 +179,7 @@ def build_globs(multiplicities: Multiplicities, n_subdomains: int) -> FacetSyste
     classes: dict[tuple[int, ...], list[int]] = {}
     for k in multiplicities.interface_dofs:
         classes.setdefault(multiplicities.sharing[int(k)], []).append(int(k))
-    facets = tuple(Facet(subdomains=owners, dofs=tuple(sorted(dofs)), kind="glob")
+    facets = tuple(Facet(subdomains=owners, dofs=tuple(sorted(dofs)))
                    for owners, dofs in sorted(classes.items()))
     return FacetSystem(variant="globs", facets=facets, n_subdomains=n_subdomains)
 
@@ -185,8 +216,8 @@ def connectivity_graphs(system: FacetSystem,
         k = int(k)
         nodes = multiplicities.sharing[k]
         edges = tuple(edges_of[k])
-        connected = spanning_forest(nodes, edges)[1] == 1
-        out[k] = ConnectivityGraph(dof=k, nodes=nodes, edges=edges, connected=connected)
+        out[k] = ConnectivityGraph(dof=k, nodes=nodes, edges=edges,
+                                   tree=tuple(spanning_forest(nodes, edges)))
     return out
 
 
@@ -215,73 +246,43 @@ def check_admissibility(system: FacetSystem,
         total_cycles=total_cycles)
 
 
-@dataclass(frozen=True)
-class RedundancyBasis:
+def redundancy_basis(system: FacetSystem, trace) -> np.ndarray:
     """Integer +-1 basis of ker(T^T) intersected with ker(I + X^T).
 
-    Each vector corresponds to one independent cycle of one interface dof's
-    connectivity graph; vectors live in the dual trace space and are indexed
-    like the trace dofs of the associated TraceOperator.
-    """
-
-    vectors: np.ndarray = field(repr=False)  # (dim_lambda, n_cycles)
-
-    @property
-    def dimension(self) -> int:
-        return self.vectors.shape[1]
-
-
-def redundancy_basis(system: FacetSystem, trace) -> RedundancyBasis:
-    """Cycle basis of the multiplier redundancy space for bilateral systems.
-
-    For every interface dof: build the spanning tree of its connectivity
-    graph; every remaining facet edge closes one cycle. Walking the cycle,
-    each traversed edge (p -> q) over facet F receives +1 on side p and -1
-    on side q, which is annihilated exactly by T^T (the two signs of each
-    visited vertex cancel) and by I + X^T (the swap flips the facet sign).
+    Returns a (dim_lambda, n_cycles) array indexed like the trace dofs of
+    `trace`: one column per edge outside the spanning forest of an interface
+    dof's connectivity graph, each closing one independent cycle. The cycle
+    runs along the forest's path between the edge's ends, found from the
+    parent pointers of rooted_forest, and back over the edge. Each traversed
+    edge (p -> q) over facet F receives +1 on side p and -1 on side q, which
+    is annihilated exactly by T^T (the two signs of each visited vertex
+    cancel) and by I + X^T (the swap flips the facet sign).
 
     Glob systems are surjective-trace and have a trivial redundancy space:
     an empty basis is returned.
     """
     dim = trace.dim_lambda
     if not system.is_bilateral:
-        return RedundancyBasis(vectors=np.zeros((dim, 0)))
+        return np.zeros((dim, 0))
 
     facet_of_pair = {tuple(sorted(F.subdomains)): idx
                      for idx, F in enumerate(system.facets)}
     columns = []
     for k, graph in sorted(connectivity_graphs(system, trace.multiplicities).items()):
-        edges = graph.edges
-        tree, _components = spanning_forest(graph.nodes, edges)
-        adj: dict[int, list[int]] = {v: [] for v in graph.nodes}
-        for a, b in tree:
-            adj[a].append(b)
-            adj[b].append(a)
-        tree_set = set(tree)
-        for a, b in sorted(set(edges) - tree_set):
-            path = _tree_path(adj, a, b)
-            cycle = list(zip(path, path[1:])) + [(b, a)]
+        if not graph.n_cycles:
+            continue
+        parent, depth = rooted_forest(graph.nodes, graph.tree)
+        for a, b in sorted(set(graph.edges) - set(graph.tree)):
+            # climb from the deeper end until both ends meet
+            up, down = [a], [b]
+            while up[-1] != down[-1]:
+                deeper = up if depth[up[-1]] >= depth[down[-1]] else down
+                deeper.append(parent[deeper[-1]])
+            path = up + down[-2::-1]
             z = np.zeros(dim)
-            for p, q in cycle:
+            for p, q in list(zip(path, path[1:])) + [(b, a)]:
                 fidx = facet_of_pair[(min(p, q), max(p, q))]
                 z[trace.slot(p, fidx, k)] += 1.0
                 z[trace.slot(q, fidx, k)] -= 1.0
             columns.append(z)
-    if not columns:
-        return RedundancyBasis(vectors=np.zeros((dim, 0)))
-    return RedundancyBasis(vectors=np.column_stack(columns))
-
-
-def _tree_path(adj, start, goal):
-    """Unique path between two vertices of a tree (DFS)."""
-    stack = [(start, [start])]
-    seen = {start}
-    while stack:
-        v, path = stack.pop()
-        if v == goal:
-            return path
-        for w in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                stack.append((w, path + [w]))
-    raise ValueError("vertices lie in different components")
+    return np.column_stack(columns) if columns else np.zeros((dim, 0))

@@ -20,11 +20,10 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from .decomp import Decomposition
-from .facets import Facet, FacetSystem, spanning_forest
+from .facets import FacetSystem, rooted_forest, spanning_forest
 from .linalg import (SingularMatrixError, WeightedInnerProduct, accumulate,
                      block_diagonal_solver, column_vdots, factorize, gmres)
-from .traces import (ExchangeOperator, ImpedanceOperator, TraceOperator,
-                     build_exchange, build_impedance, build_trace)
+from .traces import ExchangeOperator, ImpedanceOperator, TraceOperator
 
 __all__ = [
     "AugmentedLocal",
@@ -36,8 +35,6 @@ __all__ = [
     "fetih_assembling_deviation",
     "fetih_build",
     "fetih_solve",
-    "twin_scalar",
-    "TwinScalar",
 ]
 
 #: packed columns per augmented solve in DualSystem.materialize_K; K is
@@ -304,74 +301,6 @@ def exceptional_system(decomp: Decomposition,
     return dual
 
 
-# -- twin-scalar fixture ---------------------------------------------------
-
-
-@dataclass(frozen=True)
-class _ScalarProblem:
-    """Synthetic global problem with a single dof shared by two subdomains."""
-
-    a: tuple[float, float]
-    f_hat: complex
-    wave: bool = False
-
-    @property
-    def n(self) -> int:
-        return 1
-
-    @property
-    def f(self) -> np.ndarray:
-        return np.array([self.f_hat], dtype=np.complex128)
-
-    def combine(self, A0, A1, A2):
-        return A0 + A1 + A2
-
-    def A_hat(self) -> scipy.sparse.csr_array:
-        return _scalar_csr(self.a[0] + self.a[1])
-
-    def direct_solve(self) -> np.ndarray:
-        return np.array([self.f_hat / (self.a[0] + self.a[1])], dtype=np.complex128)
-
-
-@dataclass(frozen=True)
-class TwinScalar:
-    """Hand-checkable two-subdomain scalar fixture.
-
-    One global dof, A_i = [a_i], impedance m on both sides, swap exchange.
-    Scattering block per side: (alpha*m - a_i) / (alpha*m + a_i).
-    """
-
-    decomp: Decomposition
-    system: FacetSystem
-    trace: TraceOperator
-    impedance: ImpedanceOperator
-    exchange: ExchangeOperator
-    dual: DualSystem
-
-
-def _scalar_csr(value) -> scipy.sparse.csr_array:
-    return scipy.sparse.csr_array(np.array([[value]], dtype=np.complex128))
-
-
-def twin_scalar(a=(1.0, 1.0), m: float = 1.0, alpha: complex = 1.0,
-                f=(1.0, 1.0)) -> TwinScalar:
-    problem = _ScalarProblem(a=(float(a[0]), float(a[1])),
-                             f_hat=complex(f[0]) + complex(f[1]))
-    zero = _scalar_csr(0.0)
-    local_parts = [{"A0": _scalar_csr(a[i]), "A1": zero, "A2": zero} for i in (0, 1)]
-    decomp = Decomposition(problem, [[0], [0]], local_parts,
-                           [[complex(f[0])], [complex(f[1])]])
-    system = FacetSystem(variant="bilateral_max",
-                         facets=(Facet(subdomains=(0, 1), dofs=(0,), kind="bilateral"),),
-                         n_subdomains=2)
-    trace = build_trace(system, decomp)
-    impedance = build_impedance(trace, "scalar", m)
-    exchange = build_exchange(trace)
-    dual = build_dual_system(decomp, trace, impedance, exchange, complex(alpha))
-    return TwinScalar(decomp=decomp, system=system, trace=trace,
-                      impedance=impedance, exchange=exchange, dual=dual)
-
-
 # -- sign-regularized one-sided jump method --------------------------------
 
 
@@ -411,23 +340,13 @@ def fetih_build(decomp: Decomposition, impedance: ImpedanceOperator) -> FetiH:
 
     pairs = {tuple(sorted(F.subdomains)) for F in system.facets}
     nodes = range(decomp.n_sub)
-    tree, components = spanning_forest(nodes, pairs)
-    if components != 1:
+    tree = spanning_forest(nodes, pairs)
+    if len(tree) != decomp.n_sub - 1:
         raise ValueError("subdomain adjacency graph is disconnected")
 
-    adj = {v: [] for v in nodes}
-    for a, b in tree:
-        adj[a].append(b)
-        adj[b].append(a)
-    signs = np.zeros(decomp.n_sub, dtype=np.int64)
-    signs[0] = 1
-    queue = [0]
-    while queue:
-        v = queue.pop(0)
-        for w in adj[v]:
-            if signs[w] == 0:
-                signs[w] = -signs[v]
-                queue.append(w)
+    # +1 at even tree depth from subdomain 0, -1 at odd depth
+    depth = rooted_forest(nodes, tree)[1]
+    signs = np.array([1 - 2 * (depth[i] % 2) for i in nodes], dtype=np.int64)
 
     tree_set = set(tree)
     perp = tuple(fidx for fidx, F in enumerate(system.facets)

@@ -34,13 +34,12 @@ DIVERGENCE_WINDOW = 50  # consecutive non-decreasing residuals
 
 @dataclass(frozen=True)
 class IterationConfig:
-    """Damping, stopping rule, and logging switches for the iteration loop."""
+    """Damping and stopping rule of the iteration loop."""
 
     beta: float = 0.5
     tol: float = 1e-10
     maxit: int = 1000
     seed: int | None = 0        # None starts from zero
-    log_energy: bool = False    # per-iteration energy-decay bookkeeping
 
     def __post_init__(self):
         if not 0.0 < self.beta <= 1.0:
@@ -62,7 +61,6 @@ class ConvergenceReport:
     error_norms: list[float] = field(default_factory=list)   # |mu^(n)| vs reference
     primal_errors: list[float] = field(default_factory=list)
     p_history: list[float] = field(default_factory=list)
-    energy_defects: list[float] = field(default_factory=list)
     converged: bool = False
     diverged: bool = False
     iterations: int = 0
@@ -107,9 +105,9 @@ def richardson(dual: DualSystem, cfg: IterationConfig,
 
     Logs the relative dual residual in the M^-1 norm, the multiplier error
     against a deflated direct reference, the recovered primal error, and
-    (optionally) the per-iteration energy-decay defect. Fifty consecutive
-    non-decreasing residuals, or a non-finite residual or error, flag
-    divergence; the partial run is preserved.
+    the subdomain loss p. Fifty consecutive non-decreasing residuals, or a
+    non-finite residual or error, flag divergence; the partial run is
+    preserved.
 
     A step costs one augmented solve v = Atilde^{-1} T^T lam: it gives K lam
     and the loss p, and the recovered primal is Atilde^{-1} f + v, with
@@ -140,8 +138,6 @@ def richardson(dual: DualSystem, cfg: IterationConfig,
         report.error_norms.append(dual.norm_Minv(mu))
         report.primal_errors.append(float(np.linalg.norm(u - u_ref)) / u_scale)
         report.p_history.append(p)
-        if cfg.log_energy:
-            report.energy_defects.append(_energy_defect(dual, mu, cfg.beta))
         if not np.isfinite([residual, report.error_norms[-1],
                             report.primal_errors[-1]]).all():
             report.diverged = True
@@ -164,24 +160,6 @@ def richardson(dual: DualSystem, cfg: IterationConfig,
     report.lam = lam
     report.u = u
     return report.finalize(gamma, cfg.beta)
-
-
-def _energy_defect(dual: DualSystem, mu: np.ndarray, beta: float) -> float:
-    """Relative defect of the one-step energy-decay identity at mu.
-
-    |mu - beta*K*mu|^2 = (1-beta)|mu|^2 - beta(1-beta)|K mu|^2 + beta|X^T S mu|^2
-    with all norms in the M^-1 metric.
-    """
-    S_mu = dual.apply_S(mu)
-    XtS_mu = dual.X.T @ S_mu
-    K_mu = mu - XtS_mu
-    mu_next = mu - beta * K_mu
-    lhs = dual.norm_Minv(mu_next) ** 2
-    rhs = ((1.0 - beta) * dual.norm_Minv(mu) ** 2
-           - beta * (1.0 - beta) * dual.norm_Minv(K_mu) ** 2
-           + beta * dual.norm_Minv(XtS_mu) ** 2)
-    denom = max(dual.norm_Minv(mu) ** 2, 1e-300)
-    return abs(lhs - rhs) / denom
 
 
 def primal_iterate(dual: DualSystem, cfg: IterationConfig,

@@ -1,10 +1,17 @@
 """Shared builders for test instances."""
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
+import scipy.sparse
 
-from schwarzlab.decomp import build_restrictions, partition_grid
+from schwarzlab.decomp import Decomposition, build_restrictions, partition_grid
+from schwarzlab.facets import Facet, FacetSystem
+from schwarzlab.formulations import DualSystem, build_dual_system
 from schwarzlab.meshfem import assemble, build_mesh
+from schwarzlab.traces import (ExchangeOperator, ImpedanceOperator, TraceOperator,
+                               build_exchange, build_impedance, build_trace)
 
 
 def make_instance(nx=8, ny=8, px=2, py=2, *, wave=False, kappa=0.0, eta=1.0,
@@ -80,6 +87,88 @@ def assert_reflection_form(trace, imp, X, form):
 def primal_reference(decomp):
     uhat = np.asarray(decomp.problem.direct_solve())
     return decomp.apply_R(uhat)
+
+
+def decay_slack(rep, d_norm, beta):
+    """Slack of the decay inequality |mu_n+1|^2 <= |mu_n|^2 - beta(1-beta)|K mu_n|^2
+    at each step of a Richardson run, relative to |mu_0|^2 (M^-1 norms).
+
+    Read from the run's histories only: error_norms[n] is |mu_n| and
+    residuals[n] * |d| is |K mu_n|, as d - K lam_n = -K mu_n. The slack is
+    non-negative exactly when X^T S does not expand mu_n.
+    """
+    mu = np.asarray(rep.error_norms)
+    K_mu = np.asarray(rep.residuals) * d_norm
+    slack = mu[:-1] ** 2 - beta * (1.0 - beta) * K_mu[:-1] ** 2 - mu[1:] ** 2
+    return slack / mu[0] ** 2
+
+
+# -- twin-scalar fixture -------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _ScalarProblem:
+    """Synthetic global problem with a single dof shared by two subdomains."""
+
+    a: tuple[float, float]
+    f_hat: complex
+    wave: bool = False
+
+    @property
+    def n(self) -> int:
+        return 1
+
+    @property
+    def f(self) -> np.ndarray:
+        return np.array([self.f_hat], dtype=np.complex128)
+
+    def combine(self, A0, A1, A2):
+        return A0 + A1 + A2
+
+    def A_hat(self) -> scipy.sparse.csr_array:
+        return _scalar_csr(self.a[0] + self.a[1])
+
+    def direct_solve(self) -> np.ndarray:
+        return np.array([self.f_hat / (self.a[0] + self.a[1])], dtype=np.complex128)
+
+
+@dataclass(frozen=True)
+class TwinScalar:
+    """Hand-checkable two-subdomain scalar fixture.
+
+    One global dof, A_i = [a_i], impedance m on both sides, swap exchange.
+    Scattering block per side: (alpha*m - a_i) / (alpha*m + a_i).
+    """
+
+    decomp: Decomposition
+    system: FacetSystem
+    trace: TraceOperator
+    impedance: ImpedanceOperator
+    exchange: ExchangeOperator
+    dual: DualSystem
+
+
+def _scalar_csr(value) -> scipy.sparse.csr_array:
+    return scipy.sparse.csr_array(np.array([[value]], dtype=np.complex128))
+
+
+def twin_scalar(a=(1.0, 1.0), m: float = 1.0, alpha: complex = 1.0,
+                f=(1.0, 1.0)) -> TwinScalar:
+    problem = _ScalarProblem(a=(float(a[0]), float(a[1])),
+                             f_hat=complex(f[0]) + complex(f[1]))
+    zero = _scalar_csr(0.0)
+    local_parts = [{"A0": _scalar_csr(a[i]), "A1": zero, "A2": zero} for i in (0, 1)]
+    decomp = Decomposition(problem, [[0], [0]], local_parts,
+                           [[complex(f[0])], [complex(f[1])]])
+    system = FacetSystem(variant="bilateral_max",
+                         facets=(Facet(subdomains=(0, 1), dofs=(0,)),),
+                         n_subdomains=2)
+    trace = build_trace(system, decomp)
+    impedance = build_impedance(trace, "scalar", m)
+    exchange = build_exchange(trace)
+    dual = build_dual_system(decomp, trace, impedance, exchange, complex(alpha))
+    return TwinScalar(decomp=decomp, system=system, trace=trace,
+                      impedance=impedance, exchange=exchange, dual=dual)
 
 
 @pytest.fixture(scope="session")

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from schwarzlab.decomp import build_restrictions, check_assembling, partition_grid
 from schwarzlab.meshfem import assemble, build_mesh
 
-from conftest import make_instance
+from conftest import make_instance, twin_scalar
 
 
 class TestPartitionGrid:
@@ -105,7 +105,6 @@ class TestAssembling:
         assert rep.worst_entry == (int(g[r[0]]), int(g[c[0]]))
 
     def test_twin_scalar_sum(self):
-        from schwarzlab.formulations import twin_scalar
         ts = twin_scalar(a=(1.0, 1.0), m=1.0, alpha=1.0, f=(1.0, 1.0))
         assert ts.decomp.problem.A_hat().toarray()[0, 0] == 2.0
 

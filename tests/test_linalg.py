@@ -8,9 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from schwarzlab.cli import build_instance, load_config
-from schwarzlab.linalg import (PIVOT_TOL, SingularMatrixError,
+from schwarzlab.linalg import (PIVOT_TOL, GmresBreakdownError, SingularMatrixError,
                                SparseFactorization, WeightedInnerProduct, accumulate,
                                factorize, gmres, load_matrix_market, save_matrix_market)
+
+from conftest import twin_scalar
 
 
 class TestAccumulate:
@@ -218,6 +220,12 @@ def _weighted_minimizer(A, b, W, k):
 
 
 class TestGmres:
+    def test_zero_operator_breaks_down(self):
+        # K V = 0 leaves a zero Hessenberg column: no rotation can eliminate it
+        with pytest.raises(GmresBreakdownError) as info:
+            gmres(lambda v: 0.0 * v, np.array([1.0, 2.0j]))
+        assert info.value.iteration == 0
+
     def test_identity_one_iteration(self):
         b = np.array([1.0, -2.0, 3.0 + 1j])
         x, hist = gmres(lambda v: v, b, tol=1e-12)
@@ -237,7 +245,6 @@ class TestGmres:
         assert not np.any(x)
 
     def test_twin_scalar_dual_system(self):
-        from schwarzlab.formulations import twin_scalar
         ts = twin_scalar(a=(1.0, 1.0), m=2.0, alpha=1.0, f=(3.0, 5.0))
         d = ts.dual.rhs_d()
         x, _ = gmres(ts.dual.apply_K, d, tol=1e-13)

@@ -4,15 +4,14 @@ import scipy.linalg
 
 from schwarzlab import cli
 from schwarzlab.facets import build_facets, redundancy_basis
-from schwarzlab.formulations import (build_dual_system, exceptional_system,
-                                     twin_scalar)
+from schwarzlab.formulations import build_dual_system, exceptional_system
 from schwarzlab.solvers import (ConvergenceReport, IterationConfig,
                                 estimate_gamma, fit_rate, gmres_dual,
                                 primal_iterate, reference_primal, richardson,
                                 rho_gmres, rho_theorem)
 from schwarzlab.traces import build_exchange, build_impedance, build_trace
 
-from conftest import make_instance, primal_reference
+from conftest import decay_slack, make_instance, primal_reference, twin_scalar
 
 
 def dual_stack(nx=8, ny=8, px=2, py=2, facet_variant="globs", sigma=2.0,
@@ -86,12 +85,13 @@ class TestRichardson:
         assert np.linalg.norm(u - u_ref) <= 1e-7 * np.linalg.norm(u_ref)
 
     def test_energy_recursion(self):
+        # |mu_n+1|^2 <= |mu_n|^2 - beta(1-beta)|K mu_n|^2 at every step
         _dec, _sys, _tr, _imp, _X, dual = dual_stack()
-        cfg = IterationConfig(beta=0.5, tol=1e-30, maxit=200, seed=1,
-                              log_energy=True)
+        cfg = IterationConfig(beta=0.5, tol=1e-30, maxit=200, seed=1)
         rep = richardson(dual, cfg)
-        assert len(rep.energy_defects) >= 200
-        assert max(rep.energy_defects) <= 1e-9
+        slack = decay_slack(rep, dual.norm_Minv(dual.rhs_d()), cfg.beta)
+        assert len(slack) == 200
+        assert slack.min() >= -1e-12
 
     def test_divergence_detection(self):
         # amplifying stub operator: residual grows every step
@@ -132,7 +132,7 @@ class TestRichardson:
     def test_deflation_built_once(self):
         dec, system, trace, imp, X, dual = dual_stack(
             facet_variant="bilateral_max")
-        Z = redundancy_basis(system, trace).vectors
+        Z = redundancy_basis(system, trace)
         assert Z.shape[1] > 0
         lam_ref = dual.solve_direct(deflate=Z)
         u_ref = primal_reference(dec)
@@ -260,14 +260,14 @@ class TestGmres:
     def test_unique_solution_without_redundancy(self):
         dec, system, trace, imp, X, dual = dual_stack(
             facet_variant="bilateral_non_redundant")
-        assert redundancy_basis(system, trace).dimension == 0
+        assert redundancy_basis(system, trace).shape[1] == 0
         rep = gmres_dual(dual, tol=1e-12, maxit=400)
         assert np.allclose(rep.lam, dual.solve_direct(), atol=1e-8)
 
     def test_redundant_system_still_recovers_primal(self):
         dec, system, trace, imp, X, dual = dual_stack(
             facet_variant="bilateral_max")
-        assert redundancy_basis(system, trace).dimension > 0
+        assert redundancy_basis(system, trace).shape[1] > 0
         rep = gmres_dual(dual, tol=1e-12, maxit=400)
         u = dual.primal_recover(rep.lam)
         u_ref = primal_reference(dec)
@@ -295,7 +295,7 @@ class TestGamma:
                                                     cycles, wave, impedance):
         _dec, system, trace, _imp, _X, dual = dual_stack(
             nx, nx, p, p, facet_variant=facet_variant, wave=wave, impedance=impedance)
-        Z = redundancy_basis(system, trace).vectors
+        Z = redundancy_basis(system, trace)
         assert Z.shape[1] == cycles
         assert estimate_gamma(dual, redundancy=Z) == dense_gamma(dual, Z)
 
@@ -305,7 +305,7 @@ class TestGamma:
         _dec, system, trace, _imp, _X, dual = dual_stack(
             nx, nx, p, p, facet_variant=facet_variant, wave=True,
             impedance="glob_block")
-        Z = redundancy_basis(system, trace).vectors
+        Z = redundancy_basis(system, trace)
         assert dual.M.nnz > dual.dim and Z.shape[1] == cycles
         expected = dense_gamma(dual, Z)
         assert estimate_gamma(dual, redundancy=Z) == pytest.approx(expected, rel=1e-12)
@@ -328,7 +328,7 @@ class TestGamma:
     def test_deflation_ignores_redundancy(self):
         dec, system, trace, imp, X, dual = dual_stack(
             facet_variant="bilateral_max")
-        Z = redundancy_basis(system, trace).vectors
+        Z = redundancy_basis(system, trace)
         gamma = estimate_gamma(dual, redundancy=Z)
         assert gamma > 0.0
         # without deflation the kernel drags the smallest direction to zero

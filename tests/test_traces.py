@@ -9,7 +9,8 @@ from schwarzlab.formulations import build_dual_system
 from schwarzlab.solvers import IterationConfig, primal_iterate
 from schwarzlab.traces import IMPEDANCE_VARIANTS, build_exchange, build_impedance, build_trace
 
-from conftest import REFLECTION_FORMS, assert_reflection_form, make_instance, reflection_form
+from conftest import (REFLECTION_FORMS, assert_reflection_form, make_instance, reflection_form,
+                      twin_scalar)
 
 
 @pytest.fixture(scope="module")
@@ -246,7 +247,6 @@ class TestExtension:
         assert is_orthonormal(build_trace(build_facets(cross_dec, "globs"), cross_dec))
 
     def test_twin_scalar_extension(self):
-        from schwarzlab.formulations import twin_scalar
         trace = twin_scalar().trace
         assert trace.dim_lambda == 2 and is_orthonormal(trace)
 
