@@ -24,7 +24,7 @@ import scipy.sparse
 from .decomp import (ASSEMBLY_TOL, Decomposition, build_restrictions, check_assembling,
                      partition_grid)
 from .facets import VARIANTS as FACET_VARIANTS
-from .facets import build_facets, check_admissibility, redundancy_basis
+from .facets import build_facets, check_admissibility, connectivity_graphs, redundancy_basis
 from .formulations import (K_COLUMNS, DualSystem, build_dual_system,
                            exceptional_exchange, exceptional_system,
                            fetih_assembling_deviation, fetih_build, fetih_solve)
@@ -267,6 +267,7 @@ class Instance:
     dual: DualSystem | None = None
     fetih: object = None
     redundancy: np.ndarray | None = None
+    graphs: dict | None = None      # a bilateral system's connectivity graphs
 
 
 def build_instance(cfg: RunConfig) -> Instance:
@@ -290,7 +291,9 @@ def build_instance(cfg: RunConfig) -> Instance:
     inst.trace = build_trace(inst.system, decomp)
     inst.impedance = build_impedance(inst.trace, g("interface", "impedance"),
                                      g("interface", "sigma"))
-    inst.redundancy = redundancy_basis(inst.system, inst.trace)
+    if inst.system.is_bilateral:    # the redundancy basis and the battery share them
+        inst.graphs = connectivity_graphs(inst.system, decomp.multiplicities)
+    inst.redundancy = redundancy_basis(inst.system, inst.trace, inst.graphs)
     if g("solver", "method") == "fetih":
         inst.fetih = fetih_build(decomp, inst.impedance)
     else:
@@ -345,7 +348,7 @@ def interface_checks(inst: Instance, n_random: int = 20,
     record("mesh_order_deviation", asm.mesh_order_dev, ASSEMBLY_TOL)
 
     if inst.system is not None:
-        adm = check_admissibility(inst.system, inst.decomp.multiplicities)
+        adm = check_admissibility(inst.system, inst.decomp.multiplicities, inst.graphs)
         checks["admissibility"] = {
             "passed": bool(adm.admissible and adm.covered),
             "disconnected": len(adm.disconnected_dofs),
@@ -444,7 +447,8 @@ def execute(inst: Instance) -> dict:
         lam = d.copy()           # one undamped update from zero
         u = dual.primal_recover(lam)
         residual0 = 1.0
-        residual = dual.norm_Minv(d - dual.apply_K(lam)) / (dual.norm_Minv(d) or 1.0)
+        K_lam = dual.apply_K_and_loss(lam)[0]   # by a solve: with T = I, N is n_u x n_u
+        residual = dual.norm_Minv(d - K_lam) / (dual.norm_Minv(d) or 1.0)
         rows = [(0, residual0, float(np.linalg.norm(u0 - u_ref)) / u_scale, ""),
                 (1, residual, float(np.linalg.norm(u - u_ref)) / u_scale, "")]
         report_core = {

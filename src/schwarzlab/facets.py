@@ -230,9 +230,11 @@ class AdmissibilityReport:
     total_cycles: int
 
 
-def check_admissibility(system: FacetSystem,
-                        multiplicities: Multiplicities) -> AdmissibilityReport:
-    graphs = connectivity_graphs(system, multiplicities)
+def check_admissibility(system: FacetSystem, multiplicities: Multiplicities,
+                        graphs=None) -> AdmissibilityReport:
+    """Connectedness and coverage of each interface dof; `graphs` as from
+    connectivity_graphs, which runs here when they are not given."""
+    graphs = graphs or connectivity_graphs(system, multiplicities)
     disconnected = tuple(k for k, g in graphs.items() if not g.connected)
     covered_dofs = set()
     for F in system.facets:
@@ -246,7 +248,7 @@ def check_admissibility(system: FacetSystem,
         total_cycles=total_cycles)
 
 
-def redundancy_basis(system: FacetSystem, trace) -> np.ndarray:
+def redundancy_basis(system: FacetSystem, trace, graphs=None) -> np.ndarray:
     """Integer +-1 basis of ker(T^T) intersected with ker(I + X^T).
 
     Returns a (dim_lambda, n_cycles) array indexed like the trace dofs of
@@ -259,7 +261,7 @@ def redundancy_basis(system: FacetSystem, trace) -> np.ndarray:
     cancel) and by I + X^T (the swap flips the facet sign).
 
     Glob systems are surjective-trace and have a trivial redundancy space:
-    an empty basis is returned.
+    an empty basis is returned. `graphs` as for check_admissibility.
     """
     dim = trace.dim_lambda
     if not system.is_bilateral:
@@ -267,8 +269,9 @@ def redundancy_basis(system: FacetSystem, trace) -> np.ndarray:
 
     facet_of_pair = {tuple(sorted(F.subdomains)): idx
                      for idx, F in enumerate(system.facets)}
+    graphs = graphs or connectivity_graphs(system, trace.multiplicities)
     columns = []
-    for k, graph in sorted(connectivity_graphs(system, trace.multiplicities).items()):
+    for k, graph in sorted(graphs.items()):
         if not graph.n_cycles:
             continue
         parent, depth = rooted_forest(graph.nodes, graph.tree)

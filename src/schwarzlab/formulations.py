@@ -6,8 +6,8 @@ The dual system is the interface fixed-point equation
 (I - X^T S) lambda = d with the scattering operator
 S = -I + 2 alpha M T (A + alpha T^T M T)^{-1} T^T; the factor 2M holds
 because every impedance is side-equal (one block on all sides of a facet).
-Every scattering application costs one solve with the block-diagonal
-augmented operator.
+N = T (A + alpha T^T M T)^{-1} T^T is block-diagonal by subdomain; it is
+built once, and K is applied through it with no augmented solve.
 """
 
 from __future__ import annotations
@@ -37,8 +37,8 @@ __all__ = [
     "fetih_solve",
 ]
 
-#: packed columns per augmented solve in DualSystem.materialize_K; K is
-#: bitwise the same at every width, and a narrow one keeps the work small
+#: packed columns per augmented solve in building DualSystem.N; N is bitwise
+#: the same at every width, and a narrow one keeps the work small
 K_COLUMNS = 8
 
 
@@ -116,9 +116,9 @@ class DualSystem:
         return -lam + self._outgoing(self.aug.apply_inv(self._Tt @ lam))
 
     def apply_K(self, lam) -> np.ndarray:
-        """K = I - X^T S."""
+        """K = I - X^T S, through N: no augmented solve."""
         lam = np.asarray(lam, np.complex128)
-        return self._K_from_trace(lam, self.T @ self.aug.apply_inv(self._Tt @ lam))
+        return self._K_from_trace(lam, self.N @ lam)
 
     def apply_K_and_loss(self, lam) -> tuple[np.ndarray, float, np.ndarray]:
         """K lam, pseudo_energy's loss p at lam, and v = Atilde^{-1} T^T lam.
@@ -168,36 +168,44 @@ class DualSystem:
             return float(lhs[0]), float(rhs[0]), float(p[0])
         return lhs, rhs, p
 
-    def materialize_K(self) -> np.ndarray:
-        """Dense I - X^T S from max_i dim_i packed augmented solves.
+    @cached_property
+    def N(self) -> scipy.sparse.csr_array:
+        """T Atilde^{-1} T^T, block-diagonal by subdomain, from packed solves.
 
-        T Atilde^{-1} T^T is block-diagonal by subdomain and the trace rows
-        run subdomain by subdomain, so one right-hand side carries the j-th
-        unit vector of every subdomain's trace block at once: packed column
-        j returns column j of every diagonal block, unmixed (the sparse LU
-        makes no fill between blocks). The solves run K_COLUMNS packed
-        columns at a time, which bounds the solve's work arrays to
-        n_u x K_COLUMNS; the only dim x dim array is K itself. K is then
-        formed one subdomain's columns at a time from its block.
+        The trace rows run subdomain by subdomain, so packed column j carries
+        the j-th unit vector of every trace block and returns column j of
+        every diagonal block, unmixed (the sparse LU makes no fill between
+        blocks). A solve takes K_COLUMNS packed columns, which bounds its work
+        arrays to n_u x K_COLUMNS; its result goes straight into the CSR data.
         """
         # subdomain of each trace row, from the one column it selects
         row_sub = np.searchsorted(self.decomp.offsets, self.T.indices, side="right") - 1
         bounds = np.searchsorted(row_sub, np.arange(self.decomp.n_sub + 1))
-        lo, hi = bounds[:-1], bounds[1:]
-        sizes = hi - lo
+        lo, sizes = bounds[:-1], np.diff(bounds)
+        row_size = sizes[row_sub]
+        indptr = np.concatenate(([0], np.cumsum(row_size)))
+        indices = np.arange(indptr[-1]) + np.repeat(lo[row_sub] - indptr[:-1], row_size)
+        data = np.empty(indptr[-1], dtype=np.complex128)
         width = int(sizes.max())
-        packed = np.empty((self.dim, width), dtype=np.complex128)
         for a in range(0, width, K_COLUMNS):
             j = np.arange(a, min(a + K_COLUMNS, width))
             sub, col = np.nonzero(j < sizes[:, None])
             E = np.zeros((self.dim, len(j)), dtype=np.complex128)
             E[lo[sub] + j[col], col] = 1.0
-            packed[:, a:a + len(j)] = self.T @ self.aug.apply_inv(self._Tt @ E)
+            Tv = self.T @ self.aug.apply_inv(self._Tt @ E)
+            row, col = np.nonzero(j < row_size[:, None])
+            data[indptr[row] + j[col]] = Tv[row, col]
+        return scipy.sparse.csr_array((data, indices, indptr), shape=(self.dim, self.dim))
 
-        K = np.empty((self.dim, self.dim), dtype=np.complex128)
-        for a, b in zip(lo, hi):
+    def materialize_K(self) -> np.ndarray:
+        """Dense I - X^T S, formed one subdomain's columns at a time from its
+        block of N; the only dim x dim array is K itself."""
+        N, K = self.N, np.empty((self.dim, self.dim), dtype=np.complex128)
+        # a block starts at the row whose first column is its own
+        starts = np.flatnonzero(N.indices[N.indptr[:-1]] == np.arange(self.dim))
+        for a, b in zip(starts, np.append(starts[1:], self.dim)):
             Tv = np.zeros((self.dim, b - a), dtype=np.complex128)
-            Tv[a:b] = packed[a:b, :b - a]
+            Tv[a:b] = N.data[N.indptr[a]:N.indptr[b]].reshape(b - a, b - a)
             E = np.eye(self.dim, b - a, -a, dtype=np.complex128)
             K[:, a:b] = self._K_from_trace(E, Tv)
         return K

@@ -93,28 +93,33 @@ def _interface_edge_weights(trace: TraceOperator, sigma: float):
     """
     problem = trace.decomp.problem
     facets = trace.system.facets
-    # unique mesh edges (a < b) between retained dofs, found by the key a * n + b
+    # dof x facet incidence; a dof may lie on several facets
+    sizes = [len(F.dofs) for F in facets]
+    incidence = scipy.sparse.csr_array(
+        (np.ones(sum(sizes)), (np.concatenate([F.dofs for F in facets]),
+                               np.repeat(np.arange(len(facets)), sizes))),
+        shape=(problem.n, len(facets)))
+    # mesh edges (a < b) between retained dofs; h_min over all of them, then
+    # the unique ones between facet dofs, found by the key a * n + b
     tri = problem.dof_map[problem.mesh.triangles]
     pairs = np.concatenate([tri[:, [0, 1]], tri[:, [1, 2]], tri[:, [0, 2]]])
     pairs = np.sort(pairs[(pairs >= 0).all(axis=1)], axis=1)
-    edges = np.column_stack(np.divmod(np.unique(pairs[:, 0] * problem.n + pairs[:, 1]),
-                                      problem.n))
     coords = problem.mesh.coords[problem.free_nodes]
-    lengths = np.linalg.norm(coords[edges[:, 1]] - coords[edges[:, 0]], axis=1)
+    lengths = np.linalg.norm(coords[pairs[:, 1]] - coords[pairs[:, 0]], axis=1)
     h_min = float(lengths.min()) if len(lengths) else 1.0
-    in_facet = np.zeros(problem.n, dtype=bool)
-    for F in facets:
-        in_facet[list(F.dofs)] = True
-    keep = in_facet[edges].all(axis=1)
-    edges, lengths = edges[keep], lengths[keep]
+    keep = (np.diff(incidence.indptr) > 0)[pairs].all(axis=1)
+    keys, first = np.unique(pairs[keep, 0] * problem.n + pairs[keep, 1], return_index=True)
+    edges, lengths = np.column_stack(np.divmod(keys, problem.n)), lengths[keep][first]
+    # edge x facet: the facets holding both ends; a column lists its edges in order
+    inside = incidence[edges[:, 0]].multiply(incidence[edges[:, 1]]).tocsc()
 
     lumped, facet_edges = {}, {}
     for fidx, F in enumerate(facets):
         dofs = np.asarray(F.dofs)
-        inside = np.isin(edges, dofs).all(axis=1)
+        ids = inside.indices[inside.indptr[fidx]:inside.indptr[fidx + 1]]
         order = np.argsort(dofs)
-        pos = order[np.searchsorted(dofs, edges[inside], sorter=order)]
-        length = lengths[inside]
+        pos = order[np.searchsorted(dofs, edges[ids], sorter=order)]
+        length = lengths[ids]
         weight = np.zeros(len(dofs))
         np.add.at(weight, pos[:, 0], 0.5 * length)
         np.add.at(weight, pos[:, 1], 0.5 * length)

@@ -191,7 +191,8 @@ class TestBlockApplication:
         X = build_exchange(trace)
         assert_reflection_form(trace, imp, X, form)
         dual = build_dual_system(dec, trace, imp, X, prob.alpha)
-        columns = np.column_stack([dual.apply_K(e) for e in np.eye(dual.dim)])
+        # the solve-based K, one augmented solve per column; N takes no part
+        columns = np.column_stack([dual.apply_K_and_loss(e)[0] for e in np.eye(dual.dim)])
         K = dual.materialize_K()
         if impedance != "glob_block":
             assert np.array_equal(K, columns)
@@ -209,13 +210,15 @@ class TestBlockApplication:
         largest = max(sum(1 for i, _f, _k in trace.slots if i == s)
                       for s in range(dec.n_sub))
         assert largest > 2 * K_COLUMNS and largest % K_COLUMNS
-        whole = dual.apply_K(np.eye(dual.dim, dtype=np.complex128))
         widths = []
         apply_inv = dual.aug.apply_inv
         dual.aug.apply_inv = lambda g: widths.append(g.shape[1]) or apply_inv(g)
-        K = dual.materialize_K()
+        assert dual.N.shape == (dual.dim, dual.dim)
         # one packed column per slot of the largest trace block, not per trace slot
         assert max(widths) == K_COLUMNS and sum(widths) == largest
+        dual.aug.apply_inv = apply_inv
+        whole = np.column_stack([dual.apply_K_and_loss(e)[0] for e in np.eye(dual.dim)])
+        K = dual.materialize_K()
         assert np.max(np.abs(K - whole)) <= 1e-13 * np.max(np.abs(whole))
 
     @pytest.mark.parametrize("nx,px,py,facet_variant,impedance,wave", [
@@ -233,12 +236,37 @@ class TestBlockApplication:
                                      source="point:0.3,0.4")
         trace = build_trace(build_facets(dec, facet_variant), dec)
         imp = build_impedance(trace, impedance, 2.0)
-        dual = build_dual_system(dec, trace, imp, build_exchange(trace), prob.alpha)
+        X = build_exchange(trace)
         K = {}
         for width in (1, 8, 64):
             monkeypatch.setattr(formulations, "K_COLUMNS", width)
+            # a fresh system per width: each builds its own N
+            dual = build_dual_system(dec, trace, imp, X, prob.alpha)
             K[width] = dual.materialize_K()
         assert K[1].tobytes() == K[8].tobytes() == K[64].tobytes()
+
+    @pytest.mark.parametrize("nx,px,py,facet_variant,impedance,wave", [
+        pytest.param(16, 4, 4, "globs", "lumped_mass", False, id="globs"),
+        pytest.param(16, 4, 4, "bilateral_properly_closed", "lumped_mass", False,
+                     id="bilateral_cycles"),
+        pytest.param(16, 4, 4, "globs", "glob_block", False, id="glob_block"),
+        pytest.param(16, 2, 2, "bilateral_max", "lumped_mass", True, id="helmholtz"),
+    ])
+    def test_apply_K_through_N_matches_the_solve(self, nx, px, py, facet_variant,
+                                                 impedance, wave):
+        _, prob, dec = make_instance(nx, nx, px, py, wave=wave,
+                                     kappa=2.0 if wave else 0.0,
+                                     eta=2.0 if wave else 1.0,
+                                     source="point:0.3,0.4")
+        trace = build_trace(build_facets(dec, facet_variant), dec)
+        imp = build_impedance(trace, impedance, 2.0)
+        dual = build_dual_system(dec, trace, imp, build_exchange(trace), prob.alpha)
+        rng = np.random.default_rng(3)
+        lam = rng.standard_normal((dual.dim, 3)) + 1j * rng.standard_normal((dual.dim, 3))
+        solved = np.column_stack([dual.apply_K_and_loss(col)[0] for col in lam.T])
+        for through_N, ref in ((dual.apply_K(lam), solved),
+                               (dual.apply_K(lam[:, 0]), solved[:, 0])):
+            assert np.linalg.norm(through_N - ref) <= 1e-14 * np.linalg.norm(ref)
 
 
 class TestPseudoEnergy:
