@@ -29,9 +29,10 @@ from .formulations import (K_COLUMNS, DualSystem, build_dual_system,
                            exceptional_exchange, exceptional_system,
                            fetih_assembling_deviation, fetih_build, fetih_solve)
 from .linalg import SingularMatrixError, factorize, save_matrix_market
-from .meshfem import assemble, build_mesh
-from .solvers import (IterationConfig, estimate_gamma, gmres_dual, primal_iterate,
-                      reference_primal, richardson)
+from .meshfem import assemble, build_mesh, parse_source
+from .solvers import (ConvergenceReport, IterationConfig, estimate_gamma, gmres_dual,
+                      one_step, primal_iterate, reference_primal, rho_gmres,
+                      rho_theorem, richardson)
 from .traces import IMPEDANCE_VARIANTS, build_exchange, build_impedance, build_trace
 
 __all__ = [
@@ -51,8 +52,17 @@ PROBLEM_TYPES = ("laplace", "reaction_diffusion", "helmholtz")
 EXCHANGE_VARIANTS = ("reflection", "exceptional")
 METHODS = ("richardson", "gmres", "primal", "fetih")
 
+FLAGS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 GAMMA_DIM_LIMIT = 400    # budget for gamma's dense SVD of K (cubic in dim)
 CSV_FORMAT = "%.17g"
+
+
+def _flag(text: str) -> bool:
+    """A yes/no config value: 1/true/yes or 0/false/no, in any case."""
+    if text.lower() not in FLAGS:
+        raise ValueError(f"{text!r} is not one of {', '.join(FLAGS)}")
+    return FLAGS[text.lower()]
+
 
 # section -> key -> (parser, default); every key is explicit in emitted reports
 SCHEMA = {
@@ -63,7 +73,7 @@ SCHEMA = {
         "kappa": (float, 0.0),
         "eta": (float, 1.0),
         "absorption": (float, 0.0),
-        "source": (str, "constant"),
+        "source": (parse_source, "constant"),
         "boundary": (str, "robin"),
     },
     "decomposition": {
@@ -85,7 +95,7 @@ SCHEMA = {
     },
     "output": {
         "dir": (str, "out"),
-        "dump_operators": (lambda s: s.lower() in ("1", "true", "yes"), False),
+        "dump_operators": (_flag, False),
     },
 }
 
@@ -431,96 +441,59 @@ def _kernel_is_span(S, Z: np.ndarray) -> bool:
 
 
 def execute(inst: Instance) -> dict:
-    """Run the configured solver; return the report dictionary."""
+    """Run the configured solver; return the report dictionary, read from
+    its ConvergenceReport in the same way for every method."""
     g = inst.cfg.get
     method = g("solver", "method")
     t0 = time.perf_counter()
     u_ref = reference_primal(inst.decomp, inst.exchange and inst.exchange.factor)
-    u_scale = float(np.linalg.norm(u_ref)) or 1.0
-    gamma = None
+    cfg_it = IterationConfig(beta=g("solver", "beta"), tol=g("solver", "tol"),
+                             maxit=g("solver", "maxit"), seed=g("solver", "seed"))
+    dual = inst.dual
+    gamma = rho_thm = None
     skipped: dict[str, str] = {}
-    rows: list[tuple] = []
 
     if g("interface", "exchange") == "exceptional":
-        dual = inst.dual
-        d, u0 = dual.rhs_d_and_u_f()     # u0 = primal_recover(0)
-        lam = d.copy()           # one undamped update from zero
-        u = dual.primal_recover(lam)
-        residual0 = 1.0
-        K_lam = dual.apply_K_and_loss(lam)[0]   # by a solve: with T = I, N is n_u x n_u
-        residual = dual.norm_Minv(d - K_lam) / (dual.norm_Minv(d) or 1.0)
-        rows = [(0, residual0, float(np.linalg.norm(u0 - u_ref)) / u_scale, ""),
-                (1, residual, float(np.linalg.norm(u - u_ref)) / u_scale, "")]
-        report_core = {
-            "iterations": 1,
-            "converged": bool(rows[-1][2] <= g("solver", "tol")),
-            "diverged": not np.isfinite([residual, rows[-1][2]]).all(),
-            "final_residual": residual,
-            "final_primal_error": rows[-1][2],
-        }
+        rep = one_step(dual, cfg_it, u_ref)
     elif method == "fetih":
-        u, lam, history = fetih_solve(inst.fetih, tol=g("solver", "tol"),
-                                      maxit=g("solver", "maxit"))
-        rows = [(i, r, "", "") for i, r in enumerate(history)]
-        err = float(np.linalg.norm(u - u_ref)) / u_scale
-        report_core = {
-            "iterations": len(history) - 1,
-            "converged": bool(history[-1] <= g("solver", "tol")),
-            "diverged": not np.isfinite(history[-1]),
-            "final_residual": history[-1],
-            "final_primal_error": err,
-        }
-    else:
-        dual = inst.dual
-        if method in ("richardson", "gmres"):
-            if dual.dim <= GAMMA_DIM_LIMIT:
-                gamma = estimate_gamma(dual, redundancy=inst.redundancy)
-            else:
-                skipped["gamma"] = (f"dim lambda {dual.dim} exceeds the dense "
-                                    f"budget {GAMMA_DIM_LIMIT}; no rho_thm")
-        cfg_it = IterationConfig(beta=g("solver", "beta"), tol=g("solver", "tol"),
-                                 maxit=g("solver", "maxit"), seed=g("solver", "seed"))
-        if method == "richardson":
-            rep = richardson(dual, cfg_it, u_ref=u_ref, redundancy=inst.redundancy,
-                             gamma=gamma)
-            rows = [(i, r, e, p) for i, (r, e, p) in
-                    enumerate(zip(rep.residuals, rep.primal_errors, rep.p_history))]
-        elif method == "gmres":
-            rep = gmres_dual(dual, tol=g("solver", "tol"),
-                             maxit=g("solver", "maxit"), gamma=gamma)
-            rep.primal_errors = [float(np.linalg.norm(rep.u - u_ref)) / u_scale]
-            rows = [(i, r, "", "") for i, r in enumerate(rep.residuals)]
-        else:  # primal
-            rep = primal_iterate(dual, cfg_it, u_ref=u_ref)
-            rows = [(i, e, e, "") for i, e in enumerate(rep.primal_errors)]
-        report_core = {
-            "iterations": rep.iterations,
-            "converged": bool(rep.converged),
-            "diverged": bool(rep.diverged),
-            "final_residual": rep.residuals[-1] if rep.residuals else 0.0,
-            "final_primal_error": rep.primal_errors[-1] if rep.primal_errors else None,
-            "rho_obs": rep.rho_obs,
-            "rho_thm": rep.rho_thm,
-        }
+        rep = ConvergenceReport.krylov(*fetih_solve(inst.fetih, tol=cfg_it.tol,
+                                                    maxit=cfg_it.maxit), cfg_it.tol)
+    elif method == "primal":
+        rep = primal_iterate(dual, cfg_it, u_ref=u_ref)
+    else:   # richardson or gmres, with the rate bound of gamma within the budget
+        if dual.dim <= GAMMA_DIM_LIMIT:
+            gamma = estimate_gamma(dual, redundancy=inst.redundancy)
+            rho_thm = (rho_gmres(gamma) if method == "gmres"
+                       else rho_theorem(cfg_it.beta, gamma))
+        else:
+            skipped["gamma"] = (f"dim lambda {dual.dim} exceeds the dense "
+                                f"budget {GAMMA_DIM_LIMIT}; no rho_thm")
+        rep = (gmres_dual(dual, tol=cfg_it.tol, maxit=cfg_it.maxit) if method == "gmres"
+               else richardson(dual, cfg_it, u_ref=u_ref, redundancy=inst.redundancy))
 
-    elapsed = time.perf_counter() - t0
-    report = {
+    u_scale = float(np.linalg.norm(u_ref)) or 1.0
+    return {
         "config": inst.cfg.to_dict(),
         "gamma": gamma,
         "sum_cycles": (int(inst.redundancy.shape[1])
                        if inst.redundancy is not None else None),
-        "timings": {"solve_seconds": elapsed},
+        "timings": {"solve_seconds": time.perf_counter() - t0},
         "skipped": skipped,
+        "iterations": rep.iterations,
+        "converged": bool(rep.converged),
+        "diverged": bool(rep.diverged),
+        "final_residual": rep.residuals[-1],
+        "final_primal_error": float(np.linalg.norm(rep.u - u_ref)) / u_scale,
+        "rho_obs": rep.rho_obs,
+        "rho_thm": rho_thm,
+        "history_rows": list(itertools.zip_longest(
+            range(rep.iterations + 1), rep.residuals, rep.primal_errors,
+            rep.p_history, fillvalue="")),
     }
-    report.update(report_core)
-    report["history_rows"] = rows
-    return report
 
 
 def _fmt(value) -> str:
-    if value == "" or value is None:
-        return ""
-    return CSV_FORMAT % float(value)
+    return "" if value == "" else CSV_FORMAT % float(value)
 
 
 def write_outputs(report: dict, outdir: Path, inst: Instance | None = None,
@@ -574,6 +547,15 @@ def _load_or_exit(config, preset, sets) -> RunConfig:
     return cfg
 
 
+def _solve(cfg: RunConfig, outdir: Path) -> dict:
+    """Build, solve and check one configuration; write its outputs to outdir."""
+    inst = build_instance(cfg)
+    report = execute(inst)
+    report["checks"] = interface_checks(inst)
+    write_outputs(report, outdir, inst, dump_operators=cfg.get("output", "dump_operators"))
+    return report
+
+
 @click.group()
 def main():
     """Numerical laboratory for Robin-Schwarz interface methods."""
@@ -588,18 +570,14 @@ def main():
 def run(config, preset, sets):
     """Build the configured instance, solve it, and write report + history."""
     cfg = _load_or_exit(config, preset, sets)
-    inst = build_instance(cfg)
-    report = execute(inst)
-    report["checks"] = interface_checks(inst)
     outdir = resolve_outdir(cfg)
-    write_outputs(report, outdir, inst,
-                  dump_operators=cfg.get("output", "dump_operators"))
+    report = _solve(cfg, outdir)
     status = "converged" if report["converged"] else "did not converge"
     click.echo(f"{cfg.get('solver', 'method')}: {status} after "
                f"{report['iterations']} iterations; "
                f"final primal error {report['final_primal_error']:.3e}; "
                f"outputs in {outdir}")
-    if report.get("diverged") or not report["converged"]:
+    if not report["converged"]:
         raise SystemExit(3)
 
 
@@ -661,12 +639,7 @@ def sweep(config, preset, sets, varies):
             worst = max(worst, exc.code or 0)
             click.echo(f"{tag}: invalid configuration")
             continue
-        inst = build_instance(cfg)
-        report = execute(inst)
-        report["checks"] = interface_checks(inst)
-        outdir = resolve_outdir(cfg) / tag
-        write_outputs(report, outdir, inst,
-                      dump_operators=cfg.get("output", "dump_operators"))
+        report = _solve(cfg, resolve_outdir(cfg) / tag)
         ok = report["converged"]
         if not ok:
             worst = max(worst, 3)

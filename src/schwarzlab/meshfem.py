@@ -26,6 +26,7 @@ __all__ = [
     "build_mesh",
     "assemble",
     "element_contributions",
+    "parse_source",
     "point_source_dof",
 ]
 
@@ -224,9 +225,6 @@ def assemble(mesh: StructuredMesh, kappa: float, eta: float,
         raise ValueError("eta must be positive")
     if kappa < 0.0:
         raise ValueError("kappa must be non-negative")
-    if source != "constant" and not source.startswith("point:"):
-        raise ValueError(f"unknown source spec {source!r}; "
-                         "use 'constant' or 'point:x,y'")
 
     dirichlet = mesh.boundary_tags == int(BoundaryTag.DIRICHLET)
     free_nodes = np.flatnonzero(~dirichlet)
@@ -255,13 +253,29 @@ def assemble(mesh: StructuredMesh, kappa: float, eta: float,
                          dof_map=dof_map, free_nodes=free_nodes)
 
 
+def _source_point(spec: str) -> list[float] | None:
+    """[x, y] of a "point:x,y" source spec, None for "constant"; else ValueError."""
+    kind, _, coords = spec.partition(":")
+    point = [float(c) for c in coords.split(",")] if kind == "point" else []
+    if spec != "constant" and (len(point) != 2 or not np.isfinite(point).all()):
+        raise ValueError(f"unknown source spec {spec!r}; use 'constant' or "
+                         "'point:x,y' with finite x, y")
+    return point or None
+
+
+def parse_source(spec: str) -> str:
+    """`spec` unchanged once _source_point accepts it; the config parser."""
+    _source_point(spec)
+    return spec
+
+
 def _nearest_free_dof(mesh: StructuredMesh, free_nodes: np.ndarray,
                       source: str) -> int | None:
     """Dof of the retained node nearest a "point:x,y" spec; None otherwise."""
-    if not source.startswith("point:"):
+    point = _source_point(source)
+    if point is None:
         return None
-    x, y = (float(part) for part in source[len("point:"):].split(","))
-    dists = np.linalg.norm(mesh.coords[free_nodes] - np.array([x, y]), axis=1)
+    dists = np.linalg.norm(mesh.coords[free_nodes] - np.array(point), axis=1)
     return int(np.argmin(dists))
 
 

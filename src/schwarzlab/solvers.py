@@ -7,6 +7,7 @@ and rate fitting against the linear bound sqrt(1 - (1-beta)*beta*gamma^2).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,6 +22,7 @@ __all__ = [
     "ConvergenceReport",
     "richardson",
     "primal_iterate",
+    "one_step",
     "gmres_dual",
     "estimate_gamma",
     "fit_rate",
@@ -39,7 +41,7 @@ class IterationConfig:
     beta: float = 0.5
     tol: float = 1e-10
     maxit: int = 1000
-    seed: int | None = 0        # None starts from zero
+    seed: int = 0               # of the random initial multiplier
 
     def __post_init__(self):
         if not 0.0 < self.beta <= 1.0:
@@ -52,11 +54,9 @@ class IterationConfig:
 
 @dataclass
 class ConvergenceReport:
-    """Histories and fitted diagnostics of one iterative run."""
+    """Histories and outcome of one run, whatever the method. Row i of
+    history.csv holds entry i of residuals, primal_errors and p_history."""
 
-    method: str
-    beta: float
-    seed: int | None
     residuals: list[float] = field(default_factory=list)
     error_norms: list[float] = field(default_factory=list)   # |mu^(n)| vs reference
     primal_errors: list[float] = field(default_factory=list)
@@ -64,28 +64,22 @@ class ConvergenceReport:
     converged: bool = False
     diverged: bool = False
     iterations: int = 0
-    gamma: float | None = None
-    rho_obs: float | None = None
-    rho_thm: float | None = None
     lam: np.ndarray | None = field(default=None, repr=False)
     u: np.ndarray | None = field(default=None, repr=False)
 
-    def finalize(self, gamma: float | None, beta_for_bound: float | None = None):
-        """Fit the observed rate and attach the theoretical bound."""
-        history = self.error_norms if len(self.error_norms) >= 12 else self.primal_errors
-        if len(history) >= 12:
-            self.rho_obs = fit_rate(history)
-        self.gamma = gamma
-        if gamma is not None and beta_for_bound is not None:
-            self.rho_thm = rho_theorem(beta_for_bound, gamma)
-        return self
+    @classmethod
+    def krylov(cls, u, lam, history, tol: float) -> "ConvergenceReport":
+        """Report of a Krylov run from its (never increasing) residual history;
+        only a non-finite residual, which ends the run at once, is divergence."""
+        return cls(residuals=history, converged=history[-1] <= tol,
+                   diverged=not math.isfinite(history[-1]),
+                   iterations=len(history) - 1, lam=lam, u=u)
 
-
-def _initial_multiplier(dim: int, seed: int | None) -> np.ndarray:
-    if seed is None:
-        return np.zeros(dim, dtype=np.complex128)
-    rng = np.random.default_rng(seed)
-    return rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    @property
+    def rho_obs(self) -> float | None:
+        """Rate fitted on the multiplier errors, else on the primal errors."""
+        history = self.error_norms or self.primal_errors
+        return fit_rate(history) if len(history) >= 12 else None
 
 
 def reference_primal(decomp: Decomposition, factor=None) -> np.ndarray:
@@ -96,70 +90,77 @@ def reference_primal(decomp: Decomposition, factor=None) -> np.ndarray:
     return decomp.apply_R(np.asarray(uhat))
 
 
+def _until_stopped(report: ConvergenceReport, cfg: IterationConfig,
+                   steps) -> ConvergenceReport:
+    """The one stopping rule of richardson and primal_iterate.
+
+    `steps` yields, for iterate 0, 1, ..., the values it logged, the
+    residual first, and takes the next step when resumed. The run stops at
+    the first iterate with a non-finite value (diverged), a residual <= tol
+    (converged), the DIVERGENCE_WINDOW-th consecutive residual no smaller
+    than the one before (diverged), or index maxit (neither flag).
+    """
+    stall, previous = 0, math.inf
+    for it, values in enumerate(steps):
+        residual = values[0]
+        stall = stall + 1 if residual >= previous else 0
+        if not all(map(math.isfinite, values)):
+            report.diverged = True
+        elif residual <= cfg.tol:
+            report.converged = True
+        elif stall >= DIVERGENCE_WINDOW:
+            report.diverged = True
+        elif it < cfg.maxit:
+            previous = residual
+            continue
+        break
+    report.iterations = it
+    return report
+
+
 def richardson(dual: DualSystem, cfg: IterationConfig,
                lam_ref: np.ndarray | None = None,
                u_ref: np.ndarray | None = None,
-               redundancy: np.ndarray | None = None,
-               gamma: float | None = None) -> ConvergenceReport:
+               redundancy: np.ndarray | None = None) -> ConvergenceReport:
     """Damped fixed-point iteration lam += beta * (d - (I - X^T S) lam).
 
     Logs the relative dual residual in the M^-1 norm, the multiplier error
     against a deflated direct reference, the recovered primal error, and
-    the subdomain loss p. Fifty consecutive non-decreasing residuals, or a
-    non-finite residual or error, flag divergence; the partial run is
-    preserved.
+    the subdomain loss p; _until_stopped reads the first three.
 
     A step costs one augmented solve v = Atilde^{-1} T^T lam: it gives K lam
     and the loss p, and the recovered primal is Atilde^{-1} f + v, with
     Atilde^{-1} f solved once per run, in the solve that forms d. The
     deflation's M^-1 Z and Gram matrix are also formed once per run.
     """
-    report = ConvergenceReport(method="richardson", beta=cfg.beta, seed=cfg.seed)
+    report = ConvergenceReport()
     d, u_f = dual.rhs_d_and_u_f()
-    d_norm = dual.norm_Minv(d)
-    scale = d_norm if d_norm > 0.0 else 1.0
-
+    scale = dual.norm_Minv(d) or 1.0
     if lam_ref is None:
         lam_ref = dual.solve_direct(deflate=redundancy)
     if u_ref is None:
         u_ref = reference_primal(dual.decomp)
     u_scale = float(np.linalg.norm(u_ref)) or 1.0
-
     deflate = dual.deflation(redundancy)
 
-    lam = _initial_multiplier(dual.dim, cfg.seed)
-    stall = 0
-    for it in range(cfg.maxit + 1):
-        K_lam, p, v = dual.apply_K_and_loss(lam)
-        residual = dual.norm_Minv(d - K_lam) / scale
-        mu = deflate(lam - lam_ref)
-        u = u_f + v
-        report.residuals.append(residual)
-        report.error_norms.append(dual.norm_Minv(mu))
-        report.primal_errors.append(float(np.linalg.norm(u - u_ref)) / u_scale)
-        report.p_history.append(p)
-        if not np.isfinite([residual, report.error_norms[-1],
-                            report.primal_errors[-1]]).all():
-            report.diverged = True
-            break
-        if residual <= cfg.tol:
-            report.converged = True
-            break
-        if len(report.residuals) >= 2 and residual >= report.residuals[-2]:
-            stall += 1
-            if stall >= DIVERGENCE_WINDOW:
-                report.diverged = True
-                break
-        else:
-            stall = 0
-        if it == cfg.maxit:
-            break
-        lam = lam + cfg.beta * (d - K_lam)
+    def steps():
+        rng = np.random.default_rng(cfg.seed)
+        lam = rng.standard_normal(dual.dim) + 1j * rng.standard_normal(dual.dim)
+        while True:
+            K_lam, p, v = dual.apply_K_and_loss(lam)
+            r = d - K_lam
+            report.lam, report.u = lam, u_f + v
+            values = (dual.norm_Minv(r) / scale,
+                      dual.norm_Minv(deflate(lam - lam_ref)),
+                      float(np.linalg.norm(report.u - u_ref)) / u_scale)
+            report.residuals.append(values[0])
+            report.error_norms.append(values[1])
+            report.primal_errors.append(values[2])
+            report.p_history.append(p)
+            yield values
+            lam = lam + cfg.beta * r
 
-    report.iterations = len(report.residuals) - 1
-    report.lam = lam
-    report.u = u
-    return report.finalize(gamma, cfg.beta)
+    return _until_stopped(report, cfg, steps())
 
 
 def primal_iterate(dual: DualSystem, cfg: IterationConfig,
@@ -171,7 +172,8 @@ def primal_iterate(dual: DualSystem, cfg: IterationConfig,
     - X^T E^T (A u_n - f)]), starting from u_0 = Atilde^{-1} f, whose defect
     A u_0 - f lies in range(T^T) as the recurrence requires. The extension
     E (T E = I) is T^T, which exists exactly when the trace is surjective,
-    that is, when no column of T holds more than one entry.
+    that is, when no column of T holds more than one entry. The primal
+    error against u_ref serves as the residual of _until_stopped.
 
     The interface map is composed once per call: with the sparse
     B = T^T (alpha M X T - X^T T A) and g = f + T^T X^T T f, a step is
@@ -185,59 +187,49 @@ def primal_iterate(dual: DualSystem, cfg: IterationConfig,
     XtT = X.T @ T
     B = (Tt @ (dual.alpha * (M @ X @ T) - XtT @ A)).tocsr()
     g = f + Tt @ (XtT @ f)
-    report = ConvergenceReport(method="primal", beta=cfg.beta, seed=None)
-    u = dual.aug.apply_inv(f) if u0 is None else np.asarray(u0, np.complex128).copy()
+    report = ConvergenceReport()
     if u_ref is None:
         u_ref = reference_primal(dual.decomp)
     u_scale = float(np.linalg.norm(u_ref)) or 1.0
 
-    stall = 0
-    for it in range(cfg.maxit + 1):
-        err = float(np.linalg.norm(u - u_ref)) / u_scale
-        report.primal_errors.append(err)
-        report.residuals.append(err)
-        if not np.isfinite(err):
-            report.diverged = True
-            break
-        if err <= cfg.tol:
-            report.converged = True
-            break
-        if len(report.primal_errors) >= 2 and err >= report.primal_errors[-2]:
-            stall += 1
-            if stall >= DIVERGENCE_WINDOW:
-                report.diverged = True
-                break
-        else:
-            stall = 0
-        if it == cfg.maxit:
-            break
-        u = (1.0 - cfg.beta) * u + cfg.beta * dual.aug.apply_inv(g + B @ u)
+    def steps():
+        u = dual.aug.apply_inv(f) if u0 is None else np.asarray(u0, np.complex128).copy()
+        while True:
+            report.u = u
+            err = float(np.linalg.norm(u - u_ref)) / u_scale
+            report.primal_errors.append(err)
+            report.residuals.append(err)
+            yield (err,)
+            u = (1.0 - cfg.beta) * u + cfg.beta * dual.aug.apply_inv(g + B @ u)
 
-    report.iterations = len(report.primal_errors) - 1
-    report.u = u
-    return report.finalize(None)
+    return _until_stopped(report, cfg, steps())
+
+
+def one_step(dual: DualSystem, cfg: IterationConfig,
+             u_ref: np.ndarray) -> ConvergenceReport:
+    """One undamped update from zero, lam = d: exact for the one-step reflection.
+
+    Logs the relative residual and primal error of iterates 0 and 1; converged
+    means a primal error within tol after the step.
+    """
+    d, u0 = dual.rhs_d_and_u_f()     # u0 = primal_recover(0)
+    u = dual.primal_recover(d)
+    K_lam = dual.apply_K_and_loss(d)[0]   # by a solve: with T = I, N is n_u x n_u
+    residual = dual.norm_Minv(d - K_lam) / (dual.norm_Minv(d) or 1.0)
+    u_scale = float(np.linalg.norm(u_ref)) or 1.0
+    errors = [float(np.linalg.norm(v - u_ref)) / u_scale for v in (u0, u)]
+    return ConvergenceReport(residuals=[1.0, residual], primal_errors=errors,
+                             converged=errors[1] <= cfg.tol,
+                             diverged=not (math.isfinite(residual)
+                                           and math.isfinite(errors[1])),
+                             iterations=1, lam=d, u=u)
 
 
 def gmres_dual(dual: DualSystem, tol: float = 1e-10,
-               maxit: int | None = None,
-               gamma: float | None = None) -> ConvergenceReport:
-    """Full GMRES on (I - X^T S) lambda = d in the M^-1 inner product.
-
-    The GMRES residual never increases, so only a non-finite residual, which
-    ends the run at once, counts as divergence.
-    """
+               maxit: int | None = None) -> ConvergenceReport:
+    """Full GMRES on (I - X^T S) lambda = d in the M^-1 inner product."""
     lam, history = gmres(dual.apply_K, dual.rhs_d(), ip=dual.ip, tol=tol, maxit=maxit)
-    report = ConvergenceReport(method="gmres", beta=1.0, seed=None)
-    report.residuals = history
-    report.converged = bool(history[-1] <= tol)
-    report.diverged = not np.isfinite(history[-1])
-    report.iterations = len(history) - 1
-    report.lam = lam
-    report.u = dual.primal_recover(lam)
-    report.gamma = gamma
-    if gamma is not None:
-        report.rho_thm = rho_gmres(gamma)
-    return report
+    return ConvergenceReport.krylov(dual.primal_recover(lam), lam, history, tol)
 
 
 def _block_roots(M):

@@ -155,8 +155,7 @@ def test_06_contraction_rate_bound():
     _, prob, dec = make_instance(8, 8, 2, 2, source="point:0.3,0.4")
     _sys, _tr, _imp, _X, dual = dual_stack(dec, prob.alpha)
     gamma = estimate_gamma(dual)
-    rep = richardson(dual, IterationConfig(beta=0.5, tol=1e-9, maxit=4000,
-                                           seed=0), gamma=gamma)
+    rep = richardson(dual, IterationConfig(beta=0.5, tol=1e-9, maxit=4000, seed=0))
     bound = rho_theorem(0.5, gamma)
     ok = rep.converged and rep.rho_obs <= bound + 0.02
 

@@ -69,6 +69,16 @@ class TestLoadConfig:
         with pytest.raises(ValueError):
             load_config(overrides={"problem.nx": "many"})
 
+    @pytest.mark.parametrize("value,flag", [("1", True), ("True", True), ("yes", True),
+                                            ("0", False), ("false", False), ("NO", False)])
+    def test_dump_operators_flag(self, value, flag):
+        cfg = load_config(overrides={"output.dump_operators": value})
+        assert cfg.get("output", "dump_operators") is flag
+
+    def test_source_spec_echoed_unchanged(self):
+        cfg = load_config(overrides={"problem.source": "point:0.30, .4"})
+        assert cfg.get("problem", "source") == "point:0.30, .4"
+
 
 class TestValidate:
     def base(self, **over):
@@ -544,6 +554,19 @@ class TestRunCommand:
                  else cli.IMPEDANCE_VARIANTS)
         assert str(valid) in result.output
 
+    @pytest.mark.parametrize("setting", [
+        "problem.source=point:0.3", "problem.source=point:a,b",
+        "problem.source=point:0.3,0.4,0.5", "problem.source=pointy",
+        "problem.source=point:nan,0.4", "output.dump_operators=on",
+        "output.dump_operators=",
+    ])
+    def test_malformed_value_exits_two(self, setting, tmp_path, monkeypatch):
+        result = run_cli(["run", "--preset", "loisel", "--set", setting]
+                         + [f"--set={s}" for s in FAST], tmp_path, monkeypatch)
+        assert result.exit_code == 2, result.output
+        assert f"bad value for {setting.partition('=')[0]}" in result.output
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("p", [2, 4])
     def test_complete_comm_runs_with_glob_block(self, p, tmp_path, monkeypatch):
         result = run_cli(["run", "--preset", "complete_comm",
@@ -624,6 +647,36 @@ class TestRunCommand:
         outdir = tmp_path / "out"
         assert (outdir / "A_hat.mtx").exists()
         assert (outdir / "T.mtx").exists()
+
+
+# one run per method path at 8 x 8: (preset, extra settings)
+METHOD_PATHS = {"richardson": ("loisel", ["solver.method=richardson"]),
+                "gmres": ("loisel", []), "primal": ("complete_comm", []),
+                "fetih": ("fetih", []), "exceptional": ("exceptional", [])}
+
+
+def test_every_method_writes_one_report_schema(tmp_path, monkeypatch):
+    keys = {}
+    for name, (preset, sets) in METHOD_PATHS.items():
+        result = run_cli(["run", "--preset", preset, "--set", f"output.dir={name}"]
+                         + [f"--set={s}" for s in FAST + sets], tmp_path, monkeypatch)
+        assert result.exit_code == 0, result.output
+        report = json.loads((tmp_path / name / "report.json").read_text())
+        keys[name] = set(report)
+        lines = (tmp_path / name / "history.csv").read_text().splitlines()
+        assert lines[0] == "iteration,residual,primal_error,p"
+        rows = [line.split(",") for line in lines[1:]]
+        # row i is iterate i; each column is filled on a leading run of rows
+        assert [int(row[0]) for row in rows] == list(range(report["iterations"] + 1))
+        for column in list(zip(*rows))[1:]:
+            filled = [cell != "" for cell in column]
+            assert filled == sorted(filled, reverse=True), name
+        assert all(row[1] for row in rows)
+        assert float(rows[-1][1]) == report["final_residual"]
+        if rows[-1][2]:
+            assert float(rows[-1][2]) == report["final_primal_error"]
+    assert all(k == keys["gmres"] for k in keys.values()), keys
+    assert {"rho_obs", "rho_thm", "final_primal_error"} <= keys["gmres"]
 
 
 class TestVerifyCommand:

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -5,8 +7,8 @@ import scipy.linalg
 from schwarzlab import cli
 from schwarzlab.facets import build_facets, redundancy_basis
 from schwarzlab.formulations import build_dual_system, exceptional_system
-from schwarzlab.solvers import (ConvergenceReport, IterationConfig,
-                                estimate_gamma, fit_rate, gmres_dual,
+from schwarzlab.solvers import (DIVERGENCE_WINDOW, ConvergenceReport, IterationConfig,
+                                _until_stopped, estimate_gamma, fit_rate, gmres_dual,
                                 primal_iterate, reference_primal, richardson,
                                 rho_gmres, rho_theorem)
 from schwarzlab.traces import build_exchange, build_impedance, build_trace
@@ -111,7 +113,7 @@ class TestRichardson:
         rep = richardson(Amplifier(), cfg, lam_ref=np.zeros(2, dtype=complex),
                          u_ref=np.zeros(2, dtype=complex))
         assert rep.diverged and not rep.converged
-        assert rep.iterations < 500
+        assert rep.iterations == DIVERGENCE_WINDOW
 
     def test_one_augmented_solve_per_step(self):
         dec, system, trace, imp, X, dual = dual_stack()
@@ -160,6 +162,47 @@ class TestRichardson:
         rep = richardson(dual, cfg, lam_ref=lam_ref, u_ref=u_ref)
         assert rep.diverged and not rep.converged
         assert rep.iterations == 0
+
+
+class TestStoppingRule:
+    """Scripted logged values through the rule richardson and primal_iterate share."""
+
+    @staticmethod
+    def stop(values, **cfg):
+        """(stopping index, converged, diverged), and the next unread entry."""
+        values = iter(values)
+        rep = _until_stopped(ConvergenceReport(), IterationConfig(**cfg), values)
+        return (rep.iterations, rep.converged, rep.diverged), next(values, None)
+
+    def test_rising_residuals_diverge_after_the_window(self):
+        rising = ((r,) for r in itertools.count(1.0))
+        assert self.stop(rising)[0] == (DIVERGENCE_WINDOW, False, True)
+
+    def test_a_plateau_stalls_too(self):
+        assert self.stop([(1.0,)] * 100)[0] == (DIVERGENCE_WINDOW, False, True)
+
+    def test_a_decrease_restarts_the_window(self):
+        values = [(1.0,)] * DIVERGENCE_WINDOW + [(0.5,)] + [(0.5,)] * 100
+        assert self.stop(values)[0] == (2 * DIVERGENCE_WINDOW, False, True)
+
+    @pytest.mark.parametrize("bad", [(np.nan, 0.1), (np.inf, 0.1), (0.1, np.nan),
+                                     (1e-30, np.inf)])
+    def test_a_non_finite_value_diverges_at_once(self, bad):
+        values = [(0.9 ** n, 0.1) for n in range(7)] + [bad, (0.1, 0.1)]
+        assert self.stop(values) == ((7, False, True), (0.1, 0.1))
+
+    def test_tolerance_converges_at_its_step(self):
+        values = [(10.0 ** -n,) for n in range(20)]
+        assert self.stop(values, tol=1e-6) == ((6, True, False), (1e-7,))
+
+    def test_maxit_sets_neither_flag(self):
+        values = [(0.9 ** n,) for n in range(20)]
+        assert self.stop(values, maxit=12) == ((12, False, False), (0.9 ** 13,))
+
+    def test_the_window_wins_over_maxit(self):
+        rising = [(float(r),) for r in range(1, 100)]
+        assert self.stop(rising, maxit=DIVERGENCE_WINDOW)[0] == \
+            (DIVERGENCE_WINDOW, False, True)
 
 
 class TestPrimalIteration:
@@ -338,7 +381,7 @@ class TestGamma:
         dec, system, trace, imp, X, dual = dual_stack()
         gamma = estimate_gamma(dual)
         cfg = IterationConfig(beta=0.5, tol=1e-9, maxit=2000, seed=3)
-        rep = richardson(dual, cfg, gamma=gamma)
+        rep = richardson(dual, cfg)
         assert rep.converged
         assert rep.rho_obs <= rho_theorem(0.5, gamma) + 0.02
 
