@@ -37,6 +37,7 @@ from .traces import IMPEDANCE_VARIANTS, build_exchange, build_impedance, build_t
 
 __all__ = [
     "RunConfig",
+    "RunKind",
     "Instance",
     "load_config",
     "validate",
@@ -52,6 +53,10 @@ PROBLEM_TYPES = ("laplace", "reaction_diffusion", "helmholtz")
 EXCHANGE_VARIANTS = ("reflection", "exceptional")
 METHODS = ("richardson", "gmres", "primal", "fetih")
 
+# key -> the values it admits, checked wherever a run reads the key
+CHOICES = {"type": PROBLEM_TYPES, "boundary": ("robin", "dirichlet"),
+           "facets": FACET_VARIANTS, "exchange": EXCHANGE_VARIANTS,
+           "impedance": IMPEDANCE_VARIANTS}
 FLAGS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 GAMMA_DIM_LIMIT = 400    # budget for gamma's dense SVD of K (cubic in dim)
 CSV_FORMAT = "%.17g"
@@ -86,12 +91,12 @@ SCHEMA = {
         "impedance": (str, "lumped_mass"),
         "sigma": (float, 1.0),
     },
-    "solver": {
+    "solver": {     # IterationConfig holds the defaults and the ranges
         "method": (str, "gmres"),
-        "beta": (float, 0.5),
-        "tol": (float, 1e-10),
-        "maxit": (int, 2000),
-        "seed": (int, 0),
+        "beta": (float, IterationConfig.beta),
+        "tol": (float, IterationConfig.tol),
+        "maxit": (int, IterationConfig.maxit),
+        "seed": (int, IterationConfig.seed),
     },
     "output": {
         "dir": (str, "out"),
@@ -121,33 +126,61 @@ PRESETS = {
     "exceptional": {
         "problem": {"type": "laplace", "kappa": "0.0"},
         "interface": {"exchange": "exceptional"},
-        "solver": {"method": "richardson", "beta": "1.0", "maxit": "1"},
     },
 }
 
 
 @dataclass(frozen=True)
-class RunConfig:
-    """Fully resolved configuration; every default made explicit."""
+class RunKind:
+    """The [interface] and [solver] keys one kind of run reads, and its rules
+    (inadmissible(get), reason) against facet systems and regimes."""
 
-    values: tuple  # ((section, key, value), ...) in schema order
+    keys: tuple
+    rules: tuple = ()
+
+
+# [problem], [decomposition] and [output] are read by every kind. solver.method
+# names the kind, except that interface.exchange = exceptional selects one_step.
+KRYLOV = ("interface.facets", "interface.exchange", "interface.impedance",
+          "interface.sigma", "solver.method", "solver.tol", "solver.maxit")
+KINDS = {
+    "gmres": RunKind(KRYLOV),
+    "richardson": RunKind(KRYLOV + ("solver.beta", "solver.seed")),
+    "primal": RunKind(KRYLOV + ("solver.beta",), rules=(
+        (lambda g: g("interface", "facets") != "globs",
+         "the subdomain-field recurrence needs a right inverse of the trace, "
+         "which bilateral systems with cross points do not admit; use glob facets"),)),
+    "fetih": RunKind(KRYLOV, rules=(
+        (lambda g: g("interface", "facets") == "globs",
+         "the one-sided jump method needs a bilateral facet system"),
+        (lambda g: g("problem", "boundary") != "dirichlet" or g("problem", "absorption") > 0,
+         "the one-sided jump method needs loss-free local operators: "
+         "dirichlet boundary and zero absorption"))),
+    "one_step": RunKind(("interface.exchange", "solver.tol"), rules=(
+        (lambda g: g("problem", "type") == "helmholtz",
+         "the one-step reflection needs the coercive regime; helmholtz is excluded"),
+        (lambda g: (g("problem", "type") == "laplace" and g("decomposition", "px") > 2
+                    and g("decomposition", "py") > 2),
+         "the one-step reflection on laplace needs every subdomain on the boundary "
+         "(px <= 2 or py <= 2); an interior subdomain has a singular local operator"))),
+}
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """Fully resolved configuration of one run kind; every key it reads explicit."""
+
+    kind: str        # a key of KINDS
+    sections: dict   # section -> key -> value, in schema order
 
     def get(self, section: str, key: str):
-        for s, k, v in self.values:
-            if s == section and k == key:
-                return v
-        raise KeyError(f"{section}.{key}")
-
-    def to_dict(self) -> dict:
-        out: dict[str, dict] = {}
-        for s, k, v in self.values:
-            out.setdefault(s, {})[k] = v
-        return out
+        return self.sections[section][key]
 
 
 def load_config(path: str | None = None, preset: str | None = None,
                 overrides: dict | None = None) -> RunConfig:
-    """Resolve defaults, preset, file, and explicit overrides, in that order."""
+    """Resolve defaults, preset, file, and explicit overrides, in that order,
+    for the keys the run's kind reads; a key it does not read is an error."""
     raw: dict[str, dict[str, str]] = {}
     if preset is not None:
         if preset not in PRESETS:
@@ -169,37 +202,41 @@ def load_config(path: str | None = None, preset: str | None = None,
                 raise ValueError(f"override {dotted!r} must look like section.key")
             raw.setdefault(section, {})[key] = value
 
-    values = []
+    if set(raw) - set(SCHEMA):
+        raise ValueError(f"unknown sections: {', '.join(sorted(set(raw) - set(SCHEMA)))}")
+    kind = raw.get("solver", {}).get("method", SCHEMA["solver"]["method"][1])
+    if raw.get("interface", {}).get("exchange") == "exceptional":
+        kind = "one_step"
+    elif kind not in METHODS:
+        raise ValueError(f"bad value for solver.method: {kind!r} is not one of "
+                         f"{', '.join(METHODS)}")
+    sections, unread, reads = {}, [], KINDS[kind].keys
     for section, keys in SCHEMA.items():
-        given = raw.pop(section, {})
+        given, values = raw.get(section, {}), sections.setdefault(section, {})
         for key, (parse, default) in keys.items():
-            if key in given:
-                try:
-                    values.append((section, key, parse(given.pop(key))))
-                except ValueError as exc:
-                    raise ValueError(f"bad value for {section}.{key}: {exc}") from exc
-            else:
-                values.append((section, key, default))
-        if given:
-            raise ValueError(f"unknown keys in [{section}]: {', '.join(sorted(given))}")
-    if raw:
-        raise ValueError(f"unknown sections: {', '.join(sorted(raw))}")
-    return RunConfig(values=tuple(values))
+            if section in ("interface", "solver") and f"{section}.{key}" not in reads:
+                continue
+            try:
+                values[key] = parse(given.pop(key)) if key in given else default
+            except ValueError as exc:
+                raise ValueError(f"bad value for {section}.{key}: {exc}") from exc
+        unread += [f"{section}.{key}" for key in sorted(given)]
+    if unread:
+        raise ValueError(f"unknown keys for a {kind} run: {', '.join(unread)}")
+    return RunConfig(kind=kind, sections=sections)
 
 
 def validate(cfg: RunConfig) -> list[str]:
     """Return a list of reasons the configuration is inconsistent."""
-    errors = []
     g = cfg.get
+    errors = [f"{section}.{key} must be one of {CHOICES[key]}"
+              for section, values in cfg.sections.items() for key, value in values.items()
+              if key in CHOICES and value not in CHOICES[key]]
     ptype = g("problem", "type")
-    if ptype not in PROBLEM_TYPES:
-        errors.append(f"problem.type must be one of {PROBLEM_TYPES}")
     if ptype == "laplace" and g("problem", "kappa") != 0.0:
         errors.append("laplace has no frequency; set problem.kappa = 0")
     if ptype in ("reaction_diffusion", "helmholtz") and g("problem", "kappa") <= 0.0:
         errors.append(f"{ptype} needs problem.kappa > 0")
-    if g("problem", "boundary") not in ("robin", "dirichlet"):
-        errors.append("problem.boundary must be robin or dirichlet")
     if g("problem", "nx") < 2 or g("problem", "ny") < 2:
         errors.append("mesh needs at least 2 cells per direction")
     if g("problem", "eta") <= 0.0:
@@ -212,51 +249,15 @@ def validate(cfg: RunConfig) -> list[str]:
         errors.append("decomposition needs at least two subdomains")
     if g("problem", "nx") % px or g("problem", "ny") % py:
         errors.append("partition must divide the cell counts evenly")
-
-    facets = g("interface", "facets")
-    exchange = g("interface", "exchange")
-    method = g("solver", "method")
-    if facets not in FACET_VARIANTS:
-        errors.append(f"interface.facets must be one of {FACET_VARIANTS}")
-    if exchange not in EXCHANGE_VARIANTS:
-        errors.append(f"interface.exchange must be one of {EXCHANGE_VARIANTS}")
-    if g("interface", "impedance") not in IMPEDANCE_VARIANTS:
-        errors.append(f"interface.impedance must be one of {IMPEDANCE_VARIANTS}")
-    if g("interface", "sigma") <= 0.0:
+    if cfg.kind != "one_step" and g("interface", "sigma") <= 0.0:
         errors.append("interface.sigma must be positive")
-    if method not in METHODS:
-        errors.append(f"solver.method must be one of {METHODS}")
 
-    bilateral = facets != "globs"
-    if exchange == "exceptional":
-        if ptype == "helmholtz":
-            errors.append("the one-step reflection needs the coercive regime; "
-                          "helmholtz is excluded")
-        if method != "richardson":
-            errors.append("the one-step reflection runs as an undamped "
-                          "fixed-point update; set solver.method = richardson")
-        if ptype == "laplace" and px > 2 and py > 2:
-            errors.append("the one-step reflection on laplace needs every "
-                          "subdomain on the boundary (px <= 2 or py <= 2); an "
-                          "interior subdomain has a singular local operator")
-    if method == "primal" and bilateral:
-        errors.append("the subdomain-field recurrence needs a right inverse of "
-                      "the trace, which bilateral systems with cross points "
-                      "do not admit; use glob facets")
-    if method == "fetih":
-        if not bilateral:
-            errors.append("the one-sided jump method needs a bilateral facet system")
-        if g("problem", "boundary") != "dirichlet" or g("problem", "absorption") > 0:
-            errors.append("the one-sided jump method needs loss-free local "
-                          "operators: dirichlet boundary and zero absorption")
-
-    beta = g("solver", "beta")
-    if not 0.0 < beta <= 1.0:
-        errors.append("solver.beta must lie in (0, 1]")
-    if g("solver", "tol") <= 0.0:
-        errors.append("solver.tol must be positive")
-    if g("solver", "maxit") < 1:
-        errors.append("solver.maxit must be at least 1")
+    errors += [reason for inadmissible, reason in KINDS[cfg.kind].rules if inadmissible(g)]
+    try:
+        IterationConfig(**{key: value for key, value in cfg.sections["solver"].items()
+                           if key != "method"})
+    except ValueError as exc:
+        errors.append(f"solver.{exc}")
     return errors
 
 
@@ -443,37 +444,38 @@ def _kernel_is_span(S, Z: np.ndarray) -> bool:
 def execute(inst: Instance) -> dict:
     """Run the configured solver; return the report dictionary, read from
     its ConvergenceReport in the same way for every method."""
-    g = inst.cfg.get
-    method = g("solver", "method")
+    g, kind = inst.cfg.get, inst.cfg.kind
     t0 = time.perf_counter()
     u_ref = reference_primal(inst.decomp, inst.exchange and inst.exchange.factor)
-    cfg_it = IterationConfig(beta=g("solver", "beta"), tol=g("solver", "tol"),
-                             maxit=g("solver", "maxit"), seed=g("solver", "seed"))
+    tol = g("solver", "tol")    # the one [solver] key every kind reads
     dual = inst.dual
     gamma = rho_thm = None
     skipped: dict[str, str] = {}
 
-    if g("interface", "exchange") == "exceptional":
-        rep = one_step(dual, cfg_it, u_ref)
-    elif method == "fetih":
-        rep = ConvergenceReport.krylov(*fetih_solve(inst.fetih, tol=cfg_it.tol,
-                                                    maxit=cfg_it.maxit), cfg_it.tol)
-    elif method == "primal":
-        rep = primal_iterate(dual, cfg_it, u_ref=u_ref)
+    if kind == "one_step":
+        rep = one_step(dual, tol, u_ref)
+    elif kind == "fetih":
+        rep = ConvergenceReport.krylov(*fetih_solve(inst.fetih, tol=tol,
+                                                    maxit=g("solver", "maxit")), tol)
+    elif kind == "primal":
+        rep = primal_iterate(dual, IterationConfig(beta=g("solver", "beta"), tol=tol,
+                                                   maxit=g("solver", "maxit")), u_ref=u_ref)
     else:   # richardson or gmres, with the rate bound of gamma within the budget
         if dual.dim <= GAMMA_DIM_LIMIT:
             gamma = estimate_gamma(dual, redundancy=inst.redundancy)
-            rho_thm = (rho_gmres(gamma) if method == "gmres"
-                       else rho_theorem(cfg_it.beta, gamma))
+            rho_thm = (rho_gmres(gamma) if kind == "gmres"
+                       else rho_theorem(g("solver", "beta"), gamma))
         else:
             skipped["gamma"] = (f"dim lambda {dual.dim} exceeds the dense "
                                 f"budget {GAMMA_DIM_LIMIT}; no rho_thm")
-        rep = (gmres_dual(dual, tol=cfg_it.tol, maxit=cfg_it.maxit) if method == "gmres"
-               else richardson(dual, cfg_it, u_ref=u_ref, redundancy=inst.redundancy))
+        rep = (gmres_dual(dual, tol=tol, maxit=g("solver", "maxit")) if kind == "gmres"
+               else richardson(dual, IterationConfig(
+                   beta=g("solver", "beta"), tol=tol, maxit=g("solver", "maxit"),
+                   seed=g("solver", "seed")), u_ref=u_ref, redundancy=inst.redundancy))
 
     u_scale = float(np.linalg.norm(u_ref)) or 1.0
     return {
-        "config": inst.cfg.to_dict(),
+        "config": inst.cfg.sections,
         "gamma": gamma,
         "sum_cycles": (int(inst.redundancy.shape[1])
                        if inst.redundancy is not None else None),
@@ -505,9 +507,8 @@ def write_outputs(report: dict, outdir: Path, inst: Instance | None = None,
         handle.write("iteration,residual,primal_error,p\n")
         for it, res, err, p in rows:
             handle.write(f"{it},{_fmt(res)},{_fmt(err)},{_fmt(p)}\n")
-    with open(outdir / "report.json", "w", encoding="ascii") as handle:
-        json.dump(report, handle, indent=2)
-        handle.write("\n")
+    (outdir / "report.json").write_text(json.dumps(report, indent=2) + "\n",
+                                        encoding="ascii")
     if dump_operators and inst is not None:
         save_matrix_market(outdir / "A_hat.mtx", inst.problem.A_hat())
         for i in range(inst.decomp.n_sub):
@@ -573,10 +574,8 @@ def run(config, preset, sets):
     outdir = resolve_outdir(cfg)
     report = _solve(cfg, outdir)
     status = "converged" if report["converged"] else "did not converge"
-    click.echo(f"{cfg.get('solver', 'method')}: {status} after "
-               f"{report['iterations']} iterations; "
-               f"final primal error {report['final_primal_error']:.3e}; "
-               f"outputs in {outdir}")
+    click.echo(f"{cfg.kind}: {status} after {report['iterations']} iterations; final "
+               f"primal error {report['final_primal_error']:.3e}; outputs in {outdir}")
     if not report["converged"]:
         raise SystemExit(3)
 
@@ -600,12 +599,11 @@ def verify(config, preset, sets):
         elif "cycle_count" in result:
             detail = f" (cycles {result['cycle_count']})"
         click.echo(f"{'PASS' if passed else 'FAIL'} {name}{detail}")
-    report = {"config": cfg.to_dict(), "checks": checks}
+    report = {"config": cfg.sections, "checks": checks}
     outdir = resolve_outdir(cfg)
     outdir.mkdir(parents=True, exist_ok=True)
-    with open(outdir / "report.json", "w", encoding="ascii") as handle:
-        json.dump(report, handle, indent=2)
-        handle.write("\n")
+    (outdir / "report.json").write_text(json.dumps(report, indent=2) + "\n",
+                                        encoding="ascii")
     if not all_passed:
         raise SystemExit(4)
 

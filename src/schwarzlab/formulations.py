@@ -384,8 +384,7 @@ def fetih_build(decomp: Decomposition, impedance: ImpedanceOperator) -> FetiH:
                  facet_blocks=dict(impedance.facet_blocks), B=B, f=decomp.f_concat)
 
 
-def fetih_solve(fetih: FetiH, tol: float = 1e-10,
-                maxit: int | None = None):
+def fetih_solve(fetih: FetiH, tol: float, maxit: int | None = None):
     """Eliminate u from the saddle system and iterate on the multipliers.
 
     Solves B Atilde^{-1} B^T lambda = B Atilde^{-1} f with unweighted full

@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-import scipy.io
 import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
@@ -327,9 +326,11 @@ def gmres(
 
 def save_matrix_market(path, A) -> None:
     """Write a sparse matrix in complex general coordinate format."""
+    import scipy.io     # only the operator dumps need it
     scipy.io.mmwrite(str(path), scipy.sparse.coo_matrix(A, dtype=np.complex128),
                      field="complex", symmetry="general")
 
 
 def load_matrix_market(path) -> scipy.sparse.csr_array:
+    import scipy.io
     return scipy.sparse.csr_array(scipy.io.mmread(str(path)), dtype=np.complex128)

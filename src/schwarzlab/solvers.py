@@ -36,20 +36,22 @@ DIVERGENCE_WINDOW = 50  # consecutive non-decreasing residuals
 
 @dataclass(frozen=True)
 class IterationConfig:
-    """Damping and stopping rule of the iteration loop."""
+    """Damping and stopping rule; the one copy of their defaults and ranges."""
 
     beta: float = 0.5
     tol: float = 1e-10
-    maxit: int = 1000
+    maxit: int = 2000
     seed: int = 0               # of the random initial multiplier
 
     def __post_init__(self):
         if not 0.0 < self.beta <= 1.0:
-            raise ValueError("damping must lie in (0, 1]")
+            raise ValueError("beta must lie in (0, 1]")
         if self.tol <= 0.0:
-            raise ValueError("tolerance must be positive")
+            raise ValueError("tol must be positive")
         if self.maxit < 1:
             raise ValueError("maxit must be at least 1")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
 
 @dataclass
@@ -205,8 +207,7 @@ def primal_iterate(dual: DualSystem, cfg: IterationConfig,
     return _until_stopped(report, cfg, steps())
 
 
-def one_step(dual: DualSystem, cfg: IterationConfig,
-             u_ref: np.ndarray) -> ConvergenceReport:
+def one_step(dual: DualSystem, tol: float, u_ref: np.ndarray) -> ConvergenceReport:
     """One undamped update from zero, lam = d: exact for the one-step reflection.
 
     Logs the relative residual and primal error of iterates 0 and 1; converged
@@ -219,14 +220,13 @@ def one_step(dual: DualSystem, cfg: IterationConfig,
     u_scale = float(np.linalg.norm(u_ref)) or 1.0
     errors = [float(np.linalg.norm(v - u_ref)) / u_scale for v in (u0, u)]
     return ConvergenceReport(residuals=[1.0, residual], primal_errors=errors,
-                             converged=errors[1] <= cfg.tol,
+                             converged=errors[1] <= tol,
                              diverged=not (math.isfinite(residual)
                                            and math.isfinite(errors[1])),
                              iterations=1, lam=d, u=u)
 
 
-def gmres_dual(dual: DualSystem, tol: float = 1e-10,
-               maxit: int | None = None) -> ConvergenceReport:
+def gmres_dual(dual: DualSystem, tol: float, maxit: int | None = None) -> ConvergenceReport:
     """Full GMRES on (I - X^T S) lambda = d in the M^-1 inner product."""
     lam, history = gmres(dual.apply_K, dual.rhs_d(), ip=dual.ip, tol=tol, maxit=maxit)
     return ConvergenceReport.krylov(dual.primal_recover(lam), lam, history, tol)

@@ -36,11 +36,16 @@ def run_cli(args, tmp_path, monkeypatch):
 
 class TestLoadConfig:
     def test_defaults_cover_schema(self):
+        # the default kind is gmres: every [problem], [decomposition] and
+        # [output] key, and of [interface] and [solver] the keys gmres reads
         cfg = load_config()
-        d = cfg.to_dict()
+        d = cfg.sections
         assert set(d) == {"problem", "decomposition", "interface", "solver",
                           "output"}
-        assert d["solver"]["beta"] == 0.5
+        assert cfg.kind == "gmres"
+        assert {f"{s}.{k}" for s in ("interface", "solver") for k in d[s]} == \
+            set(cli.KINDS["gmres"].keys)
+        assert d["solver"]["maxit"] == 2000
 
     def test_preset_overrides_defaults(self):
         cfg = load_config(preset="loisel")
@@ -48,8 +53,8 @@ class TestLoadConfig:
         assert cfg.get("interface", "exchange") == "reflection"
 
     def test_explicit_override_wins(self):
-        cfg = load_config(preset="loisel", overrides={"solver.beta": "0.75"})
-        assert cfg.get("solver", "beta") == 0.75
+        cfg = load_config(preset="loisel", overrides={"solver.tol": "1e-8"})
+        assert cfg.get("solver", "tol") == 1e-8
 
     def test_config_file(self, tmp_path):
         path = tmp_path / "run.ini"
@@ -60,6 +65,19 @@ class TestLoadConfig:
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError):
             load_config(overrides={"problem.frequencyy": "3"})
+
+    @pytest.mark.parametrize("preset,setting,unread", [
+        ("loisel", "solver.beta", "solver.beta"),
+        ("fetih", "solver.seed", "solver.seed"),
+        ("exceptional", "interface.sigma", "interface.sigma"),
+        ("exceptional", "solver.maxit", "solver.maxit"),
+        ("loisel", "interface.exchange", "interface.facets, solver.method"),
+    ])
+    def test_unread_key_rejected(self, preset, setting, unread):
+        # a key the run's kind does not read is unknown to it
+        value = "exceptional" if setting == "interface.exchange" else "1"
+        with pytest.raises(ValueError, match=f"run: {unread}$"):
+            load_config(preset=preset, overrides={setting: value})
 
     def test_unknown_section_rejected(self):
         with pytest.raises(ValueError):
@@ -117,13 +135,13 @@ class TestValidate:
     def test_exceptional_excludes_helmholtz(self):
         errs = validate(self.base(**{"problem.type": "helmholtz",
                                      "problem.kappa": "6.28",
-                                     "interface.exchange": "exceptional",
-                                     "solver.method": "richardson"}))
+                                     "interface.exchange": "exceptional"}))
         assert any("coercive" in e for e in errs)
 
     def test_beta_out_of_range(self):
-        errs = validate(self.base(**{"solver.beta": "0.0"}))
-        assert any("beta" in e for e in errs)
+        errs = validate(self.base(**{"solver.method": "richardson",
+                                     "solver.beta": "0.0"}))
+        assert errs == ["solver.beta must lie in (0, 1]"]
 
     def test_partition_must_divide(self):
         errs = validate(self.base(**{"problem.nx": "9",
@@ -558,7 +576,7 @@ class TestRunCommand:
         "problem.source=point:0.3", "problem.source=point:a,b",
         "problem.source=point:0.3,0.4,0.5", "problem.source=pointy",
         "problem.source=point:nan,0.4", "output.dump_operators=on",
-        "output.dump_operators=",
+        "output.dump_operators=", "solver.method=exceptional",
     ])
     def test_malformed_value_exits_two(self, setting, tmp_path, monkeypatch):
         result = run_cli(["run", "--preset", "loisel", "--set", setting]
@@ -589,6 +607,20 @@ class TestRunCommand:
         report = json.loads((outdir / "report.json").read_text())
         assert report["converged"]
         assert report["config"]["interface"]["exchange"] == "reflection"
+
+    @pytest.mark.parametrize("preset,sets,message", [
+        ("complete_comm", ["solver.beta=0"],
+         "invalid configuration: solver.beta must lie in (0, 1]"),
+        ("loisel", ["solver.beta=0"],
+         "config error: unknown keys for a gmres run: solver.beta"),
+        ("loisel", ["solver.method=richardson", "solver.seed=-1"],
+         "invalid configuration: solver.seed must be non-negative"),
+    ])
+    def test_solver_range_exits_two(self, preset, sets, message, tmp_path, monkeypatch):
+        result = run_cli(["run", "--preset", preset]
+                         + [f"--set={s}" for s in sets + FAST], tmp_path, monkeypatch)
+        assert result.exit_code == 2
+        assert message in result.output
 
     def test_nonconvergence_exits_three(self, tmp_path, monkeypatch):
         result = run_cli(["run", "--preset", "loisel", "--set",
@@ -717,12 +749,22 @@ class TestVerifyCommand:
 class TestSweepCommand:
     def test_sweep_subdirectories(self, tmp_path, monkeypatch):
         result = run_cli(["sweep", "--preset", "loisel",
-                          "--vary", "solver.beta=0.5,1.0"]
+                          "--vary", "interface.sigma=1,4"]
                          + [f"--set={s}" for s in FAST],
                          tmp_path, monkeypatch)
         assert result.exit_code == 0, result.output
-        for tag in ("beta=0.5", "beta=1.0"):
+        for tag in ("sigma=1", "sigma=4"):
             assert (tmp_path / "out" / tag / "report.json").exists()
+
+    def test_sweep_over_an_unread_key_exits_two(self, tmp_path, monkeypatch):
+        # dual GMRES reads no damping: each point is refused, none is run
+        result = run_cli(["sweep", "--preset", "loisel",
+                          "--vary", "solver.beta=0.25,0.5,1.0"]
+                         + [f"--set={s}" for s in FAST],
+                         tmp_path, monkeypatch)
+        assert result.exit_code == 2
+        assert "unknown keys for a gmres run: solver.beta" in result.output
+        assert not (tmp_path / "out").exists()
 
     def test_sweep_skips_invalid_points(self, tmp_path, monkeypatch):
         result = run_cli(["sweep", "--preset", "loisel",
@@ -740,9 +782,13 @@ class TestExceptionalPreset:
                          + [f"--set={s}" for s in FAST],
                          tmp_path, monkeypatch)
         assert result.exit_code == 0, result.output
+        assert result.output.startswith("one_step: converged after 1 iterations")
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert report["iterations"] == 1
         assert report["final_primal_error"] <= 1e-10
+        # the one-step update reads no facets, impedance, damping or limit
+        assert report["config"]["interface"] == {"exchange": "exceptional"}
+        assert report["config"]["solver"] == {"tol": 1e-10}
 
     def test_one_step_factorizes_the_global_operator_once(self, monkeypatch):
         splu = scipy.sparse.linalg.splu

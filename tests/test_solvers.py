@@ -46,11 +46,11 @@ def dense_gamma(dual, redundancy=None) -> float:
 class TestConfig:
     def test_defaults(self):
         cfg = IterationConfig()
-        assert cfg.beta == 0.5 and cfg.tol == 1e-10 and cfg.maxit == 1000
+        assert cfg.beta == 0.5 and cfg.tol == 1e-10 and cfg.maxit == 2000
 
     @pytest.mark.parametrize("kwargs", [
         dict(beta=0.0), dict(beta=1.5), dict(beta=-0.1),
-        dict(tol=0.0), dict(maxit=0),
+        dict(tol=0.0), dict(maxit=0), dict(seed=-1),
     ])
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
