@@ -28,7 +28,7 @@ from .facets import build_facets, check_admissibility, connectivity_graphs, redu
 from .formulations import (K_COLUMNS, DualSystem, build_dual_system,
                            exceptional_exchange, exceptional_system,
                            fetih_assembling_deviation, fetih_build, fetih_solve)
-from .linalg import SingularMatrixError, factorize, save_matrix_market
+from .linalg import SingularMatrixError, bordered, factorize, save_matrix_market
 from .meshfem import assemble, build_mesh, parse_source
 from .solvers import (ConvergenceReport, IterationConfig, estimate_gamma, gmres_dual,
                       one_step, primal_iterate, reference_primal, rho_gmres,
@@ -422,17 +422,15 @@ def _kernel_is_span(S, Z: np.ndarray) -> bool:
     """True iff ker S = span Z with Z of full column rank, by sparse algebra.
 
     S Z = 0 is tested exactly (S and Z hold small integers wherever Z has
-    columns). [[S^H S, Z], [Z^H, 0]] is nonsingular exactly when Z has full
-    column rank and ker S meets the complement of span Z only in 0
-    (Govaerts, Numerical Methods for Bifurcations of Dynamical Equilibria,
-    SIAM 2000); factorize's pivot test decides that.
+    columns). Then S^H S bordered with Z is nonsingular exactly when Z has
+    full column rank and ker S meets the orthogonal complement of span Z
+    only in 0; factorize's pivot test decides that.
     """
     Z = scipy.sparse.csr_array(Z)
     if (S @ Z).count_nonzero():
         return False
-    bordered = scipy.sparse.block_array([[S.T.conj() @ S, Z], [Z.T.conj(), None]])
     try:
-        factorize(bordered)
+        factorize(bordered(S.T.conj() @ S, Z))
     except SingularMatrixError:
         return False
     return True

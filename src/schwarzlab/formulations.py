@@ -7,7 +7,8 @@ The dual system is the interface fixed-point equation
 S = -I + 2 alpha M T (A + alpha T^T M T)^{-1} T^T; the factor 2M holds
 because every impedance is side-equal (one block on all sides of a facet).
 N = T (A + alpha T^T M T)^{-1} T^T is block-diagonal by subdomain; it is
-built once, and K is applied through it with no augmented solve.
+built once, and K is applied through it with no augmented solve. For a
+sparse X, K itself is a sparse matrix formed from N.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ import scipy.sparse.linalg
 from .decomp import Decomposition
 from .facets import FacetSystem, rooted_forest, spanning_forest
 from .linalg import (SingularMatrixError, WeightedInnerProduct, accumulate,
-                     block_diagonal_solver, column_vdots, factorize, gmres)
+                     block_diagonal_solver, bordered, column_vdots, factorize,
+                     gmres)
 from .traces import ExchangeOperator, ImpedanceOperator, TraceOperator
 
 __all__ = [
@@ -197,31 +199,27 @@ class DualSystem:
             data[indptr[row] + j[col]] = Tv[row, col]
         return scipy.sparse.csr_array((data, indices, indptr), shape=(self.dim, self.dim))
 
-    def materialize_K(self) -> np.ndarray:
-        """Dense I - X^T S, formed one subdomain's columns at a time from its
-        block of N; the only dim x dim array is K itself."""
-        N, K = self.N, np.empty((self.dim, self.dim), dtype=np.complex128)
-        # a block starts at the row whose first column is its own
-        starts = np.flatnonzero(N.indices[N.indptr[:-1]] == np.arange(self.dim))
-        for a, b in zip(starts, np.append(starts[1:], self.dim)):
-            Tv = np.zeros((self.dim, b - a), dtype=np.complex128)
-            Tv[a:b] = N.data[N.indptr[a]:N.indptr[b]].reshape(b - a, b - a)
-            E = np.eye(self.dim, b - a, -a, dtype=np.complex128)
-            K[:, a:b] = self._K_from_trace(E, Tv)
-        return K
+    @cached_property
+    def K(self) -> scipy.sparse.csr_array:
+        """I - X^T S as one sparse matrix, S = 2 alpha M N - I, for a sparse X.
 
-    def solve_direct(self, deflate=None) -> np.ndarray:
-        """Dense reference multiplier; minimum-norm when Z is nontrivial.
-
-        `deflate` takes the redundancy basis; the least-squares solve already
-        picks the minimum-norm solution, and the basis (if given) is used to
-        project that representative onto the complement of Z in the M^-1
-        metric so error histories are well defined.
+        On a diagonal M its entries are those of the solve-based
+        K lam = lam - X^T (-lam + 2 alpha M T v) on unit vectors, bit for bit.
         """
-        K = self.materialize_K()
-        d = self.rhs_d()
-        lam, *_ = np.linalg.lstsq(K, d, rcond=None)
-        return self.deflation(deflate)(lam)
+        identity = scipy.sparse.eye_array(self.dim, dtype=np.complex128, format="csr")
+        return (identity - self.X.T @ ((2.0 * self.alpha) * (self.M @ self.N)
+                                       - identity)).tocsr()
+
+    def solve_direct(self, d, redundancy=None) -> np.ndarray:
+        """The Euclidean minimum-norm solution of K lam = d, by one sparse LU.
+
+        K Z = 0 and Z^H M^-1 K = 0 for the redundancy basis Z, so K bordered
+        with Z is nonsingular, and its solution has Z^H lam = 0: it is the
+        minimum-norm solution. With no basis K is factorized alone.
+        """
+        A = bordered(self.K, redundancy)
+        rhs = np.concatenate([d, np.zeros(A.shape[0] - self.dim)])
+        return factorize(A).solve(rhs)[:self.dim]
 
     def deflation(self, basis):
         """The map removing redundancy components of lam, orthogonally in

@@ -22,6 +22,7 @@ __all__ = [
     "GmresBreakdownError",
     "accumulate",
     "block_diagonal_solver",
+    "bordered",
     "column_vdots",
     "diagonal_blocks",
     "factorize",
@@ -132,6 +133,18 @@ def factorize(A) -> SparseFactorization:
         raise SingularMatrixError(f"matrix is singular ({exc})") from exc
     _check_pivots(np.abs(lu.U.diagonal()), scale)
     return SparseFactorization(size=A.shape[0], lu=lu)
+
+
+def bordered(A, Z):
+    """[[A, Z], [Z^H, 0]] in CSC, the format factorize takes; A itself when
+    Z has no columns. It is nonsingular exactly when Z has full column rank,
+    span Z meets range A only in 0, and ker A meets the orthogonal complement
+    of span Z only in 0 (Govaerts, Numerical Methods for Bifurcations of
+    Dynamical Equilibria, SIAM 2000)."""
+    if Z is None or Z.shape[1] == 0:
+        return A
+    Z = scipy.sparse.csr_array(Z)
+    return scipy.sparse.block_array([[A, Z], [Z.T.conj(), None]], format="csc")
 
 
 def diagonal_blocks(M):

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 
 from .decomp import Decomposition
 from .formulations import DualSystem
@@ -128,7 +129,9 @@ def richardson(dual: DualSystem, cfg: IterationConfig,
 
     Logs the relative dual residual in the M^-1 norm, the multiplier error
     against a deflated direct reference, the recovered primal error, and
-    the subdomain loss p; _until_stopped reads the first three.
+    the subdomain loss p; _until_stopped reads the first three. Unless
+    given, the reference is K's minimum-norm solution for the same d,
+    deflated by the same map as the iterates.
 
     A step costs one augmented solve v = Atilde^{-1} T^T lam: it gives K lam
     and the loss p, and the recovered primal is Atilde^{-1} f + v, with
@@ -138,12 +141,12 @@ def richardson(dual: DualSystem, cfg: IterationConfig,
     report = ConvergenceReport()
     d, u_f = dual.rhs_d_and_u_f()
     scale = dual.norm_Minv(d) or 1.0
+    deflate = dual.deflation(redundancy)
     if lam_ref is None:
-        lam_ref = dual.solve_direct(deflate=redundancy)
+        lam_ref = deflate(dual.solve_direct(d, redundancy))
     if u_ref is None:
         u_ref = reference_primal(dual.decomp)
     u_scale = float(np.linalg.norm(u_ref)) or 1.0
-    deflate = dual.deflation(redundancy)
 
     def steps():
         rng = np.random.default_rng(cfg.seed)
@@ -237,31 +240,21 @@ def _block_roots(M):
 
     The blocks are linalg.diagonal_blocks(M). One stacked eigh per block
     size gives each block's roots V w^{1/2} V^H and V w^{-1/2} V^H, so no
-    eigh is wider than M's widest block. Each root is returned as a pair: a
-    vector with the 1 x 1 roots (1.0 on the rows of wider blocks), and a
-    list of (start, root block) for the wider blocks.
+    eigh is wider than M's widest block. Both roots are returned as sparse
+    matrices with M's block-diagonal pattern.
     """
-    root, inv_root = (np.ones(M.shape[0]), []), (np.ones(M.shape[0]), [])
+    pattern, roots = [], []
     for starts, stack in diagonal_blocks(M):
         w, V = np.linalg.eigh(stack)
         if w.min() <= 0.0:
             raise ValueError("impedance weight must be positive definite")
         sqrt_w, Vt = np.sqrt(w)[:, None, :], V.conj().transpose(0, 2, 1)
-        for (diagonal, wide), R in ((root, (V * sqrt_w) @ Vt),
-                                    (inv_root, (V / sqrt_w) @ Vt)):
-            if stack.shape[1] == 1:
-                diagonal[starts] = R[:, 0, 0]
-            else:
-                wide.extend(zip(starts, R))
-    return root, inv_root
-
-
-def _apply_rows(X, root) -> None:
-    """X <- R X in place, for a root R from _block_roots."""
-    diagonal, wide = root
-    X *= diagonal[:, None]
-    for a, R in wide:
-        X[a:a + len(R)] = R @ X[a:a + len(R)]
+        index = starts[:, None, None] + np.arange(stack.shape[1])    # (count, 1, size)
+        pattern.append(np.broadcast_arrays(index.transpose(0, 2, 1), index))  # rows, cols
+        roots.append(((V * sqrt_w) @ Vt, (V / sqrt_w) @ Vt))
+    rows, cols = (np.concatenate(a, axis=None) for a in zip(*pattern))
+    return [scipy.sparse.csr_array((np.concatenate(R, axis=None), (rows, cols)),
+                                   shape=M.shape) for R in zip(*roots)]
 
 
 def estimate_gamma(dual: DualSystem,
@@ -272,22 +265,16 @@ def estimate_gamma(dual: DualSystem,
     gamma |lam|_{M^-1}. Redundancy directions (where the operator vanishes
     by construction) are deflated before taking the minimum.
 
-    The roots of M are taken per diagonal block and applied to K in place,
-    rows first, then columns: on a diagonal M, row i is scaled by
-    fl(1/sqrt(m_i)), then column j by fl(sqrt(m_j)), the bits of the dense
-    products. Besides K, only the deflation holds dim x dim arrays (its
-    basis and the deflated K); the SVD stays cubic in dim lambda.
+    M^{-1/2} K M^{1/2} is a sparse product of dual.K and M's block roots (on
+    a diagonal M, k_ij times fl(1/sqrt(m_i)), then fl(sqrt(m_j))), made
+    dense for the SVD, which is cubic in dim lambda.
     """
-    K = dual.materialize_K()
     root, inv_root = _block_roots(dual.M)
-    _apply_rows(K, inv_root)
-    _apply_rows(K.T, root)          # K M^{1/2}, as M^{1/2} is symmetric
+    B = (inv_root @ dual.K @ root).toarray()
     if redundancy is not None and redundancy.shape[1] > 0:
         # orthonormal basis of the complement of the transformed nullspace
-        W = redundancy.astype(np.result_type(redundancy, 1.0))
-        _apply_rows(W, inv_root)
-        K = K @ scipy.linalg.null_space(W.conj().T)
-    return float(np.linalg.svd(K, compute_uv=False)[-1])
+        B = B @ scipy.linalg.null_space((inv_root @ redundancy).conj().T)
+    return float(np.linalg.svd(B, compute_uv=False)[-1])
 
 
 def fit_rate(history) -> float:

@@ -89,6 +89,11 @@ def primal_reference(decomp):
     return decomp.apply_R(uhat)
 
 
+def solve_based_K(dual) -> np.ndarray:
+    """The dense K, one augmented solve per unit vector; N takes no part."""
+    return np.column_stack([dual.apply_K_and_loss(e)[0] for e in np.eye(dual.dim)])
+
+
 def decay_slack(rep, d_norm, beta):
     """Slack of the decay inequality |mu_n+1|^2 <= |mu_n|^2 - beta(1-beta)|K mu_n|^2
     at each step of a Richardson run, relative to |mu_0|^2 (M^-1 norms).

@@ -299,6 +299,26 @@ def test_battery_allocates_less_than_a_dense_square(preset, size):
     assert peak < size(inst) ** 2 * 16
 
 
+@pytest.mark.parametrize("preset,nx", [("loisel", 64), ("feti2lm", 32)],
+                         ids=["loisel-dim780", "feti2lm-dim432-9_cycles"])
+def test_richardson_execute_allocates_less_than_a_dense_K(preset, nx):
+    # above the gamma budget, the reference multiplier is the only dim x dim
+    # work a Richardson run does: one sparse LU of K, bordered with Z
+    inst = build_instance(load_config(preset=preset, overrides=dict(
+        s.split("=") for s in sized(nx, 4) + ["solver.method=richardson",
+                                              "solver.maxit=5"])))
+    dim = inst.dual.dim
+    assert dim > cli.GAMMA_DIM_LIMIT
+    tracemalloc.start()
+    try:
+        report = execute(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report["iterations"] == 5 and "gamma" in report["skipped"]
+    assert peak < dim ** 2 * 16
+
+
 @pytest.mark.parametrize("impedance", ["lumped_mass", "glob_block"])
 def test_gamma_allocates_within_the_trace_space(impedance, monkeypatch):
     # feti2lm 64x64, 2x2, Helmholtz kappa = 8: dim lambda 264, n_u 4356

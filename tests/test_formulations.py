@@ -7,15 +7,17 @@ from hypothesis import strategies as st
 from schwarzlab import formulations
 from schwarzlab.cli import build_instance, load_config
 from schwarzlab.decomp import check_assembling
-from schwarzlab.facets import build_facets, redundancy_basis
+from schwarzlab.facets import VARIANTS, build_facets, redundancy_basis
 from schwarzlab.formulations import (K_COLUMNS, AugmentedLocal, build_dual_system,
                                      exceptional_exchange, exceptional_system,
                                      fetih_assembling_deviation, fetih_build,
                                      fetih_solve)
 from schwarzlab.linalg import SingularMatrixError, SparseFactorization
-from schwarzlab.traces import (build_exchange, build_impedance, build_trace)
+from schwarzlab.traces import (IMPEDANCE_VARIANTS, build_exchange, build_impedance,
+                               build_trace)
 
-from conftest import assert_reflection_form, make_instance, primal_reference, twin_scalar
+from conftest import (assert_reflection_form, make_instance, primal_reference,
+                      solve_based_K, twin_scalar)
 
 
 def _blocks(aug, dec):
@@ -73,6 +75,28 @@ def test_sparse_apply_inv_matches_dense(wave, facets, ncols, seed):
     out = aug.apply_inv(g)
     assert out.shape == g.shape
     assert np.linalg.norm(out - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from([(4, 4, 2, 2), (6, 4, 3, 2), (8, 8, 4, 4), (6, 6, 2, 3)]),
+       st.sampled_from(VARIANTS), st.sampled_from(IMPEDANCE_VARIANTS),
+       st.booleans(), st.sampled_from([0.5, 2.0, 8.0]))
+def test_K_kernel_identities(size, facets, impedance, wave, sigma):
+    # K Z = 0 and Z^H M^-1 K = 0: the bordered reference solve rests on both
+    nx, ny, px, py = size
+    _, prob, dec = make_instance(nx, ny, px, py, wave=wave, kappa=2.0 if wave else 0.0,
+                                 eta=2.0 if wave else 1.0)
+    system = build_facets(dec, facets)
+    trace = build_trace(system, dec)
+    imp = build_impedance(trace, impedance, sigma)
+    dual = build_dual_system(dec, trace, imp, build_exchange(trace), prob.alpha)
+    Z = redundancy_basis(system, trace).astype(np.complex128)
+    K = dual.K
+    WZ = dual.ip.apply_weight(Z)            # M^-1 Z, M Hermitian
+    scale = float(abs(K).max())
+    assert np.abs(K @ Z).max(initial=0.0) <= 1e-13 * scale
+    assert np.abs(WZ.conj().T @ K).max(initial=0.0) <= (
+        1e-13 * scale * np.abs(WZ).max(initial=0.0))
 
 
 class TestScattering:
@@ -143,10 +167,27 @@ class TestRhsAndRecovery:
         assert_reflection_form(trace, imp, X, form)
         dual = build_dual_system(dec, trace, imp, X, prob.alpha)
         Z = redundancy_basis(system, trace)
-        lam = dual.solve_direct(deflate=Z if Z.size else None)
+        lam = dual.solve_direct(dual.rhs_d(), Z)
         u = dual.primal_recover(lam)
         u_ref = primal_reference(dec)
         assert np.linalg.norm(u - u_ref) <= 1e-10 * np.linalg.norm(u_ref)
+
+    @pytest.mark.parametrize("facet_variant,wave", [
+        ("bilateral_max", False), ("bilateral_properly_closed", True), ("globs", True)])
+    def test_solve_direct_is_the_minimum_norm_solution(self, facet_variant, wave):
+        # the bordered LU against a dense least-squares solve of the
+        # solve-based K; 27, 9 and 0 cycles
+        _, prob, dec = make_instance(8, 8, 4, 4, wave=wave, kappa=2.0 if wave else 0.0,
+                                     eta=2.0 if wave else 1.0, source="point:0.3,0.4")
+        system = build_facets(dec, facet_variant)
+        trace = build_trace(system, dec)
+        imp = build_impedance(trace, "lumped_mass", 2.0)
+        dual = build_dual_system(dec, trace, imp, build_exchange(trace), prob.alpha)
+        K = solve_based_K(dual)
+        d = dual.rhs_d()
+        expected = np.linalg.lstsq(K, d, rcond=None)[0]
+        lam = dual.solve_direct(d, redundancy_basis(system, trace))
+        assert np.linalg.norm(lam - expected) <= 1e-12 * np.linalg.norm(expected)
 
     def test_dual_kernel_is_redundancy_space(self, coercive_2x2):
         _, prob, dec = coercive_2x2
@@ -155,7 +196,7 @@ class TestRhsAndRecovery:
         imp = build_impedance(trace, "lumped_mass", 1.0)
         X = build_exchange(trace)
         dual = build_dual_system(dec, trace, imp, X, prob.alpha)
-        K = dual.materialize_K()
+        K = solve_based_K(dual)
         s = np.linalg.svd(K, compute_uv=False)
         nullity = int(np.sum(s <= 1e-10 * s[0]))
         assert nullity == redundancy_basis(system, trace).shape[1]
@@ -191,9 +232,8 @@ class TestBlockApplication:
         X = build_exchange(trace)
         assert_reflection_form(trace, imp, X, form)
         dual = build_dual_system(dec, trace, imp, X, prob.alpha)
-        # the solve-based K, one augmented solve per column; N takes no part
-        columns = np.column_stack([dual.apply_K_and_loss(e)[0] for e in np.eye(dual.dim)])
-        K = dual.materialize_K()
+        columns = solve_based_K(dual)
+        K = dual.K.toarray()
         if impedance != "glob_block":
             assert np.array_equal(K, columns)
         else:
@@ -217,8 +257,8 @@ class TestBlockApplication:
         # one packed column per slot of the largest trace block, not per trace slot
         assert max(widths) == K_COLUMNS and sum(widths) == largest
         dual.aug.apply_inv = apply_inv
-        whole = np.column_stack([dual.apply_K_and_loss(e)[0] for e in np.eye(dual.dim)])
-        K = dual.materialize_K()
+        whole = solve_based_K(dual)
+        K = dual.K.toarray()
         assert np.max(np.abs(K - whole)) <= 1e-13 * np.max(np.abs(whole))
 
     @pytest.mark.parametrize("nx,px,py,facet_variant,impedance,wave", [
@@ -242,7 +282,7 @@ class TestBlockApplication:
             monkeypatch.setattr(formulations, "K_COLUMNS", width)
             # a fresh system per width: each builds its own N
             dual = build_dual_system(dec, trace, imp, X, prob.alpha)
-            K[width] = dual.materialize_K()
+            K[width] = dual.K.toarray()
         assert K[1].tobytes() == K[8].tobytes() == K[64].tobytes()
 
     @pytest.mark.parametrize("nx,px,py,facet_variant,impedance,wave", [

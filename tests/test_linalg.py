@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 from schwarzlab.cli import build_instance, load_config
 from schwarzlab.linalg import (PIVOT_TOL, GmresBreakdownError, SingularMatrixError,
                                SparseFactorization, WeightedInnerProduct, accumulate,
-                               factorize, gmres, load_matrix_market, save_matrix_market)
+                               bordered, factorize, gmres, load_matrix_market,
+                               save_matrix_market)
 
-from conftest import twin_scalar
+from conftest import solve_based_K, twin_scalar
 
 
 class TestAccumulate:
@@ -150,6 +151,18 @@ def _bordered_cycle() -> np.ndarray:
     return np.block([[S.conj().T @ S, Z], [Z.T, np.zeros((1, 1))]])
 
 
+class TestBordered:
+    def test_matches_the_dense_block(self):
+        S = (np.eye(4) - np.roll(np.eye(4), 1, axis=1)) * np.exp(0.3j)
+        A = scipy.sparse.csr_array(S.conj().T @ S)
+        assert np.array_equal(bordered(A, np.ones((4, 1))).toarray(), _bordered_cycle())
+
+    @pytest.mark.parametrize("Z", [None, np.zeros((4, 0))], ids=["none", "no_columns"])
+    def test_no_basis_returns_the_matrix(self, Z):
+        A = scipy.sparse.eye_array(4, format="csr")
+        assert bordered(A, Z) is A
+
+
 class TestPartialPivoting:
     """The symmetric ordering keeps threshold-1 partial pivoting."""
 
@@ -248,7 +261,7 @@ class TestGmres:
         ts = twin_scalar(a=(1.0, 1.0), m=2.0, alpha=1.0, f=(3.0, 5.0))
         d = ts.dual.rhs_d()
         x, _ = gmres(ts.dual.apply_K, d, tol=1e-13)
-        direct = np.linalg.solve(ts.dual.materialize_K(), d)
+        direct = np.linalg.solve(solve_based_K(ts.dual), d)
         assert np.linalg.norm(x - direct) <= 1e-12
 
     def test_weighted_monotone_residual(self):

@@ -8,12 +8,13 @@ from schwarzlab import cli
 from schwarzlab.facets import build_facets, redundancy_basis
 from schwarzlab.formulations import build_dual_system, exceptional_system
 from schwarzlab.solvers import (DIVERGENCE_WINDOW, ConvergenceReport, IterationConfig,
-                                _until_stopped, estimate_gamma, fit_rate, gmres_dual,
-                                primal_iterate, reference_primal, richardson,
-                                rho_gmres, rho_theorem)
+                                _block_roots, _until_stopped, estimate_gamma, fit_rate,
+                                gmres_dual, primal_iterate, reference_primal,
+                                richardson, rho_gmres, rho_theorem)
 from schwarzlab.traces import build_exchange, build_impedance, build_trace
 
-from conftest import decay_slack, make_instance, primal_reference, twin_scalar
+from conftest import (decay_slack, make_instance, primal_reference, solve_based_K,
+                      twin_scalar)
 
 
 def dual_stack(nx=8, ny=8, px=2, py=2, facet_variant="globs", sigma=2.0,
@@ -31,9 +32,10 @@ def dual_stack(nx=8, ny=8, px=2, py=2, facet_variant="globs", sigma=2.0,
 
 
 def dense_gamma(dual, redundancy=None) -> float:
-    """gamma by the dense formula: one eigh of the whole M, M^{-1/2} K M^{1/2}
-    by two dense products, and a dense deflation basis."""
-    K = dual.materialize_K()
+    """gamma by the dense formula: K from one augmented solve per column, one
+    eigh of the whole M, M^{-1/2} K M^{1/2} by two dense products, and a
+    dense deflation basis."""
+    K = solve_based_K(dual)
     w, V = np.linalg.eigh(dual.M.toarray())
     M_half = (V * np.sqrt(w)) @ V.T
     M_inv_half = (V / np.sqrt(w)) @ V.T
@@ -117,7 +119,7 @@ class TestRichardson:
 
     def test_one_augmented_solve_per_step(self):
         dec, system, trace, imp, X, dual = dual_stack()
-        lam_ref = dual.solve_direct()
+        lam_ref = dual.solve_direct(dual.rhs_d())
         u_ref = primal_reference(dec)
         solves = []
         apply_inv = dual.aug.apply_inv
@@ -131,12 +133,27 @@ class TestRichardson:
         u = dual.primal_recover(rep.lam)
         assert np.linalg.norm(rep.u - u) <= 1e-13 * np.linalg.norm(u)
 
+    def test_reference_reuses_d(self):
+        # d and Atilde^{-1} f are solved once, for the iteration and the
+        # reference alike; N's packed solves take 2-D right-hand sides
+        dec, system, trace, imp, X, dual = dual_stack(facet_variant="bilateral_max")
+        Z = redundancy_basis(system, trace)
+        solves = []
+        apply_inv = dual.aug.apply_inv
+        dual.aug.apply_inv = lambda g: solves.append(np.ndim(g)) or apply_inv(g)
+        cfg = IterationConfig(beta=0.5, tol=1e-30, maxit=10, seed=0)
+        rep = richardson(dual, cfg, u_ref=primal_reference(dec), redundancy=Z)
+        assert solves.count(1) == 1 + (rep.iterations + 1)
+        deflate = dual.deflation(Z)
+        lam_ref = deflate(dual.solve_direct(dual.rhs_d(), Z))
+        assert rep.error_norms[-1] == dual.norm_Minv(deflate(rep.lam - lam_ref))
+
     def test_deflation_built_once(self):
         dec, system, trace, imp, X, dual = dual_stack(
             facet_variant="bilateral_max")
         Z = redundancy_basis(system, trace)
         assert Z.shape[1] > 0
-        lam_ref = dual.solve_direct(deflate=Z)
+        lam_ref = dual.solve_direct(dual.rhs_d(), Z)
         u_ref = primal_reference(dec)
         weighs = []
         apply_weight = dual.ip.apply_weight
@@ -154,7 +171,7 @@ class TestRichardson:
 
     def test_non_finite_load_stops_at_once(self):
         dec, system, trace, imp, X, dual = dual_stack()
-        lam_ref = dual.solve_direct()
+        lam_ref = dual.solve_direct(dual.rhs_d())
         u_ref = primal_reference(dec)
         dual.f = dual.f.copy()
         dual.f[3] = np.nan
@@ -305,7 +322,7 @@ class TestGmres:
             facet_variant="bilateral_non_redundant")
         assert redundancy_basis(system, trace).shape[1] == 0
         rep = gmres_dual(dual, tol=1e-12, maxit=400)
-        assert np.allclose(rep.lam, dual.solve_direct(), atol=1e-8)
+        assert np.allclose(rep.lam, dual.solve_direct(dual.rhs_d()), atol=1e-8)
 
     def test_redundant_system_still_recovers_primal(self):
         dec, system, trace, imp, X, dual = dual_stack(
@@ -354,15 +371,19 @@ class TestGamma:
         assert estimate_gamma(dual, redundancy=Z) == pytest.approx(expected, rel=1e-12)
 
     def test_one_step_matches_the_dense_formula(self, coercive_2x2):
-        # M = A: one diagonal block per subdomain
+        # M = A: one diagonal block per subdomain; the roots of the widest
+        # blocks match those of one eigh of the whole M
         _, _, dec = coercive_2x2
-        dual = exceptional_system(dec)
-        assert estimate_gamma(dual) == pytest.approx(dense_gamma(dual), rel=1e-12)
+        M = exceptional_system(dec).M
+        w, V = np.linalg.eigh(M.toarray())
+        for root, dense in zip(_block_roots(M), ((V * np.sqrt(w)) @ V.conj().T,
+                                                 (V / np.sqrt(w)) @ V.conj().T)):
+            assert np.max(np.abs(root - dense)) <= 1e-12 * np.max(np.abs(dense))
 
     def test_exceptional_gamma_one(self, coercive_2x2):
+        # an applied X gives no sparse K: gamma from the oracle's solve-based K
         _, _, dec = coercive_2x2
-        dual = exceptional_system(dec)
-        assert estimate_gamma(dual) == pytest.approx(1.0, abs=1e-12)
+        assert dense_gamma(exceptional_system(dec)) == pytest.approx(1.0, abs=1e-12)
 
     def test_twin_two_thirds(self):
         ts = twin_scalar(a=(1.0, 1.0), m=2.0, alpha=1.0)

@@ -42,7 +42,7 @@ class TestTraceOperator:
     @pytest.mark.parametrize("variant", VARIANTS)
     @pytest.mark.parametrize("nx,px,py", [(4, 2, 2), (8, 4, 4), (8, 4, 1)])
     def test_rows_run_subdomain_by_subdomain(self, variant, nx, px, py):
-        # DualSystem.materialize_K packs one trace row of every subdomain per solve
+        # DualSystem.N packs one trace row of every subdomain per solve
         dec = make_instance(nx, nx, px, py)[2]
         T = build_trace(build_facets(dec, variant), dec).matrix
         assert np.all(np.diff(T.indptr) == 1)
