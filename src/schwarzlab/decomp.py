@@ -11,6 +11,7 @@ left to right); against that reference the assembling identity is bitwise.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -98,9 +99,8 @@ class Decomposition:
         self.offsets = np.concatenate([[0], np.cumsum(self.n_local)])
         self._A_blockdiag = None
         self.multiplicities = _multiplicities(self.n, self.maps)
-        for g in self.maps:
-            if len(np.unique(g)) != len(g):
-                raise ValueError("local-to-global map must be injective")
+        if any(np.any(np.diff(g) <= 0) for g in self.maps):
+            raise ValueError("local-to-global map must ascend strictly")
         if np.any(self.multiplicities.mu < 1):
             raise ValueError("some global dof is not covered by any subdomain")
 
@@ -208,8 +208,8 @@ def build_restrictions(mesh: StructuredMesh, partition: Partition,
     decomp = Decomposition(problem, maps, local_parts, f_locals,
                            source_problem=problem)
     summed, f_hat = decomp.accumulate_global()
-    consistent = problem.replaced(summed["A0"], summed["A1"], summed["A2"], f_hat)
-    decomp.problem = consistent
+    decomp.problem = dataclasses.replace(problem, A0=summed["A0"], A1=summed["A1"],
+                                         A2=summed["A2"], f=f_hat)
     return decomp
 
 
@@ -224,34 +224,31 @@ class AssemblingReport:
     passed: bool
 
 
-def check_assembling(decomp: Decomposition, local_parts=None, f_locals=None,
-                     tol: float = ASSEMBLY_TOL) -> AssemblingReport:
+def check_assembling(decomp: Decomposition, local_parts=None,
+                     f_locals=None) -> AssemblingReport:
     """Re-accumulate the assembled sum and compare with the global problem.
 
     Against the decomposition's own canonical global matrices the deviation
     is bitwise zero; against the mesh-order assembly it is reported
-    separately and must stay below `tol`.
+    separately and must stay below ASSEMBLY_TOL.
     """
     summed, f_hat = decomp.accumulate_global(local_parts, f_locals)
-    max_dev = 0.0
-    worst = None
-    for name in _PARTS:
-        diff = (summed[name] - getattr(decomp.problem, name)).tocoo()
-        if diff.nnz:
-            idx = int(np.argmax(np.abs(diff.data)))
-            if abs(diff.data[idx]) > max_dev:
-                max_dev = float(abs(diff.data[idx]))
-                worst = (int(diff.row[idx]), int(diff.col[idx]))
-    dev_f = float(np.max(np.abs(f_hat - decomp.problem.f))) if decomp.n else 0.0
 
-    mesh_dev = 0.0
-    src = decomp.source_problem
-    for name in _PARTS:
-        diff = (summed[name] - getattr(src, name)).tocoo()
-        if diff.nnz:
-            mesh_dev = max(mesh_dev, float(np.max(np.abs(diff.data))))
-    mesh_dev = max(mesh_dev, float(np.max(np.abs(f_hat - src.f))) if decomp.n else 0.0)
+    def deviation(problem):
+        """Largest matrix deviation, its entry, and the load deviation."""
+        dev, entry = 0.0, None
+        for name in _PARTS:
+            diff = (summed[name] - getattr(problem, name)).tocoo()
+            if diff.nnz:
+                idx = int(np.argmax(np.abs(diff.data)))
+                if abs(diff.data[idx]) > dev:
+                    dev = float(abs(diff.data[idx]))
+                    entry = (int(diff.row[idx]), int(diff.col[idx]))
+        return dev, entry, float(np.max(np.abs(f_hat - problem.f))) if decomp.n else 0.0
 
+    max_dev, worst, dev_f = deviation(decomp.problem)
+    mesh_dev, _, mesh_dev_f = deviation(decomp.source_problem)
+    mesh_dev = max(mesh_dev, mesh_dev_f)
+    passed = all(dev <= ASSEMBLY_TOL for dev in (max_dev, dev_f, mesh_dev))
     return AssemblingReport(max_dev_matrix=max_dev, max_dev_load=dev_f,
-                            worst_entry=worst, mesh_order_dev=mesh_dev,
-                            passed=max_dev <= tol and dev_f <= tol and mesh_dev <= tol)
+                            worst_entry=worst, mesh_order_dev=mesh_dev, passed=passed)

@@ -3,13 +3,19 @@
 A facet couples a set of subdomains through a set of shared global dofs.
 Bilateral systems carry one facet per subdomain pair; glob systems carry one
 facet per equivalence class of interface dofs with identical sharing sets.
-Per-dof connectivity graphs decide admissibility (connectedness) and count
-the independent cycles that make Lagrange multipliers non-unique.
+All four systems come from one pass over the dofs' ascending sharing sets.
+The non-redundant system keeps each dof on the star from its smallest
+subdomain: Kruskal over the sorted edges of the dof's complete sharing graph
+takes the edges at the smallest node first, and they already connect it, so
+its spanning tree is always that star. Per-dof connectivity graphs decide
+admissibility (connectedness) and count the independent cycles that make
+Lagrange multipliers non-unique.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -20,8 +26,6 @@ __all__ = [
     "FacetSystem",
     "ConnectivityGraph",
     "AdmissibilityReport",
-    "build_bilateral",
-    "build_globs",
     "build_facets",
     "connectivity_graphs",
     "check_admissibility",
@@ -128,67 +132,37 @@ def rooted_forest(nodes, tree) -> tuple[dict[int, int | None], dict[int, int]]:
     return parent, depth
 
 
-def _shared_dof_table(multiplicities: Multiplicities):
-    """Map unordered subdomain pair -> sorted shared interface dofs."""
-    table: dict[tuple[int, int], list[int]] = {}
-    for k in multiplicities.interface_dofs:
-        owners = multiplicities.sharing[int(k)]
-        for a in range(len(owners)):
-            for b in range(a + 1, len(owners)):
-                table.setdefault((owners[a], owners[b]), []).append(int(k))
-    return table
-
-
-def build_bilateral(multiplicities: Multiplicities, variant: str,
-                    n_subdomains: int) -> FacetSystem:
-    """Construct one of the three bilateral facet systems.
-
-    bilateral_max keeps every closed facet (all dofs shared by the pair);
-    bilateral_properly_closed keeps a facet only when some of its dofs is
-    shared by exactly those two subdomains; bilateral_non_redundant prunes
-    each dof down to a spanning tree of its connectivity graph and drops
-    facets that become empty.
-    """
-    if variant not in BILATERAL_VARIANTS:
-        raise ValueError(f"unknown bilateral variant {variant!r}")
-    table = _shared_dof_table(multiplicities)
-    mu = multiplicities.mu
-
-    pairs = sorted(table)
-    if variant == "bilateral_properly_closed":
-        pairs = [p for p in pairs if any(mu[k] == 2 for k in table[p])]
-
-    if variant == "bilateral_non_redundant":
-        kept: dict[tuple[int, int], list[int]] = {p: [] for p in pairs}
-        for k in multiplicities.interface_dofs:
-            owners = multiplicities.sharing[int(k)]
-            edges = [p for p in pairs if int(k) in table[p]]
-            tree = set(spanning_forest(owners, edges))
-            for p in edges:
-                if p in tree:
-                    kept[p].append(int(k))
-        facets = tuple(Facet(subdomains=p, dofs=tuple(sorted(kept[p])))
-                       for p in pairs if kept[p])
-    else:
-        facets = tuple(Facet(subdomains=p, dofs=tuple(table[p])) for p in pairs)
-    return FacetSystem(variant=variant, facets=facets, n_subdomains=n_subdomains)
-
-
-def build_globs(multiplicities: Multiplicities, n_subdomains: int) -> FacetSystem:
-    """One facet per equivalence class of interface dofs by sharing set."""
-    classes: dict[tuple[int, ...], list[int]] = {}
-    for k in multiplicities.interface_dofs:
-        classes.setdefault(multiplicities.sharing[int(k)], []).append(int(k))
-    facets = tuple(Facet(subdomains=owners, dofs=tuple(sorted(dofs)))
-                   for owners, dofs in sorted(classes.items()))
-    return FacetSystem(variant="globs", facets=facets, n_subdomains=n_subdomains)
-
-
 def build_facets(decomp: Decomposition, variant: str) -> FacetSystem:
-    """Convenience dispatcher over all four variants."""
-    if variant == "globs":
-        return build_globs(decomp.multiplicities, decomp.n_sub)
-    return build_bilateral(decomp.multiplicities, variant, decomp.n_sub)
+    """One of the four facet systems, from one pass over the sharing sets.
+
+    globs groups the interface dofs by sharing set. bilateral_max puts each
+    dof on every pair drawn from its sharing set; bilateral_properly_closed
+    keeps only the pairs that are the sharing set of some dof (multiplicity
+    2). bilateral_non_redundant puts each dof only on the pairs from its
+    smallest subdomain: the star that Kruskal (spanning_forest) takes from
+    the dof's complete graph, whose sorted edges start with every edge at
+    the smallest node, and those already connect it.
+    """
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown facet variant {variant!r}")
+    mult = decomp.multiplicities
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for k in mult.interface_dofs.tolist():
+        owners = mult.sharing[k]
+        if variant == "globs":
+            keys = (owners,)
+        elif variant == "bilateral_non_redundant":
+            keys = ((owners[0], b) for b in owners[1:])
+        else:
+            keys = combinations(owners, 2)
+        for key in keys:
+            groups.setdefault(key, []).append(k)
+    if variant == "bilateral_properly_closed":
+        closed = {mult.sharing[k] for k in np.flatnonzero(mult.mu == 2).tolist()}
+        groups = {pair: dofs for pair, dofs in groups.items() if pair in closed}
+    facets = tuple(Facet(subdomains=key, dofs=tuple(dofs))
+                   for key, dofs in sorted(groups.items()))
+    return FacetSystem(variant=variant, facets=facets, n_subdomains=decomp.n_sub)
 
 
 def connectivity_graphs(system: FacetSystem,

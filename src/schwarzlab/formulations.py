@@ -358,7 +358,8 @@ def fetih_build(decomp: Decomposition, impedance: ImpedanceOperator) -> FetiH:
     perp = tuple(fidx for fidx, F in enumerate(system.facets)
                  if tuple(sorted(F.subdomains)) in tree_set)
 
-    sigma = [signs[i] if fidx in perp else 0 for i, fidx, _k in trace.slots]
+    perp_set = set(perp)
+    sigma = [signs[i] if fidx in perp_set else 0 for i, fidx, _k in trace.slots]
     W = scipy.sparse.diags_array(sigma, dtype=float) @ impedance.matrix
     aug = AugmentedLocal(decomp, trace.matrix, W, 1j)
 

@@ -202,13 +202,6 @@ class GlobalProblem:
         """Reference solution of the eliminated global system."""
         return factorize(self.A_hat()).solve(self.f)
 
-    def replaced(self, A0, A1, A2, f) -> "GlobalProblem":
-        """Copy with re-accumulated matrices (partition-consistent ordering)."""
-        return GlobalProblem(mesh=self.mesh, kappa=self.kappa, eta=self.eta,
-                             absorption=self.absorption, wave=self.wave,
-                             source=self.source, A0=A0, A1=A1, A2=A2, f=f,
-                             dof_map=self.dof_map, free_nodes=self.free_nodes)
-
 
 def assemble(mesh: StructuredMesh, kappa: float, eta: float,
              source: str = "constant", wave: bool | None = None,

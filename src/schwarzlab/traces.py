@@ -45,27 +45,24 @@ class TraceOperator:
         self.decomp = decomp
         self.multiplicities = decomp.multiplicities
 
-        slots = []
+        slots, cols = [], []
         facet_order: list[list[int]] = []
         for i in range(decomp.n_sub):
             fids = [idx for idx, F in enumerate(system.facets) if i in F.subdomains]
             fids.sort(key=lambda idx: (system.facets[idx].subdomains,
                                        min(system.facets[idx].dofs)))
             facet_order.append(fids)
-            for fidx in fids:
-                for k in system.facets[fidx].dofs:
-                    slots.append((i, fidx, k))
+            dofs = [k for fidx in fids for k in system.facets[fidx].dofs]
+            slots += [(i, fidx, k) for fidx in fids for k in system.facets[fidx].dofs]
+            # the maps ascend strictly, so a dof's local index is its rank
+            cols.append(decomp.offsets[i] + np.searchsorted(decomp.maps[i], dofs))
         self.slots = tuple(slots)
         self.facet_order = facet_order
         self.dim_lambda = len(slots)
         self._slot_index = {s: t for t, s in enumerate(slots)}
 
         rows = np.arange(self.dim_lambda)
-        cols = np.empty(self.dim_lambda, dtype=np.int64)
-        local_index = [
-            {int(k): l for l, k in enumerate(g)} for g in decomp.maps]
-        for t, (i, fidx, k) in enumerate(slots):
-            cols[t] = decomp.offsets[i] + local_index[i][k]
+        cols = np.concatenate(cols)
         self.matrix = scipy.sparse.csr_array(
             (np.ones(self.dim_lambda), (rows, cols)),
             shape=(self.dim_lambda, decomp.offsets[-1]))

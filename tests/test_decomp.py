@@ -4,7 +4,8 @@ import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schwarzlab.decomp import build_restrictions, check_assembling, partition_grid
+from schwarzlab.decomp import (Decomposition, build_restrictions, check_assembling,
+                               partition_grid)
 from schwarzlab.meshfem import assemble, build_mesh
 
 from conftest import make_instance, twin_scalar
@@ -74,6 +75,14 @@ class TestRestrictions:
         _, _, dec = make_instance(8, 8, 4, 2)
         total = sum(R.T @ R for R in R_blocks(dec))
         assert np.array_equal(total, np.diag(dec.multiplicities.mu.astype(float)))
+
+    # a transposed pair, and a repeated dof that an injectivity test also finds
+    @pytest.mark.parametrize("g", [[1, 0, 2, 3], [0, 0, 1, 2, 3]])
+    def test_map_that_does_not_ascend_rejected(self, g):
+        _, prob, dec = make_instance(1, 1, 1, 1)     # one cell, four dofs
+        assert dec.maps[0].tolist() == [0, 1, 2, 3]
+        with pytest.raises(ValueError, match="ascend strictly"):
+            Decomposition(prob, [g], dec.local_parts, dec.f_locals)
 
     def test_coverage(self):
         _, prob, dec = make_instance(8, 8, 2, 2)

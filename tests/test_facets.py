@@ -1,8 +1,11 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
-from schwarzlab.facets import (build_facets, check_admissibility, connectivity_graphs,
-                               Facet, FacetSystem, redundancy_basis)
+from schwarzlab.facets import (VARIANTS, build_facets, check_admissibility,
+                               connectivity_graphs, Facet, FacetSystem, redundancy_basis,
+                               spanning_forest)
 from schwarzlab.traces import build_exchange, build_trace
 
 from conftest import make_instance
@@ -43,6 +46,51 @@ class TestBilateralVariants:
     def test_unknown_variant(self, cross_dec):
         with pytest.raises(ValueError):
             build_facets(cross_dec, "bilateral_something")
+
+
+def defined_system(dec, variant):
+    """A facet system straight from its definition, subdomain pair by pair.
+
+    bilateral_max: every pair with its shared interface dofs.
+    bilateral_properly_closed: those pairs of bilateral_max that share some
+    dof of multiplicity 2. bilateral_non_redundant: each dof on the pairs of
+    the Kruskal tree of its complete sharing graph. globs: the interface
+    dofs grouped by sharing set.
+    """
+    mult = dec.multiplicities
+    dofs = [int(k) for k in mult.interface_dofs]
+    if variant == "globs":
+        facets = [(s, [k for k in dofs if mult.sharing[k] == s])
+                  for s in sorted({mult.sharing[k] for k in dofs})]
+    else:
+        tree = {k: spanning_forest(mult.sharing[k], combinations(mult.sharing[k], 2))
+                for k in dofs}
+        facets = []
+        for pair in combinations(range(dec.n_sub), 2):
+            shared = [k for k in dofs if set(pair) <= set(mult.sharing[k])]
+            if variant == "bilateral_non_redundant":
+                shared = [k for k in shared if pair in tree[k]]
+            if (variant == "bilateral_properly_closed"
+                    and not any(mult.mu[k] == 2 for k in shared)):
+                continue
+            if shared:
+                facets.append((pair, shared))
+    return FacetSystem(variant=variant, n_subdomains=dec.n_sub,
+                       facets=tuple(Facet(subdomains=tuple(s), dofs=tuple(d))
+                                    for s, d in facets))
+
+
+@pytest.mark.parametrize("boundary", ["robin", "dirichlet"])
+@pytest.mark.parametrize("px,py", [(2, 2), (3, 3), (4, 4), (2, 3), (3, 2), (4, 1), (1, 3)])
+def test_each_system_equals_its_definition(px, py, boundary):
+    for n in (8, 12, 16):
+        if n % px or n % py:
+            continue
+        dec = make_instance(n, n, px, py, boundary=boundary)[2]
+        for variant in VARIANTS:
+            system = build_facets(dec, variant)
+            assert system == defined_system(dec, variant)
+            assert all(type(k) is int for F in system.facets for k in F.dofs)
 
 
 class TestGlobs:
