@@ -2,9 +2,9 @@
 
 Reads flat INI configs (sections: problem, decomposition, interface, solver,
 output), builds the requested method, runs or verifies it, and writes a JSON
-report plus a deterministic per-iteration CSV history. Exit codes: 0 success,
-2 invalid configuration, 3 solver divergence or stagnation, 4 failed
-invariant check.
+report plus a deterministic per-iteration CSV history. Exit codes (`exit_code`):
+0 success, 2 invalid configuration, 3 non-convergence, 4 failed invariant
+check; a failed check takes precedence over non-convergence.
 """
 
 from __future__ import annotations
@@ -46,17 +46,15 @@ __all__ = [
     "execute",
     "write_outputs",
     "resolve_outdir",
+    "exit_code",
     "main",
 ]
 
 PROBLEM_TYPES = ("laplace", "reaction_diffusion", "helmholtz")
-EXCHANGE_VARIANTS = ("reflection", "exceptional")
-METHODS = ("richardson", "gmres", "primal", "fetih")
 
 # key -> the values it admits, checked wherever a run reads the key
 CHOICES = {"type": PROBLEM_TYPES, "boundary": ("robin", "dirichlet"),
-           "facets": FACET_VARIANTS, "exchange": EXCHANGE_VARIANTS,
-           "impedance": IMPEDANCE_VARIANTS}
+           "facets": FACET_VARIANTS, "impedance": IMPEDANCE_VARIANTS}
 FLAGS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 GAMMA_DIM_LIMIT = 400    # budget for gamma's dense SVD of K (cubic in dim)
 CSV_FORMAT = "%.17g"
@@ -87,7 +85,6 @@ SCHEMA = {
     },
     "interface": {
         "facets": (str, "globs"),
-        "exchange": (str, "reflection"),
         "impedance": (str, "lumped_mass"),
         "sigma": (float, 1.0),
     },
@@ -125,7 +122,7 @@ PRESETS = {
     },
     "exceptional": {
         "problem": {"type": "laplace", "kappa": "0.0"},
-        "interface": {"exchange": "exceptional"},
+        "solver": {"method": "one_step"},
     },
 }
 
@@ -139,10 +136,9 @@ class RunKind:
     rules: tuple = ()
 
 
-# [problem], [decomposition] and [output] are read by every kind. solver.method
-# names the kind, except that interface.exchange = exceptional selects one_step.
-KRYLOV = ("interface.facets", "interface.exchange", "interface.impedance",
-          "interface.sigma", "solver.method", "solver.tol", "solver.maxit")
+# every kind reads [problem], [decomposition] and [output]; solver.method names it
+KRYLOV = ("interface.facets", "interface.impedance", "interface.sigma",
+          "solver.method", "solver.tol", "solver.maxit")
 KINDS = {
     "gmres": RunKind(KRYLOV),
     "richardson": RunKind(KRYLOV + ("solver.beta", "solver.seed")),
@@ -156,7 +152,7 @@ KINDS = {
         (lambda g: g("problem", "boundary") != "dirichlet" or g("problem", "absorption") > 0,
          "the one-sided jump method needs loss-free local operators: "
          "dirichlet boundary and zero absorption"))),
-    "one_step": RunKind(("interface.exchange", "solver.tol"), rules=(
+    "one_step": RunKind(("solver.method", "solver.tol"), rules=(
         (lambda g: g("problem", "type") == "helmholtz",
          "the one-step reflection needs the coercive regime; helmholtz is excluded"),
         (lambda g: (g("problem", "type") == "laplace" and g("decomposition", "px") > 2
@@ -175,6 +171,11 @@ class RunConfig:
 
     def get(self, section: str, key: str):
         return self.sections[section][key]
+
+    def iteration(self) -> IterationConfig:
+        """The kind's own [solver] keys, method apart; the defaults elsewhere."""
+        return IterationConfig(**{key: self.get("solver", key)
+                                  for key in self.sections["solver"] if key != "method"})
 
 
 def load_config(path: str | None = None, preset: str | None = None,
@@ -205,11 +206,9 @@ def load_config(path: str | None = None, preset: str | None = None,
     if set(raw) - set(SCHEMA):
         raise ValueError(f"unknown sections: {', '.join(sorted(set(raw) - set(SCHEMA)))}")
     kind = raw.get("solver", {}).get("method", SCHEMA["solver"]["method"][1])
-    if raw.get("interface", {}).get("exchange") == "exceptional":
-        kind = "one_step"
-    elif kind not in METHODS:
+    if kind not in KINDS:
         raise ValueError(f"bad value for solver.method: {kind!r} is not one of "
-                         f"{', '.join(METHODS)}")
+                         f"{', '.join(KINDS)}")
     sections, unread, reads = {}, [], KINDS[kind].keys
     for section, keys in SCHEMA.items():
         given, values = raw.get(section, {}), sections.setdefault(section, {})
@@ -254,8 +253,7 @@ def validate(cfg: RunConfig) -> list[str]:
 
     errors += [reason for inadmissible, reason in KINDS[cfg.kind].rules if inadmissible(g)]
     try:
-        IterationConfig(**{key: value for key, value in cfg.sections["solver"].items()
-                           if key != "method"})
+        cfg.iteration()
     except ValueError as exc:
         errors.append(f"solver.{exc}")
     return errors
@@ -282,7 +280,7 @@ class Instance:
 
 
 def build_instance(cfg: RunConfig) -> Instance:
-    g = cfg.get
+    g, kind = cfg.get, cfg.kind
     wave = g("problem", "type") == "helmholtz"
     mesh = build_mesh(g("problem", "nx"), g("problem", "ny"),
                       boundary=g("problem", "boundary"))
@@ -293,7 +291,7 @@ def build_instance(cfg: RunConfig) -> Instance:
     decomp = build_restrictions(mesh, partition, problem)
     inst = Instance(cfg=cfg, problem=problem, decomp=decomp)
 
-    if g("interface", "exchange") == "exceptional":
+    if kind == "one_step":
         inst.exchange = exceptional_exchange(decomp)
         inst.dual = exceptional_system(decomp, inst.exchange)
         return inst
@@ -305,7 +303,7 @@ def build_instance(cfg: RunConfig) -> Instance:
     if inst.system.is_bilateral:    # the redundancy basis and the battery share them
         inst.graphs = connectivity_graphs(inst.system, decomp.multiplicities)
     inst.redundancy = redundancy_basis(inst.system, inst.trace, inst.graphs)
-    if g("solver", "method") == "fetih":
+    if kind == "fetih":
         inst.fetih = fetih_build(decomp, inst.impedance)
     else:
         inst.exchange = build_exchange(inst.trace)
@@ -442,34 +440,30 @@ def _kernel_is_span(S, Z: np.ndarray) -> bool:
 def execute(inst: Instance) -> dict:
     """Run the configured solver; return the report dictionary, read from
     its ConvergenceReport in the same way for every method."""
-    g, kind = inst.cfg.get, inst.cfg.kind
+    kind, it = inst.cfg.kind, inst.cfg.iteration()
     t0 = time.perf_counter()
     u_ref = reference_primal(inst.decomp, inst.exchange and inst.exchange.factor)
-    tol = g("solver", "tol")    # the one [solver] key every kind reads
     dual = inst.dual
     gamma = rho_thm = None
     skipped: dict[str, str] = {}
 
     if kind == "one_step":
-        rep = one_step(dual, tol, u_ref)
+        rep = one_step(dual, it.tol, u_ref)
     elif kind == "fetih":
-        rep = ConvergenceReport.krylov(*fetih_solve(inst.fetih, tol=tol,
-                                                    maxit=g("solver", "maxit")), tol)
+        rep = ConvergenceReport.krylov(*fetih_solve(inst.fetih, tol=it.tol,
+                                                    maxit=it.maxit), it.tol)
     elif kind == "primal":
-        rep = primal_iterate(dual, IterationConfig(beta=g("solver", "beta"), tol=tol,
-                                                   maxit=g("solver", "maxit")), u_ref=u_ref)
+        rep = primal_iterate(dual, it, u_ref=u_ref)
     else:   # richardson or gmres, with the rate bound of gamma within the budget
         if dual.dim <= GAMMA_DIM_LIMIT:
             gamma = estimate_gamma(dual, redundancy=inst.redundancy)
             rho_thm = (rho_gmres(gamma) if kind == "gmres"
-                       else rho_theorem(g("solver", "beta"), gamma))
+                       else rho_theorem(it.beta, gamma))
         else:
             skipped["gamma"] = (f"dim lambda {dual.dim} exceeds the dense "
                                 f"budget {GAMMA_DIM_LIMIT}; no rho_thm")
-        rep = (gmres_dual(dual, tol=tol, maxit=g("solver", "maxit")) if kind == "gmres"
-               else richardson(dual, IterationConfig(
-                   beta=g("solver", "beta"), tol=tol, maxit=g("solver", "maxit"),
-                   seed=g("solver", "seed")), u_ref=u_ref, redundancy=inst.redundancy))
+        rep = (gmres_dual(dual, tol=it.tol, maxit=it.maxit) if kind == "gmres"
+               else richardson(dual, it, u_ref=u_ref, redundancy=inst.redundancy))
 
     u_scale = float(np.linalg.norm(u_ref)) or 1.0
     return {
@@ -520,18 +514,32 @@ def resolve_outdir(cfg: RunConfig) -> Path:
     return Path(root) / cfg.get("output", "dir")
 
 
+def exit_code(report: dict) -> int:
+    """4 if a battery check failed, else 3 if the run did not converge (a
+    report without a solve has nothing to converge), else 0."""
+    if not all(check["passed"] for check in report["checks"].values()):
+        return 4
+    return 0 if report.get("converged", True) else 3
+
+
+def _outcome(report: dict) -> str:
+    failed = [name for name, check in report["checks"].items() if not check["passed"]]
+    status = "converged" if report["converged"] else "did not converge"
+    return (f"{status} after {report['iterations']} iterations"
+            + (f"; failed checks: {', '.join(failed)}" if failed else ""))
+
+
 # -- command-line interface --------------------------------------------------
 
 
 def _load_or_exit(config, preset, sets) -> RunConfig:
     if config is None and preset is None:
-        click.echo("give a config file or --preset", err=True)
-        raise SystemExit(2)
+        raise click.UsageError("give a config file or --preset")
     overrides = {}
     for item in sets:
         dotted, _, value = item.partition("=")
         if not _:
-            raise click.ClickException(f"--set {item!r} must look like section.key=value")
+            raise click.UsageError(f"--set {item!r} must look like section.key=value")
         overrides[dotted] = value
     try:
         cfg = load_config(config, preset, overrides)
@@ -571,11 +579,9 @@ def run(config, preset, sets):
     cfg = _load_or_exit(config, preset, sets)
     outdir = resolve_outdir(cfg)
     report = _solve(cfg, outdir)
-    status = "converged" if report["converged"] else "did not converge"
-    click.echo(f"{cfg.kind}: {status} after {report['iterations']} iterations; final "
-               f"primal error {report['final_primal_error']:.3e}; outputs in {outdir}")
-    if not report["converged"]:
-        raise SystemExit(3)
+    click.echo(f"{cfg.kind}: {_outcome(report)}; final primal error "
+               f"{report['final_primal_error']:.3e}; outputs in {outdir}")
+    raise SystemExit(exit_code(report))
 
 
 @main.command()
@@ -587,23 +593,19 @@ def verify(config, preset, sets):
     cfg = _load_or_exit(config, preset, sets)
     inst = build_instance(cfg)
     checks = interface_checks(inst)
-    all_passed = True
     for name, result in checks.items():
-        passed = result["passed"]
-        all_passed &= passed
         detail = ""
         if "value" in result:
             detail = f" (value {result['value']:.3e}, tolerance {result['tolerance']:.0e})"
         elif "cycle_count" in result:
             detail = f" (cycles {result['cycle_count']})"
-        click.echo(f"{'PASS' if passed else 'FAIL'} {name}{detail}")
+        click.echo(f"{'PASS' if result['passed'] else 'FAIL'} {name}{detail}")
     report = {"config": cfg.sections, "checks": checks}
     outdir = resolve_outdir(cfg)
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "report.json").write_text(json.dumps(report, indent=2) + "\n",
                                         encoding="ascii")
-    if not all_passed:
-        raise SystemExit(4)
+    raise SystemExit(exit_code(report))
 
 
 @main.command()
@@ -614,35 +616,30 @@ def verify(config, preset, sets):
               metavar="SECTION.KEY=V1,V2,...",
               help="sweep a key over listed values; repeat for a Cartesian grid")
 def sweep(config, preset, sets, varies):
-    """Cartesian sweep: one subdirectory per parameter combination."""
+    """Cartesian sweep: one subdirectory per parameter combination. Exits with
+    the largest code of its points; an invalid point counts as 2."""
     axes = []
     for item in varies:
         dotted, _, values = item.partition("=")
         if not _ or not values:
-            raise click.ClickException(
-                f"--vary {item!r} must look like section.key=v1,v2")
+            raise click.UsageError(f"--vary {item!r} must look like section.key=v1,v2")
         axes.append((dotted, values.split(",")))
     worst = 0
-    base_sets = list(sets)
     for combo in itertools.product(*(vals for _, vals in axes)):
         point = {dotted: value for (dotted, _), value in zip(axes, combo)}
         tag = "_".join(f"{dotted.split('.')[-1]}={value}"
                        for dotted, value in point.items())
-        point_sets = base_sets + [f"{k}={v}" for k, v in point.items()]
+        point_sets = [*sets, *(f"{k}={v}" for k, v in point.items())]
         try:
             cfg = _load_or_exit(config, preset, point_sets)
-        except SystemExit as exc:
-            worst = max(worst, exc.code or 0)
+        except SystemExit:
+            worst = max(worst, 2)
             click.echo(f"{tag}: invalid configuration")
             continue
         report = _solve(cfg, resolve_outdir(cfg) / tag)
-        ok = report["converged"]
-        if not ok:
-            worst = max(worst, 3)
-        click.echo(f"{tag}: {'converged' if ok else 'did not converge'} "
-                   f"after {report['iterations']} iterations")
-    if worst:
-        raise SystemExit(worst)
+        worst = max(worst, exit_code(report))
+        click.echo(f"{tag}: {_outcome(report)}")
+    raise SystemExit(worst)
 
 
 if __name__ == "__main__":

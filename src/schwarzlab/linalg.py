@@ -151,10 +151,10 @@ def diagonal_blocks(M):
     """The smallest contiguous diagonal blocks of a block-diagonal M.
 
     M is square with a symmetric pattern. Its blocks are 1 x 1 for the
-    lumped_mass and scalar impedances, one per facet for glob_block, and one
-    per subdomain for the one-step M = A. Returns one (starts, stack) pair
-    per block size, in increasing size: the first row of every block of
-    that size, and the blocks as a (count, size, size) array.
+    lumped_mass and scalar impedances, and one per facet for glob_block.
+    Returns one (starts, stack) pair per block size, in increasing size: the
+    first row of every block of that size, and the blocks as a
+    (count, size, size) array.
     """
     coo = M.tocoo()
     rows = np.arange(M.shape[0])

@@ -1,14 +1,18 @@
-"""Shared builders for test instances."""
+"""Shared builders for test instances, and the fault that fails each check."""
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 import scipy.sparse
+import scipy.sparse.linalg
 
+from schwarzlab import cli, decomp as decomp_module
 from schwarzlab.decomp import Decomposition, build_restrictions, partition_grid
 from schwarzlab.facets import Facet, FacetSystem
 from schwarzlab.formulations import DualSystem, build_dual_system
+from schwarzlab.linalg import factorize
 from schwarzlab.meshfem import assemble, build_mesh
 from schwarzlab.traces import (ExchangeOperator, ImpedanceOperator, TraceOperator,
                                build_exchange, build_impedance, build_trace)
@@ -188,3 +192,128 @@ def helmholtz_2x2():
     """All-Robin wave instance on 2x2 subdomains."""
     return make_instance(8, 8, 2, 2, wave=True, kappa=2.0, eta=2.0,
                          boundary="robin", source="point:0.3,0.4")
+
+
+# -- faults of the invariant battery -------------------------------------------
+
+
+def after_build(mutate):
+    """A fault that `mutate`s each instance `cli.build_instance` returns."""
+    def inject(monkeypatch):
+        build = cli.build_instance
+
+        def faulty(cfg):
+            inst = build(cfg)
+            mutate(inst)
+            return inst
+
+        monkeypatch.setattr(cli, "build_instance", faulty)
+    return inject
+
+
+def perturb_local_stiffness(monkeypatch):
+    """One local stiffness entry off by 1e-3, in the decomposition only: the
+    canonical re-accumulation stays consistent, the mesh-order assembly not."""
+    contributions = decomp_module.element_contributions
+
+    def faulty(*args, **kwargs):
+        batch = contributions(*args, **kwargs)
+        batch.K[0, 0, 0] += 1e-3
+        return batch
+
+    monkeypatch.setattr(decomp_module, "element_contributions", faulty)
+
+
+def flip_fetih_sign_term(inst):
+    # a subdomain on one tree facet: flipping its sign flips that one term
+    fh = inst.fetih
+    leaf = next(v for v in range(fh.decomp.n_sub)
+                if sum(v in pair for pair in fh.tree_pairs) == 1)
+    signs = fh.signs.copy()
+    signs[leaf] *= -1
+    inst.fetih = dataclasses.replace(fh, signs=signs)
+
+
+def perturb_exchange_entry(inst):
+    X = inst.dual.X.tocoo()
+    k = np.flatnonzero(X.row != X.col)[0]
+    inst.dual.X = inst.dual.X + scipy.sparse.csr_array(
+        ([1e-6], ([X.row[k]], [X.col[k]])), shape=X.shape)
+
+
+def oblique_pair_reflection(inst):
+    """One [[0, 1], [1, 0]] pair block of X becomes [[0.4, 0.6], [1.4, -0.4]]:
+    still an involution that fixes constants, but oblique in M."""
+    X = inst.dual.X
+    a = int(np.flatnonzero(np.diff(X.indptr) == 1)[0])   # a row of a pair block
+    b = int(X.indices[X.indptr[a]])
+    assert X[a, b] == X[b, a] == 1.0 and X[a, a] == X[b, b] == 0.0
+    rows, cols = [a, a, b, b], [a, b, a, b]
+    inst.dual.X = X + scipy.sparse.csr_array(
+        (0.4 * np.array([1.0, -1.0, 1.0, -1.0]), (rows, cols)), shape=X.shape)
+
+
+def negate_reflection(inst):
+    inst.dual.X = -inst.dual.X
+
+
+def negate_outgoing_term(inst):
+    # pseudo_energy forms S lam from 2 alpha M T v; no other check reads it
+    outgoing = inst.dual._outgoing
+    inst.dual._outgoing = lambda v: -outgoing(v)
+
+
+def split_vertex_glob(inst):
+    facets = []
+    for F in inst.system.facets:
+        if len(F.subdomains) == 4:
+            a, b, c, d = F.subdomains
+            facets += [dataclasses.replace(F, subdomains=(a, b)),
+                       dataclasses.replace(F, subdomains=(c, d))]
+        else:
+            facets.append(F)
+    inst.system = dataclasses.replace(inst.system, facets=tuple(facets))
+
+
+def drop_redundancy_column(inst):
+    inst.redundancy = inst.redundancy[:, 1:]
+
+
+def conjugate_loss(inst):
+    # Im A -> -Im A in A and in Atilde alike: the balance still holds, p < 0
+    dual = inst.dual
+    dual._A_csr = dual._A_csr.conj()
+    dual.aug.matrix = dual._A_csr + dual.alpha * (dual._Tt @ dual.M @ dual.T)
+    dual.aug.factor = factorize(dual.aug.matrix)
+
+
+@dataclass(frozen=True)
+class Fault:
+    """A run of `preset` at nx x nx on p x p subdomains, with `inject`
+    installed; it fails its check and exactly the checks in `also`."""
+
+    preset: str
+    nx: int
+    p: int
+    inject: object              # inject(monkeypatch), before the run builds
+    also: tuple = ()            # empty: the fault fails its check alone
+    sets: tuple = ()            # further --set arguments
+
+
+# battery check -> the fault that fails it; every check the battery returns
+# on some preset has a row, and a check without one fails tier-1
+FAULTS = {
+    "assembling_deviation": Fault("fetih", 16, 4, after_build(flip_fetih_sign_term)),
+    "mesh_order_deviation": Fault("loisel", 8, 2, perturb_local_stiffness),
+    "admissibility": Fault("loisel", 16, 2, after_build(split_vertex_glob)),
+    "involution_defect": Fault("loisel", 16, 2, after_build(perturb_exchange_entry),
+                               also=("conformity_fixed_defect",
+                                     "impedance_isometry_defect")),
+    "conformity_fixed_defect": Fault("exceptional", 8, 2, after_build(negate_reflection)),
+    "impedance_isometry_defect": Fault("loisel", 16, 2,
+                                       after_build(oblique_pair_reflection)),
+    "redundancy_dimension": Fault("feti2lm", 16, 4, after_build(drop_redundancy_column)),
+    "pseudo_energy_defect": Fault("feti2lm", 16, 4, after_build(negate_outgoing_term)),
+    "loss_sign_defect": Fault("feti2lm", 16, 2, after_build(conjugate_loss),
+                              sets=("problem.type=helmholtz", "problem.kappa=8")),
+}

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import tracemalloc
 
@@ -8,10 +7,12 @@ import scipy.sparse
 import scipy.sparse.linalg
 from click.testing import CliRunner
 
+from conftest import (FAULTS, after_build, conjugate_loss, flip_fetih_sign_term,
+                      negate_outgoing_term, negate_reflection, perturb_exchange_entry,
+                      perturb_local_stiffness, split_vertex_glob)
 from schwarzlab import cli, decomp, formulations
 from schwarzlab.cli import (build_instance, execute, interface_checks,
                             load_config, main, validate)
-from schwarzlab.linalg import factorize
 from schwarzlab.solvers import estimate_gamma
 
 
@@ -50,7 +51,8 @@ class TestLoadConfig:
     def test_preset_overrides_defaults(self):
         cfg = load_config(preset="loisel")
         assert cfg.get("interface", "facets") == "globs"
-        assert cfg.get("interface", "exchange") == "reflection"
+        # solver.method names the kind; the exceptional preset selects one_step
+        assert load_config(preset="exceptional").kind == "one_step"
 
     def test_explicit_override_wins(self):
         cfg = load_config(preset="loisel", overrides={"solver.tol": "1e-8"})
@@ -71,7 +73,7 @@ class TestLoadConfig:
         ("fetih", "solver.seed", "solver.seed"),
         ("exceptional", "interface.sigma", "interface.sigma"),
         ("exceptional", "solver.maxit", "solver.maxit"),
-        ("loisel", "interface.exchange", "interface.facets, solver.method"),
+        ("loisel", "interface.exchange", "interface.exchange"),
     ])
     def test_unread_key_rejected(self, preset, setting, unread):
         # a key the run's kind does not read is unknown to it
@@ -135,7 +137,7 @@ class TestValidate:
     def test_exceptional_excludes_helmholtz(self):
         errs = validate(self.base(**{"problem.type": "helmholtz",
                                      "problem.kappa": "6.28",
-                                     "interface.exchange": "exceptional"}))
+                                     "solver.method": "one_step"}))
         assert any("coercive" in e for e in errs)
 
     def test_beta_out_of_range(self):
@@ -213,20 +215,7 @@ class TestRedundancyCheck:
 
 
 def test_flipped_fetih_sign_term_exits_four(tmp_path, monkeypatch):
-    build = cli.build_instance
-
-    def faulty(cfg):
-        # a subdomain on one tree facet: flipping its sign flips that one term
-        inst = build(cfg)
-        fh = inst.fetih
-        leaf = next(v for v in range(fh.decomp.n_sub)
-                    if sum(v in pair for pair in fh.tree_pairs) == 1)
-        signs = fh.signs.copy()
-        signs[leaf] *= -1
-        inst.fetih = dataclasses.replace(fh, signs=signs)
-        return inst
-
-    monkeypatch.setattr(cli, "build_instance", faulty)
+    after_build(flip_fetih_sign_term)(monkeypatch)
     result = run_cli(["verify", "--preset", "fetih"]
                      + [f"--set={s}" for s in sized(16, 4)], tmp_path, monkeypatch)
     assert result.exit_code == 4, result.output
@@ -234,47 +223,15 @@ def test_flipped_fetih_sign_term_exits_four(tmp_path, monkeypatch):
     assert result.output.count("FAIL") == 1
 
 
-def _perturb_exchange_entry(inst):
-    X = inst.dual.X.tocoo()
-    k = np.flatnonzero(X.row != X.col)[0]
-    inst.dual.X = inst.dual.X + scipy.sparse.csr_array(
-        ([1e-6], ([X.row[k]], [X.col[k]])), shape=X.shape)
-
-
-def _negate_outgoing_term(inst):
-    # pseudo_energy forms S lam from 2 alpha M T v; no other check reads it
-    outgoing = inst.dual._outgoing
-    inst.dual._outgoing = lambda v: -outgoing(v)
-
-
-def _split_vertex_glob(inst):
-    facets = []
-    for F in inst.system.facets:
-        if len(F.subdomains) == 4:
-            a, b, c, d = F.subdomains
-            facets += [dataclasses.replace(F, subdomains=(a, b)),
-                       dataclasses.replace(F, subdomains=(c, d))]
-        else:
-            facets.append(F)
-    inst.system = dataclasses.replace(inst.system, facets=tuple(facets))
-
-
 @pytest.mark.parametrize("preset,p,fault,failing,only", [
-    ("loisel", 2, _perturb_exchange_entry,
+    ("loisel", 2, perturb_exchange_entry,
      ["involution_defect", "conformity_fixed_defect"], False),
-    ("feti2lm", 4, _negate_outgoing_term, ["pseudo_energy_defect"], True),
-    ("loisel", 2, _split_vertex_glob, ["admissibility"], True),
+    ("feti2lm", 4, negate_outgoing_term, ["pseudo_energy_defect"], True),
+    ("loisel", 2, split_vertex_glob, ["admissibility"], True),
 ], ids=["perturbed_exchange", "negated_outgoing", "split_vertex_glob"])
 def test_battery_fault_exits_four(preset, p, fault, failing, only, tmp_path,
                                   monkeypatch):
-    build = cli.build_instance
-
-    def faulty(cfg):
-        inst = build(cfg)
-        fault(inst)
-        return inst
-
-    monkeypatch.setattr(cli, "build_instance", faulty)
+    after_build(fault)(monkeypatch)
     result = run_cli(["verify", "--preset", preset]
                      + [f"--set={s}" for s in sized(16, p)], tmp_path, monkeypatch)
     assert result.exit_code == 4, result.output
@@ -434,23 +391,8 @@ def test_one_step_battery_allocates_within_its_probe_blocks(monkeypatch):
     assert peak < (n_random + C * formulations.K_COLUMNS) * n_u * 16
 
 
-def _conjugate_loss(inst):
-    # Im A -> -Im A in A and in Atilde alike: the balance still holds, p < 0
-    dual = inst.dual
-    dual._A_csr = dual._A_csr.conj()
-    dual.aug.matrix = dual._A_csr + dual.alpha * (dual._Tt @ dual.M @ dual.T)
-    dual.aug.factor = factorize(dual.aug.matrix)
-
-
 def test_negative_loss_exits_four(tmp_path, monkeypatch):
-    build = cli.build_instance
-
-    def faulty(cfg):
-        inst = build(cfg)
-        _conjugate_loss(inst)
-        return inst
-
-    monkeypatch.setattr(cli, "build_instance", faulty)
+    after_build(conjugate_loss)(monkeypatch)
     result = run_cli(["verify", "--preset", "feti2lm", "--set=problem.type=helmholtz",
                       "--set=problem.kappa=8"]
                      + [f"--set={s}" for s in sized(16, 2)], tmp_path, monkeypatch)
@@ -458,6 +400,30 @@ def test_negative_loss_exits_four(tmp_path, monkeypatch):
     assert "FAIL loss_sign_defect" in result.output
     assert "PASS pseudo_energy_defect" in result.output
     assert result.output.count("FAIL") == 1
+
+
+@pytest.fixture(scope="module")
+def battery_names():
+    """The check names `interface_checks` returns, over every preset."""
+    return set().union(*(interface_checks(sized_instance(preset, 8, 2), n_random=1)
+                         for preset in cli.PRESETS))
+
+
+@pytest.mark.parametrize("command", ["verify", "run"])
+@pytest.mark.parametrize("name", sorted(FAULTS))
+def test_each_check_fails_on_its_fault(name, command, battery_names, tmp_path,
+                                       monkeypatch):
+    # a check the battery gains without a fault in FAULTS fails here
+    assert set(FAULTS) == battery_names
+    fault = FAULTS[name]
+    fault.inject(monkeypatch)
+    result = run_cli([command, "--preset", fault.preset]
+                     + [f"--set={s}" for s in sized(fault.nx, fault.p) + list(fault.sets)],
+                     tmp_path, monkeypatch)
+    assert result.exit_code == 4, result.output
+    checks = json.loads((tmp_path / "out" / "report.json").read_text())["checks"]
+    assert {n for n, check in checks.items() if not check["passed"]} == \
+        {name, *fault.also}
 
 
 def _dense_2d_arrays(root):
@@ -567,6 +533,17 @@ class TestRunCommand:
             assert result.exit_code == 2, args
             assert "give a config file or --preset" in result.output, args
 
+    @pytest.mark.parametrize("args", [
+        ["run", "--preset", "loisel", "--set", "problem.nx"],
+        ["sweep", "--preset", "loisel", "--vary", "interface.sigma"],
+        ["sweep", "--preset", "loisel", "--vary", "interface.sigma="],
+    ], ids=["set", "vary", "vary-no-values"])
+    def test_malformed_option_exits_two(self, args, tmp_path, monkeypatch):
+        result = run_cli(args, tmp_path, monkeypatch)
+        assert result.exit_code == 2, result.output
+        assert "must look like section.key=" in result.output
+        assert not (tmp_path / "out").exists()
+
     def test_invalid_config_exits_two(self, tmp_path, monkeypatch):
         result = run_cli(["run", "--preset", "loisel",
                           "--set", "interface.exchange=swap"],
@@ -583,14 +560,17 @@ class TestRunCommand:
     ])
     def test_inadmissible_exchange_exits_two(self, tmp_path, monkeypatch,
                                              preset, setting):
-        # former names of the one reflection and of lumped_mass are unknown
+        # the impedance fixes the one reflection, so no run reads an exchange
+        # key; a former name of lumped_mass is an unknown value
         result = run_cli(["run", "--preset", preset, "--set", setting]
                          + [f"--set={s}" for s in FAST], tmp_path, monkeypatch)
         assert result.exit_code == 2, result.output
-        assert "invalid configuration" in result.output
-        valid = (cli.EXCHANGE_VARIANTS if "exchange" in setting
-                 else cli.IMPEDANCE_VARIANTS)
-        assert str(valid) in result.output
+        if "exchange" in setting:
+            kind = load_config(preset=preset).kind
+            assert f"unknown keys for a {kind} run: interface.exchange" in result.output
+        else:
+            assert "invalid configuration" in result.output
+            assert str(cli.IMPEDANCE_VARIANTS) in result.output
 
     @pytest.mark.parametrize("setting", [
         "problem.source=point:0.3", "problem.source=point:a,b",
@@ -626,7 +606,9 @@ class TestRunCommand:
         assert len(history) > 1
         report = json.loads((outdir / "report.json").read_text())
         assert report["converged"]
-        assert report["config"]["interface"]["exchange"] == "reflection"
+        assert report["config"]["interface"] == {"facets": "globs",
+                                                 "impedance": "lumped_mass", "sigma": 1.0}
+        assert report["config"]["solver"]["method"] == "gmres"
 
     @pytest.mark.parametrize("preset,sets,message", [
         ("complete_comm", ["solver.beta=0"],
@@ -648,6 +630,9 @@ class TestRunCommand:
                          + [f"--set={s}" for s in FAST],
                          tmp_path, monkeypatch)
         assert result.exit_code == 3
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert all(c["passed"] for c in report["checks"].values())
+        assert "failed checks" not in result.output
 
     @pytest.mark.parametrize("nx", [16, 64])
     def test_gamma_skip_is_reported(self, nx, tmp_path, monkeypatch):
@@ -741,14 +726,7 @@ class TestVerifyCommand:
         assert "FAIL" not in result.output
 
     def test_mesh_order_fault_exits_four(self, tmp_path, monkeypatch):
-        contributions = decomp.element_contributions
-
-        def faulty(*args, **kwargs):
-            batch = contributions(*args, **kwargs)
-            batch.K[0, 0, 0] += 1e-3     # one local stiffness entry
-            return batch
-
-        monkeypatch.setattr(decomp, "element_contributions", faulty)
+        perturb_local_stiffness(monkeypatch)
         result = run_cli(["verify", "--preset", "loisel"]
                          + [f"--set={s}" for s in FAST],
                          tmp_path, monkeypatch)
@@ -786,13 +764,27 @@ class TestSweepCommand:
         assert "unknown keys for a gmres run: solver.beta" in result.output
         assert not (tmp_path / "out").exists()
 
+    def test_sweep_exits_four_on_a_failed_check(self, tmp_path, monkeypatch):
+        # the largest code of the points: a failed battery (4) over an invalid
+        # point (2)
+        perturb_local_stiffness(monkeypatch)
+        result = run_cli(["sweep", "--preset", "loisel",
+                          "--vary", "interface.impedance=lumped_mass,diagonal"]
+                         + [f"--set={s}" for s in FAST],
+                         tmp_path, monkeypatch)
+        assert result.exit_code == 4, result.output
+        assert "impedance=lumped_mass: converged after" in result.output
+        assert "iterations; failed checks: mesh_order_deviation\n" in result.output
+        assert "impedance=diagonal: invalid configuration" in result.output
+
     def test_sweep_skips_invalid_points(self, tmp_path, monkeypatch):
         result = run_cli(["sweep", "--preset", "loisel",
-                          "--vary", "interface.exchange=reflection,swap"]
+                          "--vary", "interface.impedance=lumped_mass,diagonal"]
                          + [f"--set={s}" for s in FAST],
                          tmp_path, monkeypatch)
         assert result.exit_code == 2
-        assert (tmp_path / "out" / "exchange=reflection"
+        assert "impedance=diagonal: invalid configuration" in result.output
+        assert (tmp_path / "out" / "impedance=lumped_mass"
                 / "report.json").exists()
 
 
@@ -807,8 +799,8 @@ class TestExceptionalPreset:
         assert report["iterations"] == 1
         assert report["final_primal_error"] <= 1e-10
         # the one-step update reads no facets, impedance, damping or limit
-        assert report["config"]["interface"] == {"exchange": "exceptional"}
-        assert report["config"]["solver"] == {"tol": 1e-10}
+        assert report["config"]["interface"] == {}
+        assert report["config"]["solver"] == {"method": "one_step", "tol": 1e-10}
 
     def test_one_step_factorizes_the_global_operator_once(self, monkeypatch):
         splu = scipy.sparse.linalg.splu
@@ -844,19 +836,12 @@ class TestExceptionalPreset:
 
     @pytest.mark.parametrize("fault", ["perturbed", "negated"])
     def test_faulty_reflection_exits_four(self, fault, tmp_path, monkeypatch):
-        build = cli.build_instance
-
-        def faulty(cfg):
-            inst = build(cfg)
+        def perturb(inst):
             X = inst.dual.X
-            if fault == "perturbed":
-                bump = scipy.sparse.csr_array(([1e-6], ([0], [0])), shape=X.shape)
-                inst.dual.X = X + scipy.sparse.linalg.aslinearoperator(bump)
-            else:
-                inst.dual.X = -X
-            return inst
+            bump = scipy.sparse.csr_array(([1e-6], ([0], [0])), shape=X.shape)
+            inst.dual.X = X + scipy.sparse.linalg.aslinearoperator(bump)
 
-        monkeypatch.setattr(cli, "build_instance", faulty)
+        after_build(perturb if fault == "perturbed" else negate_reflection)(monkeypatch)
         result = run_cli(["verify", "--preset", "exceptional"]
                          + [f"--set={s}" for s in FAST], tmp_path, monkeypatch)
         assert result.exit_code == 4, result.output
