@@ -24,7 +24,7 @@ import scipy.sparse
 from .decomp import (ASSEMBLY_TOL, Decomposition, build_restrictions, check_assembling,
                      partition_grid)
 from .facets import VARIANTS as FACET_VARIANTS
-from .facets import build_facets, check_admissibility, connectivity_graphs, redundancy_basis
+from .facets import build_facets, check_admissibility, redundancy_basis
 from .formulations import (K_COLUMNS, DualSystem, build_dual_system,
                            exceptional_exchange, exceptional_system,
                            fetih_assembling_deviation, fetih_build, fetih_solve)
@@ -129,11 +129,12 @@ PRESETS = {
 
 @dataclass(frozen=True)
 class RunKind:
-    """The [interface] and [solver] keys one kind of run reads, and its rules
-    (inadmissible(get), reason) against facet systems and regimes."""
+    """The [interface] and [solver] keys one kind of run reads, its rules
+    (inadmissible(get), reason), and why it never estimates gamma, if so."""
 
     keys: tuple
     rules: tuple = ()
+    no_gamma: str | None = None
 
 
 # every kind reads [problem], [decomposition] and [output]; solver.method names it
@@ -145,20 +146,23 @@ KINDS = {
     "primal": RunKind(KRYLOV + ("solver.beta",), rules=(
         (lambda g: g("interface", "facets") != "globs",
          "the subdomain-field recurrence needs a right inverse of the trace, "
-         "which bilateral systems with cross points do not admit; use glob facets"),)),
+         "which bilateral systems with cross points do not admit; use glob facets"),),
+        no_gamma="gamma is not estimated for the subdomain-field recurrence"),
     "fetih": RunKind(KRYLOV, rules=(
         (lambda g: g("interface", "facets") == "globs",
          "the one-sided jump method needs a bilateral facet system"),
         (lambda g: g("problem", "boundary") != "dirichlet" or g("problem", "absorption") > 0,
          "the one-sided jump method needs loss-free local operators: "
-         "dirichlet boundary and zero absorption"))),
+         "dirichlet boundary and zero absorption")),
+        no_gamma="the one-sided jump method has no K in the M^-1 metric"),
     "one_step": RunKind(("solver.method", "solver.tol"), rules=(
         (lambda g: g("problem", "type") == "helmholtz",
          "the one-step reflection needs the coercive regime; helmholtz is excluded"),
         (lambda g: (g("problem", "type") == "laplace" and g("decomposition", "px") > 2
                     and g("decomposition", "py") > 2),
          "the one-step reflection on laplace needs every subdomain on the boundary "
-         "(px <= 2 or py <= 2); an interior subdomain has a singular local operator"))),
+         "(px <= 2 or py <= 2); an interior subdomain has a singular local operator")),
+        no_gamma="S = 0, so K = I and gamma = 1 by construction"),
 }
 
 
@@ -275,8 +279,7 @@ class Instance:
     exchange: object = None
     dual: DualSystem | None = None
     fetih: object = None
-    redundancy: np.ndarray | None = None
-    graphs: dict | None = None      # a bilateral system's connectivity graphs
+    redundancy: scipy.sparse.csr_array | None = None
 
 
 def build_instance(cfg: RunConfig) -> Instance:
@@ -300,9 +303,7 @@ def build_instance(cfg: RunConfig) -> Instance:
     inst.trace = build_trace(inst.system, decomp)
     inst.impedance = build_impedance(inst.trace, g("interface", "impedance"),
                                      g("interface", "sigma"))
-    if inst.system.is_bilateral:    # the redundancy basis and the battery share them
-        inst.graphs = connectivity_graphs(inst.system, decomp.multiplicities)
-    inst.redundancy = redundancy_basis(inst.system, inst.trace, inst.graphs)
+    inst.redundancy = redundancy_basis(inst.system, inst.trace)
     if kind == "fetih":
         inst.fetih = fetih_build(decomp, inst.impedance)
     else:
@@ -357,7 +358,7 @@ def interface_checks(inst: Instance, n_random: int = 20,
     record("mesh_order_deviation", asm.mesh_order_dev, ASSEMBLY_TOL)
 
     if inst.system is not None:
-        adm = check_admissibility(inst.system, inst.decomp.multiplicities, inst.graphs)
+        adm = check_admissibility(inst.system, inst.decomp.multiplicities)
         checks["admissibility"] = {
             "passed": bool(adm.admissible and adm.covered),
             "disconnected": len(adm.disconnected_dofs),
@@ -416,7 +417,7 @@ def interface_checks(inst: Instance, n_random: int = 20,
     return checks
 
 
-def _kernel_is_span(S, Z: np.ndarray) -> bool:
+def _kernel_is_span(S, Z: scipy.sparse.csr_array) -> bool:
     """True iff ker S = span Z with Z of full column rank, by sparse algebra.
 
     S Z = 0 is tested exactly (S and Z hold small integers wherever Z has
@@ -424,7 +425,6 @@ def _kernel_is_span(S, Z: np.ndarray) -> bool:
     full column rank and ker S meets the orthogonal complement of span Z
     only in 0; factorize's pivot test decides that.
     """
-    Z = scipy.sparse.csr_array(Z)
     if (S @ Z).count_nonzero():
         return False
     try:
@@ -445,7 +445,8 @@ def execute(inst: Instance) -> dict:
     u_ref = reference_primal(inst.decomp, inst.exchange and inst.exchange.factor)
     dual = inst.dual
     gamma = rho_thm = None
-    skipped: dict[str, str] = {}
+    reasons = {"gamma": KINDS[kind].no_gamma, "rho_thm": "no gamma, so no rate bound",
+               "rho_obs": "too few logged iterates to fit a rate"}
 
     if kind == "one_step":
         rep = one_step(dual, it.tol, u_ref)
@@ -460,25 +461,27 @@ def execute(inst: Instance) -> dict:
             rho_thm = (rho_gmres(gamma) if kind == "gmres"
                        else rho_theorem(it.beta, gamma))
         else:
-            skipped["gamma"] = (f"dim lambda {dual.dim} exceeds the dense "
+            reasons["gamma"] = (f"dim lambda {dual.dim} exceeds the dense "
                                 f"budget {GAMMA_DIM_LIMIT}; no rho_thm")
         rep = (gmres_dual(dual, tol=it.tol, maxit=it.maxit) if kind == "gmres"
                else richardson(dual, it, u_ref=u_ref, redundancy=inst.redundancy))
 
     u_scale = float(np.linalg.norm(u_ref)) or 1.0
+    diagnostics = {"gamma": gamma, "rho_thm": rho_thm, "rho_obs": rep.rho_obs}
     return {
         "config": inst.cfg.sections,
         "gamma": gamma,
         "sum_cycles": (int(inst.redundancy.shape[1])
                        if inst.redundancy is not None else None),
         "timings": {"solve_seconds": time.perf_counter() - t0},
-        "skipped": skipped,
+        "skipped": {key: reasons[key] for key, value in diagnostics.items()
+                    if value is None},
         "iterations": rep.iterations,
         "converged": bool(rep.converged),
         "diverged": bool(rep.diverged),
         "final_residual": rep.residuals[-1],
         "final_primal_error": float(np.linalg.norm(rep.u - u_ref)) / u_scale,
-        "rho_obs": rep.rho_obs,
+        "rho_obs": diagnostics["rho_obs"],
         "rho_thm": rho_thm,
         "history_rows": list(itertools.zip_longest(
             range(rep.iterations + 1), rep.residuals, rep.primal_errors,

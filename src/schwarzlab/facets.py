@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
+import scipy.sparse
 
 from .decomp import Decomposition, Multiplicities
 
@@ -204,11 +205,10 @@ class AdmissibilityReport:
     total_cycles: int
 
 
-def check_admissibility(system: FacetSystem, multiplicities: Multiplicities,
-                        graphs=None) -> AdmissibilityReport:
-    """Connectedness and coverage of each interface dof; `graphs` as from
-    connectivity_graphs, which runs here when they are not given."""
-    graphs = graphs or connectivity_graphs(system, multiplicities)
+def check_admissibility(system: FacetSystem,
+                        multiplicities: Multiplicities) -> AdmissibilityReport:
+    """Connectedness and coverage of each interface dof, on the system's own graphs."""
+    graphs = connectivity_graphs(system, multiplicities)
     disconnected = tuple(k for k, g in graphs.items() if not g.connected)
     covered_dofs = set()
     for F in system.facets:
@@ -222,29 +222,24 @@ def check_admissibility(system: FacetSystem, multiplicities: Multiplicities,
         total_cycles=total_cycles)
 
 
-def redundancy_basis(system: FacetSystem, trace, graphs=None) -> np.ndarray:
+def redundancy_basis(system: FacetSystem, trace) -> scipy.sparse.csr_array:
     """Integer +-1 basis of ker(T^T) intersected with ker(I + X^T).
 
-    Returns a (dim_lambda, n_cycles) array indexed like the trace dofs of
-    `trace`: one column per edge outside the spanning forest of an interface
-    dof's connectivity graph, each closing one independent cycle. The cycle
-    runs along the forest's path between the edge's ends, found from the
-    parent pointers of rooted_forest, and back over the edge. Each traversed
-    edge (p -> q) over facet F receives +1 on side p and -1 on side q, which
-    is annihilated exactly by T^T (the two signs of each visited vertex
-    cancel) and by I + X^T (the swap flips the facet sign).
+    Returns a sparse (dim_lambda, n_cycles) matrix indexed like the trace
+    dofs of `trace`: one column per edge outside the spanning forest of an
+    interface dof's connectivity graph, each closing one independent cycle.
+    The cycle runs along the forest's path between the edge's ends, found
+    from the parent pointers of rooted_forest, and back over the edge. Each
+    traversed edge (p -> q) over facet F receives +1 on side p and -1 on
+    side q, which is annihilated exactly by T^T (the two signs of each
+    visited vertex cancel) and by I + X^T (the swap flips the facet sign).
 
     Glob systems are surjective-trace and have a trivial redundancy space:
-    an empty basis is returned. `graphs` as for check_admissibility.
+    the basis has no columns.
     """
-    dim = trace.dim_lambda
-    if not system.is_bilateral:
-        return np.zeros((dim, 0))
-
-    facet_of_pair = {tuple(sorted(F.subdomains)): idx
-                     for idx, F in enumerate(system.facets)}
-    graphs = graphs or connectivity_graphs(system, trace.multiplicities)
-    columns = []
+    facet_of_pair = {tuple(sorted(F.subdomains)): idx for idx, F in enumerate(system.facets)}
+    graphs = connectivity_graphs(system, trace.multiplicities) if system.is_bilateral else {}
+    rows, signs, sizes = [], [], []
     for k, graph in sorted(graphs.items()):
         if not graph.n_cycles:
             continue
@@ -256,10 +251,11 @@ def redundancy_basis(system: FacetSystem, trace, graphs=None) -> np.ndarray:
                 deeper = up if depth[up[-1]] >= depth[down[-1]] else down
                 deeper.append(parent[deeper[-1]])
             path = up + down[-2::-1]
-            z = np.zeros(dim)
-            for p, q in list(zip(path, path[1:])) + [(b, a)]:
+            cycle = list(zip(path, path[1:])) + [(b, a)]
+            for p, q in cycle:
                 fidx = facet_of_pair[(min(p, q), max(p, q))]
-                z[trace.slot(p, fidx, k)] += 1.0
-                z[trace.slot(q, fidx, k)] -= 1.0
-            columns.append(z)
-    return np.column_stack(columns) if columns else np.zeros((dim, 0))
+                rows += (trace.slot(p, fidx, k), trace.slot(q, fidx, k))
+            signs += (1.0, -1.0) * len(cycle)
+            sizes.append(2 * len(cycle))
+    cols = np.repeat(np.arange(len(sizes)), sizes)
+    return scipy.sparse.csr_array((signs, (rows, cols)), shape=(trace.dim_lambda, len(sizes)))

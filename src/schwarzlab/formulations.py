@@ -227,7 +227,7 @@ class DualSystem:
         once, so repeated applications make no M solve."""
         if basis is None or basis.shape[1] == 0:
             return lambda lam: np.asarray(lam, np.complex128)
-        Z = basis.astype(np.complex128)
+        Z = basis.toarray().astype(np.complex128)
         WZ = self.ip.apply_weight(Z)
         gram = Z.conj().T @ WZ
 
@@ -300,7 +300,7 @@ def exceptional_system(decomp: Decomposition,
     """
     X = exceptional_exchange(decomp) if exchange is None else exchange
     A = decomp.A_blockdiag()        # imaginary part zero in the coercive regime
-    identity = scipy.sparse.identity(A.shape[0], dtype=np.complex128, format="csr")
+    identity = scipy.sparse.eye_array(A.shape[0], dtype=np.complex128, format="csr")
     dual = DualSystem(decomp, identity, A, X.matrix, 1.0)
     aug = dual.aug
     dual.ip = WeightedInnerProduct(lambda x: 2.0 * aug.apply_inv(x))

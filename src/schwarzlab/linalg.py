@@ -143,7 +143,6 @@ def bordered(A, Z):
     Dynamical Equilibria, SIAM 2000)."""
     if Z is None or Z.shape[1] == 0:
         return A
-    Z = scipy.sparse.csr_array(Z)
     return scipy.sparse.block_array([[A, Z], [Z.T.conj(), None]], format="csc")
 
 

@@ -80,8 +80,9 @@ class ConvergenceReport:
 
     @property
     def rho_obs(self) -> float | None:
-        """Rate fitted on the multiplier errors, else on the primal errors."""
-        history = self.error_norms or self.primal_errors
+        """Rate fitted on the multiplier errors, else the primal errors, else
+        (a Krylov run) the residuals, whose rate sqrt(1 - gamma^2/4) bounds."""
+        history = self.error_norms or self.primal_errors or self.residuals
         return fit_rate(history) if len(history) >= 12 else None
 
 
@@ -124,7 +125,7 @@ def _until_stopped(report: ConvergenceReport, cfg: IterationConfig,
 def richardson(dual: DualSystem, cfg: IterationConfig,
                lam_ref: np.ndarray | None = None,
                u_ref: np.ndarray | None = None,
-               redundancy: np.ndarray | None = None) -> ConvergenceReport:
+               redundancy: scipy.sparse.csr_array | None = None) -> ConvergenceReport:
     """Damped fixed-point iteration lam += beta * (d - (I - X^T S) lam).
 
     Logs the relative dual residual in the M^-1 norm, the multiplier error
@@ -258,7 +259,7 @@ def _block_roots(M):
 
 
 def estimate_gamma(dual: DualSystem,
-                   redundancy: np.ndarray | None = None) -> float:
+                   redundancy: scipy.sparse.csr_array | None = None) -> float:
     """Smallest singular value of M^{-1/2} (I - X^T S) M^{1/2}.
 
     Equals the best constant gamma in |(I - X^T S) lam|_{M^-1} >=
@@ -273,7 +274,7 @@ def estimate_gamma(dual: DualSystem,
     B = (inv_root @ dual.K @ root).toarray()
     if redundancy is not None and redundancy.shape[1] > 0:
         # orthonormal basis of the complement of the transformed nullspace
-        B = B @ scipy.linalg.null_space((inv_root @ redundancy).conj().T)
+        B = B @ scipy.linalg.null_space((inv_root @ redundancy).toarray().conj().T)
     return float(np.linalg.svd(B, compute_uv=False)[-1])
 
 

@@ -253,6 +253,20 @@ def oblique_pair_reflection(inst):
         (0.4 * np.array([1.0, -1.0, 1.0, -1.0]), (rows, cols)), shape=X.shape)
 
 
+def quarter_turn_cross_point(inst):
+    """The cross-point block of X (its rows with 4 entries) becomes
+    P + Q0 R Q0^T, P = J/4, Q0 an orthonormal basis of the complement of the
+    constants and R a quarter turn in two of its directions and a reflection
+    in the third: still M-orthogonal on M = m I and constant-fixing, but its
+    square is not the identity."""
+    X = inst.dual.X.copy()
+    slots = np.flatnonzero(np.diff(X.indptr) == 4)
+    Q, _ = np.linalg.qr(np.column_stack([np.ones(4), np.eye(4)[:, :3]]))
+    R = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, -1.0]])
+    X[np.ix_(slots, slots)] = np.full((4, 4), 0.25) + Q[:, 1:] @ R @ Q[:, 1:].T
+    inst.dual.X = X
+
+
 def negate_reflection(inst):
     inst.dual.X = -inst.dual.X
 
@@ -273,6 +287,15 @@ def split_vertex_glob(inst):
         else:
             facets.append(F)
     inst.system = dataclasses.replace(inst.system, facets=tuple(facets))
+
+
+def unlink_cross_point(inst):
+    """The cross-point dof leaves facets (0, 1) and (2, 3) after the build:
+    its graph keeps the edges 0-2 and 1-3, two components."""
+    k = int(np.flatnonzero(inst.decomp.multiplicities.mu == 4)[0])
+    inst.system = dataclasses.replace(inst.system, facets=tuple(
+        dataclasses.replace(F, dofs=tuple(d for d in F.dofs if d != k))
+        if F.subdomains in ((0, 1), (2, 3)) else F for F in inst.system.facets))
 
 
 def drop_redundancy_column(inst):
@@ -306,9 +329,7 @@ FAULTS = {
     "assembling_deviation": Fault("fetih", 16, 4, after_build(flip_fetih_sign_term)),
     "mesh_order_deviation": Fault("loisel", 8, 2, perturb_local_stiffness),
     "admissibility": Fault("loisel", 16, 2, after_build(split_vertex_glob)),
-    "involution_defect": Fault("loisel", 16, 2, after_build(perturb_exchange_entry),
-                               also=("conformity_fixed_defect",
-                                     "impedance_isometry_defect")),
+    "involution_defect": Fault("loisel", 16, 2, after_build(quarter_turn_cross_point)),
     "conformity_fixed_defect": Fault("exceptional", 8, 2, after_build(negate_reflection)),
     "impedance_isometry_defect": Fault("loisel", 16, 2,
                                        after_build(oblique_pair_reflection)),

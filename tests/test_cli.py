@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,11 +13,11 @@ from click.testing import CliRunner
 
 from conftest import (FAULTS, after_build, conjugate_loss, flip_fetih_sign_term,
                       negate_outgoing_term, negate_reflection, perturb_exchange_entry,
-                      perturb_local_stiffness, split_vertex_glob)
+                      perturb_local_stiffness, split_vertex_glob, unlink_cross_point)
 from schwarzlab import cli, decomp, formulations
 from schwarzlab.cli import (build_instance, execute, interface_checks,
                             load_config, main, validate)
-from schwarzlab.solvers import estimate_gamma
+from schwarzlab.solvers import estimate_gamma, fit_rate
 
 
 FAST = ["problem.nx=8", "problem.ny=8"]
@@ -202,7 +206,7 @@ class TestRedundancyCheck:
             if fault == "dropped_column":
                 inst.redundancy = Z[:, 1:]
             else:
-                Z[np.flatnonzero(Z[:, 0])[0], 0] *= -1.0
+                Z.data[np.flatnonzero(Z.indices == 0)[0]] *= -1.0    # in column 0
                 inst.redundancy = Z
             return inst
 
@@ -212,6 +216,19 @@ class TestRedundancyCheck:
         assert result.exit_code == 4, result.output
         assert "FAIL redundancy_dimension" in result.output
         assert result.output.count("FAIL") == 1
+
+
+@pytest.mark.parametrize("command", ["verify", "run"])
+def test_admissibility_reads_the_checked_system(command, tmp_path, monkeypatch):
+    # a system changed after the build is checked on its own graphs
+    after_build(unlink_cross_point)(monkeypatch)
+    result = run_cli([command, "--preset", "feti2lm"]
+                     + [f"--set={s}" for s in sized(16, 2)], tmp_path, monkeypatch)
+    assert result.exit_code == 4, result.output
+    checks = json.loads((tmp_path / "out" / "report.json").read_text())["checks"]
+    assert {name for name, check in checks.items() if not check["passed"]} == \
+        {"admissibility"}
+    assert checks["admissibility"]["disconnected"] == 1
 
 
 def test_flipped_fetih_sign_term_exits_four(tmp_path, monkeypatch):
@@ -426,19 +443,16 @@ def test_each_check_fails_on_its_fault(name, command, battery_names, tmp_path,
         {name, *fault.also}
 
 
-def _dense_2d_arrays(root):
-    """Every 2-D ndarray reachable through containers, schwarzlab objects,
-    LinearOperators and the closures of the functions they hold."""
-    found, seen, stack = [], set(), [root]
+def _reachable(root):
+    """Every object reachable from root through containers, schwarzlab
+    objects, LinearOperators and the closures of the functions they hold."""
+    seen, stack = {}, [root]
     while stack:
         obj = stack.pop()
         if id(obj) in seen:
             continue
-        seen.add(id(obj))
-        if isinstance(obj, np.ndarray):
-            if obj.ndim == 2:
-                found.append(obj)
-        elif isinstance(obj, (list, tuple)):
+        seen[id(obj)] = obj
+        if isinstance(obj, (list, tuple)):
             stack.extend(obj)
         elif isinstance(obj, dict):
             stack.extend(obj.values())
@@ -447,7 +461,23 @@ def _dense_2d_arrays(root):
             stack.extend(getattr(obj, "__dict__", {}).values())
         elif callable(obj) and getattr(obj, "__closure__", None):
             stack.extend(cell.cell_contents for cell in obj.__closure__)
-    return found
+    return list(seen.values())
+
+
+def _dense_2d_arrays(root):
+    return [obj for obj in _reachable(root) if isinstance(obj, np.ndarray) and obj.ndim == 2]
+
+
+@pytest.mark.parametrize("preset", sorted(cli.PRESETS))
+def test_every_sparse_operator_is_a_sparse_array(preset):
+    # one sparse type: no legacy spmatrix in an instance, built, run and checked
+    inst = sized_instance(preset, 8, 2)
+    execute(inst)
+    interface_checks(inst, n_random=1)
+    operators = [obj for obj in _reachable(inst) if scipy.sparse.issparse(obj)]
+    assert operators
+    assert all(isinstance(op, scipy.sparse.sparray) for op in operators), \
+        [type(op).__name__ for op in operators]
 
 
 @pytest.mark.parametrize("preset", ["feti2lm", "loisel", "complete_comm", "fetih"])
@@ -646,7 +676,7 @@ class TestRunCommand:
             assert report["skipped"] == {}
             assert report["gamma"] is not None and report["rho_thm"] is not None
         else:
-            assert list(report["skipped"]) == ["gamma"]
+            assert list(report["skipped"]) == ["gamma", "rho_thm"]
             assert "780" in report["skipped"]["gamma"]
             assert report["gamma"] is None and report["rho_thm"] is None
 
@@ -675,6 +705,25 @@ class TestRunCommand:
         assert (tmp_path / "a" / "history.csv").read_bytes() == \
                (tmp_path / "b" / "history.csv").read_bytes()
 
+    def test_history_is_byte_identical_at_each_thread_count(self, tmp_path):
+        # loisel 64 x 64 on 4 x 4 (the gmres-globs workload), two runs per BLAS
+        # thread count, each in its own process with the count set there alone
+        path = os.pathsep.join(filter(None, [str(Path(cli.__file__).parents[1]),
+                                             os.environ.get("PYTHONPATH")]))
+        for threads in ("1", "2"):
+            histories = []
+            for run in ("a", "b"):
+                env = dict(os.environ, PYTHONPATH=path, SCHWARZLAB_OUTPUT=str(tmp_path),
+                           OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                           MKL_NUM_THREADS=threads)
+                outdir = f"threads{threads}{run}"
+                subprocess.run([sys.executable, "-m", "schwarzlab.cli", "run",
+                                "--preset", "loisel", f"--set=output.dir={outdir}"]
+                               + [f"--set={s}" for s in sized(64, 4)],
+                               env=env, check=True, capture_output=True)
+                histories.append((tmp_path / outdir / "history.csv").read_bytes())
+            assert histories[0] == histories[1], threads
+
     def test_dump_operators(self, tmp_path, monkeypatch):
         result = run_cli(["run", "--preset", "loisel",
                           "--set", "output.dump_operators=true"]
@@ -684,6 +733,21 @@ class TestRunCommand:
         outdir = tmp_path / "out"
         assert (outdir / "A_hat.mtx").exists()
         assert (outdir / "T.mtx").exists()
+
+
+@pytest.mark.parametrize("preset,nx,p", [(preset, 16, 2) for preset in cli.PRESETS]
+                         + [("loisel", 64, 4)])
+def test_every_null_diagnostic_says_why(preset, nx, p):
+    report = execute(sized_instance(preset, nx, p))
+    nulls = {key for key in ("gamma", "rho_thm", "rho_obs") if report[key] is None}
+    assert set(report["skipped"]) == nulls
+    assert all(isinstance(reason, str) and reason for reason in report["skipped"].values())
+
+
+def test_krylov_run_reports_its_residual_rate():
+    report = execute(sized_instance("loisel", 16, 2))
+    residuals = [row[1] for row in report["history_rows"]]
+    assert report["rho_obs"] == fit_rate(residuals)
 
 
 # one run per method path at 8 x 8: (preset, extra settings)

@@ -2,6 +2,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from schwarzlab.facets import (VARIANTS, build_facets, check_admissibility,
                                connectivity_graphs, Facet, FacetSystem, redundancy_basis,
@@ -157,7 +158,7 @@ class TestRedundancyBasis:
         system = build_facets(cross_dec, "bilateral_max")
         trace = build_trace(system, cross_dec)
         X = build_exchange(trace).matrix
-        Z = redundancy_basis(system, trace)
+        Z = redundancy_basis(system, trace).toarray()
         assert Z.shape[1] == 3
         assert np.max(np.abs(trace.matrix.T @ Z)) == 0.0
         assert np.max(np.abs(Z + X.T @ Z)) == 0.0
@@ -165,10 +166,18 @@ class TestRedundancyBasis:
 
     def test_max_vectors_have_six_entries(self, cross_dec):
         system = build_facets(cross_dec, "bilateral_max")
-        Z = redundancy_basis(system, build_trace(system, cross_dec))
+        Z = redundancy_basis(system, build_trace(system, cross_dec)).toarray()
         for j in range(Z.shape[1]):
             assert np.count_nonzero(Z[:, j]) >= 6
             assert set(np.unique(Z[:, j])) <= {-1.0, 0.0, 1.0}
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_basis_is_one_csr_array(self, cross_dec, variant):
+        system = build_facets(cross_dec, variant)
+        trace = build_trace(system, cross_dec)
+        Z = redundancy_basis(system, trace)
+        assert type(Z) is scipy.sparse.csr_array
+        assert Z.shape[0] == trace.dim_lambda
 
     def test_glob_system_trivial(self, cross_dec):
         system = build_facets(cross_dec, "globs")

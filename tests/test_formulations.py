@@ -90,7 +90,7 @@ def test_K_kernel_identities(size, facets, impedance, wave, sigma):
     trace = build_trace(system, dec)
     imp = build_impedance(trace, impedance, sigma)
     dual = build_dual_system(dec, trace, imp, build_exchange(trace), prob.alpha)
-    Z = redundancy_basis(system, trace).astype(np.complex128)
+    Z = redundancy_basis(system, trace).toarray().astype(np.complex128)
     K = dual.K
     WZ = dual.ip.apply_weight(Z)            # M^-1 Z, M Hermitian
     scale = float(abs(K).max())
