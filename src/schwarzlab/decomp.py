@@ -5,8 +5,10 @@ subdomain's dofs from the global dof set. Local operators are assembled from
 owned elements only, so the global operator is recovered exactly as
 sum_i R_i^T A_i R_i. Because floating-point addition is not associative,
 the decomposition carries its own re-accumulation of the global matrices,
-computed in a fixed canonical order (subdomains ascending, entries reduced
-left to right); against that reference the assembling identity is bitwise.
+computed in a fixed canonical order (subdomains ascending; each group of
+duplicates reduced as its first member plus numpy's pairwise sum of the
+rest, see linalg.accumulate); against that reference the assembling
+identity is bitwise.
 """
 
 from __future__ import annotations

@@ -21,10 +21,9 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from .decomp import Decomposition
-from .facets import FacetSystem, rooted_forest, spanning_forest
-from .linalg import (SingularMatrixError, WeightedInnerProduct, accumulate,
-                     block_diagonal_solver, bordered, column_vdots, factorize,
-                     gmres)
+from .facets import rooted_forest, spanning_forest
+from .linalg import (SingularMatrixError, WeightedInnerProduct, block_diagonal_solver,
+                     bordered, column_vdots, factorize, gmres)
 from .traces import ExchangeOperator, ImpedanceOperator, TraceOperator
 
 __all__ = [
@@ -314,14 +313,12 @@ def exceptional_system(decomp: Decomposition,
 class FetiH:
     """Augmented operators, sign pattern, and one-sided signed jump."""
 
-    decomp: Decomposition
-    system: FacetSystem
     signs: np.ndarray = field(repr=False)          # per-subdomain +-1
     tree_pairs: tuple = ()                         # selected adjacency edges
-    perp_facets: tuple = ()                        # facet indices on tree edges
+    W: scipy.sparse.csr_array | None = None        # signed weight Atilde is built from
     aug: AugmentedLocal | None = None
-    facet_blocks: dict = field(default_factory=dict)  # shared M_F per facet
-    B: scipy.sparse.csr_array | None = None        # one-sided signed jump of T
+    J: scipy.sparse.csr_array | None = None        # signed slot jump, (facet, dof) rows
+    B: scipy.sparse.csr_array | None = None        # one-sided signed jump J T
     f: np.ndarray | None = None
 
 
@@ -332,8 +329,10 @@ def fetih_build(decomp: Decomposition, impedance: ImpedanceOperator) -> FetiH:
     sign pattern; each tree facet contributes +-i sigma_i T_iF^T M_F T_iF to
     the two adjacent subdomains, which cancels exactly in the assembled sum:
     the augmented form with alpha = i and W = sigma M, where sigma is
-    sigma_i on the slots of tree facets and 0 elsewhere. Requires loss-free
-    local operators (no first-order loss part).
+    sigma_i on the slots of tree facets and 0 elsewhere. The jump J has one
+    row per (facet, dof), -1 on the smaller subdomain's slot and +1 on the
+    larger one's, and B = J T. Requires loss-free local operators (no
+    first-order loss part).
     """
     trace = impedance.trace
     system = trace.system
@@ -355,32 +354,18 @@ def fetih_build(decomp: Decomposition, impedance: ImpedanceOperator) -> FetiH:
     signs = np.array([1 - 2 * (depth[i] % 2) for i in nodes], dtype=np.int64)
 
     tree_set = set(tree)
-    perp = tuple(fidx for fidx, F in enumerate(system.facets)
-                 if tuple(sorted(F.subdomains)) in tree_set)
-
-    perp_set = set(perp)
-    sigma = [signs[i] if fidx in perp_set else 0 for i, fidx, _k in trace.slots]
+    on_tree = [tuple(sorted(F.subdomains)) in tree_set for F in system.facets]
+    sigma = [signs[i] * on_tree[fidx] for i, fidx, _k in trace.slots]
     W = scipy.sparse.diags_array(sigma, dtype=float) @ impedance.matrix
     aug = AugmentedLocal(decomp, trace.matrix, W, 1j)
 
-    # one-sided signed jump over all facets: row (tau_iF - tau_jF), i > j
-    trace_col = trace.matrix.indices  # one selected column per trace row
-    b_rows, b_cols, b_data = [], [], []
-    row = 0
-    for fidx, F in enumerate(system.facets):
-        j, i = sorted(F.subdomains)  # i > j
-        for k in F.dofs:
-            b_rows.extend((row, row))
-            b_cols.extend((trace_col[trace.slot(i, fidx, k)],
-                           trace_col[trace.slot(j, fidx, k)]))
-            b_data.extend((1.0, -1.0))
-            row += 1
-    B = scipy.sparse.csr_array((b_data, (b_rows, b_cols)),
-                               shape=(row, decomp.offsets[-1]))
-
-    return FetiH(decomp=decomp, system=system, signs=signs,
-                 tree_pairs=tuple(tree), perp_facets=perp, aug=aug,
-                 facet_blocks=dict(impedance.facet_blocks), B=B, f=decomp.f_concat)
+    # the rows of sides hold their two slots smaller subdomain first
+    J = trace.sides.copy()
+    J.data = np.tile([-1.0, 1.0], J.shape[0])
+    B = J @ trace.matrix
+    B.sort_indices()
+    return FetiH(signs=signs, tree_pairs=tuple(tree), W=W, aug=aug, J=J, B=B,
+                 f=decomp.f_concat)
 
 
 def fetih_solve(fetih: FetiH, tol: float, maxit: int | None = None):
@@ -404,22 +389,12 @@ def fetih_solve(fetih: FetiH, tol: float, maxit: int | None = None):
 
 
 def fetih_assembling_deviation(fetih: FetiH) -> float:
-    """Max entry of the assembled sign terms +-i M_F; zero when they cancel.
+    """Max entry of J W J^T; zero when the sign terms cancel.
 
-    Accumulated sparsely, facet by facet with the two sides back to back, so
-    the identical +-i M_F values cancel exactly. The base operators are
-    checked part by part by decomp.check_assembling.
+    Each entry is sigma_i (M_F)_ab + sigma_j (M_F)_ab over the two sides of
+    one facet, exactly zero when the signs are opposite, and a zero on
+    every facet makes the assembled sum of the +-i M_F zero. W is the
+    weight the augmented operator is factorized from. The base operators
+    are checked part by part by decomp.check_assembling.
     """
-    rows, cols, vals = [], [], []
-    for fidx in fetih.perp_facets:
-        F = fetih.system.facets[fidx]
-        dofs = np.asarray(F.dofs)
-        a, b = np.nonzero(fetih.facet_blocks[fidx])
-        for i in F.subdomains:
-            rows.append(dofs[a])
-            cols.append(dofs[b])
-            vals.append(1j * fetih.signs[i] * fetih.facet_blocks[fidx][a, b])
-    n = fetih.decomp.n
-    total = accumulate(np.concatenate(rows), np.concatenate(cols),
-                       np.concatenate(vals), (n, n))
-    return float(np.abs(total.data).max(initial=0.0))
+    return float(abs(fetih.J @ fetih.W @ fetih.J.T).max())

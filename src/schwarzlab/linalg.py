@@ -48,16 +48,17 @@ class GmresBreakdownError(RuntimeError):
 
 
 def accumulate(rows, cols, values, shape):
-    """Sum duplicate entries in order of appearance; deterministic assembly.
+    """Sum duplicate entries; deterministic assembly for a fixed triplet order.
 
     With 2-D `shape` the (row, col, value) triplets become a canonical complex
     CSR array; with cols=None and shape=(n,) the (row, value) pairs become a
     dense complex vector. `values` may also be a list of 1-D value arrays on
     one pattern: one stable sort of the pattern then serves them all, and
     the result is a list with one output per array. CSR index arrays are
-    int64. Each group of duplicates is reduced by np.add.reduceat over its
-    members in order of appearance, so the result is bitwise reproducible
-    for a fixed triplet order.
+    int64. The members of a group keep their order of appearance, and
+    np.add.reduceat reduces the group as its first member plus numpy's
+    pairwise sum of the rest, not left to right; the result is bitwise
+    reproducible for a fixed triplet order.
     """
     several = isinstance(values, list) and len(values) > 0 and np.ndim(values[0]) == 1
     key = np.asarray(rows, dtype=np.int64)

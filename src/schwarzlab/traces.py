@@ -38,6 +38,9 @@ class TraceOperator:
     Trace dofs are ordered subdomain-ascending; within a subdomain, facets
     are sorted by (sorted adjacency set, smallest dof); within a facet,
     dofs ascend. Each trace dof is the triple (subdomain, facet, global dof).
+    `sides` is the zero-one (facet, dof) x slot incidence: one row per
+    (facet, dof), in facet order and then F.dofs order, holding the slots of
+    that dof on each side of the facet, subdomain-ascending.
     """
 
     def __init__(self, system: FacetSystem, decomp: Decomposition):
@@ -45,7 +48,9 @@ class TraceOperator:
         self.decomp = decomp
         self.multiplicities = decomp.multiplicities
 
-        slots, cols = [], []
+        sizes = [len(F.dofs) for F in system.facets]
+        first_row = np.concatenate(([0], np.cumsum(sizes)))
+        slots, cols, rows = [], [], []
         facet_order: list[list[int]] = []
         for i in range(decomp.n_sub):
             fids = [idx for idx, F in enumerate(system.facets) if i in F.subdomains]
@@ -54,6 +59,7 @@ class TraceOperator:
             facet_order.append(fids)
             dofs = [k for fidx in fids for k in system.facets[fidx].dofs]
             slots += [(i, fidx, k) for fidx in fids for k in system.facets[fidx].dofs]
+            rows += [first_row[fidx] + np.arange(sizes[fidx]) for fidx in fids]
             # the maps ascend strictly, so a dof's local index is its rank
             cols.append(decomp.offsets[i] + np.searchsorted(decomp.maps[i], dofs))
         self.slots = tuple(slots)
@@ -61,18 +67,15 @@ class TraceOperator:
         self.dim_lambda = len(slots)
         self._slot_index = {s: t for t, s in enumerate(slots)}
 
-        rows = np.arange(self.dim_lambda)
-        cols = np.concatenate(cols)
+        dim, ones = self.dim_lambda, np.ones(self.dim_lambda)
         self.matrix = scipy.sparse.csr_array(
-            (np.ones(self.dim_lambda), (rows, cols)),
-            shape=(self.dim_lambda, decomp.offsets[-1]))
+            (ones, (np.arange(dim), np.concatenate(cols))),
+            shape=(dim, decomp.offsets[-1]))
+        self.sides = scipy.sparse.csr_array(
+            (ones, (np.concatenate(rows), np.arange(dim))), shape=(first_row[-1], dim))
 
     def slot(self, i: int, fidx: int, k: int) -> int:
         return self._slot_index[(i, fidx, k)]
-
-    def slot_range(self, i: int, fidx: int) -> tuple[int, int]:
-        start = self.slot(i, fidx, self.system.facets[fidx].dofs[0])
-        return start, start + len(self.system.facets[fidx].dofs)
 
 
 def build_trace(system: FacetSystem, decomp: Decomposition) -> TraceOperator:
@@ -201,21 +204,13 @@ def build_exchange(trace: TraceOperator) -> ExchangeOperator:
     space. Every impedance here is side-equal and block-diagonal by facet,
     so that reflection is the same for all of them and for every facet
     system: per facet and dof, the m sharing slots carry the block
-    2/m J - I. On a bilateral facet (m = 2) it swaps the two sides.
+    2/m J - I, that is X = G^T diag(2/m) G - I on the incidence G = sides.
+    On a bilateral facet (m = 2) it swaps the two sides.
     """
-    rows, cols, vals = [], [], []
-    for fidx, F in enumerate(trace.system.facets):
-        m, size = len(F.subdomains), len(F.dofs)
-        starts = [trace.slot_range(i, fidx)[0] for i in F.subdomains]
-        for a in starts:
-            for b in starts:
-                value = 2.0 * (1.0 / m) - (1.0 if a == b else 0.0)
-                if value != 0.0:
-                    rows.append(np.arange(a, a + size))
-                    cols.append(np.arange(b, b + size))
-                    vals.append(np.full(size, value))
-    dim = trace.dim_lambda
-    X = scipy.sparse.csr_array(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(dim, dim))
+    G = trace.sides
+    m = np.diff(G.indptr)
+    scaled = G.copy()       # diag(2/m) G, on G's pattern of ones
+    scaled.data = np.repeat(2.0 * (1.0 / m), m)
+    X = G.T.tocsr() @ scaled - scipy.sparse.eye_array(trace.dim_lambda, format="csr")
+    X.eliminate_zeros()     # the diagonal of a bilateral swap
     return ExchangeOperator(X)

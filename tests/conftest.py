@@ -8,7 +8,7 @@ import pytest
 import scipy.sparse
 import scipy.sparse.linalg
 
-from schwarzlab import cli, decomp as decomp_module
+from schwarzlab import cli, decomp as decomp_module, formulations as formulations_module
 from schwarzlab.decomp import Decomposition, build_restrictions, partition_grid
 from schwarzlab.facets import Facet, FacetSystem
 from schwarzlab.formulations import DualSystem, build_dual_system
@@ -224,14 +224,16 @@ def perturb_local_stiffness(monkeypatch):
     monkeypatch.setattr(decomp_module, "element_contributions", faulty)
 
 
-def flip_fetih_sign_term(inst):
-    # a subdomain on one tree facet: flipping its sign flips that one term
-    fh = inst.fetih
-    leaf = next(v for v in range(fh.decomp.n_sub)
-                if sum(v in pair for pair in fh.tree_pairs) == 1)
-    signs = fh.signs.copy()
-    signs[leaf] *= -1
-    inst.fetih = dataclasses.replace(fh, signs=signs)
+def deepen_last_subdomain(monkeypatch):
+    """The last subdomain one level deeper in FETI-H's tree: its sign flips,
+    and W and the augmented operator are built from the wrong sign."""
+    forest = formulations_module.rooted_forest
+
+    def faulty(nodes, tree):
+        parent, depth = forest(nodes, tree)
+        return parent, {**depth, nodes[-1]: depth[nodes[-1]] + 1}
+
+    monkeypatch.setattr(formulations_module, "rooted_forest", faulty)
 
 
 def perturb_exchange_entry(inst):
@@ -326,7 +328,7 @@ class Fault:
 # battery check -> the fault that fails it; every check the battery returns
 # on some preset has a row, and a check without one fails tier-1
 FAULTS = {
-    "assembling_deviation": Fault("fetih", 16, 4, after_build(flip_fetih_sign_term)),
+    "assembling_deviation": Fault("fetih", 16, 4, deepen_last_subdomain),
     "mesh_order_deviation": Fault("loisel", 8, 2, perturb_local_stiffness),
     "admissibility": Fault("loisel", 16, 2, after_build(split_vertex_glob)),
     "involution_defect": Fault("loisel", 16, 2, after_build(quarter_turn_cross_point)),

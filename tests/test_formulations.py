@@ -478,6 +478,30 @@ class TestFetiH:
             touched.update((a, b))
         assert touched == set(range(4))
 
+    @pytest.mark.parametrize("wave", [False, True])
+    @pytest.mark.parametrize("variant", ["bilateral_max", "bilateral_properly_closed",
+                                         "bilateral_non_redundant"])
+    def test_jump_matches_the_per_dof_difference(self, variant, wave):
+        # B = J T against the jump built dof by dof: per (facet, dof), in
+        # facet order, +1 on the larger subdomain's column, -1 on the smaller's
+        _, _, dec = make_instance(16, 16, 4, 4, boundary="dirichlet",
+                                  wave=wave, kappa=8.0 if wave else 0.0)
+        system = build_facets(dec, variant)
+        trace = build_trace(system, dec)
+        B = fetih_build(dec, build_impedance(trace, "lumped_mass", 1.0)).B
+        column = trace.matrix.indices     # the one column each trace row selects
+        rows, cols, vals = [], [], []
+        for fidx, F in enumerate(system.facets):
+            j, i = sorted(F.subdomains)
+            for k in F.dofs:
+                rows += [len(rows) // 2] * 2
+                cols += [column[trace.slot(i, fidx, k)], column[trace.slot(j, fidx, k)]]
+                vals += [1.0, -1.0]
+        ref = scipy.sparse.csr_array((vals, (rows, cols)),
+                                     shape=(len(rows) // 2, dec.offsets[-1]))
+        for a, b in ((B.data, ref.data), (B.indices, ref.indices), (B.indptr, ref.indptr)):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
     def test_assembling_exact(self):
         _, _, dec = make_instance(8, 8, 2, 2, boundary="dirichlet",
                                   wave=True, kappa=2.0)

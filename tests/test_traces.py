@@ -50,6 +50,21 @@ class TestTraceOperator:
         assert np.all(np.diff(sub) >= 0)
         assert np.array_equal(np.unique(sub), np.arange(dec.n_sub))
 
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_sides_rows_hold_each_facet_dof_on_its_sides(self, variant):
+        # 16x16 on 4x4 subdomains has cross points; a row per (facet, dof),
+        # in facet order and then F.dofs order, its slots subdomain-ascending
+        dec = make_instance(16, 16, 4, 4)[2]
+        system = build_facets(dec, variant)
+        trace = build_trace(system, dec)
+        G = trace.sides
+        expected = [[trace.slot(i, fidx, k) for i in sorted(F.subdomains)]
+                    for fidx, F in enumerate(system.facets) for k in F.dofs]
+        assert G.shape == (len(expected), trace.dim_lambda)
+        assert np.all(G.data == 1.0)
+        assert [G.indices[a:b].tolist() for a, b in zip(G.indptr[:-1], G.indptr[1:])] \
+            == expected
+
     def test_consistency_across_sides(self, cross_dec):
         # both sides of a facet see the same global values
         system = build_facets(cross_dec, "bilateral_max")
@@ -58,7 +73,8 @@ class TestTraceOperator:
         vhat = rng.standard_normal(cross_dec.n)
         t = trace.matrix @ cross_dec.apply_R(vhat)
         for fidx, F in enumerate(system.facets):
-            blocks = [t[slice(*trace.slot_range(i, fidx))] for i in F.subdomains]
+            starts = [trace.slot(i, fidx, F.dofs[0]) for i in F.subdomains]
+            blocks = [t[a:a + len(F.dofs)] for a in starts]
             for block in blocks[1:]:
                 assert np.array_equal(block, blocks[0])
 
@@ -105,9 +121,8 @@ class TestImpedance:
         trace = build_trace(system, cross_dec)
         M = build_impedance(trace, "lumped_mass", 1.0).matrix.toarray()
         for fidx, F in enumerate(system.facets):
-            blocks = [M[slice(*trace.slot_range(i, fidx)),
-                        slice(*trace.slot_range(i, fidx))]
-                      for i in F.subdomains]
+            starts = [trace.slot(i, fidx, F.dofs[0]) for i in F.subdomains]
+            blocks = [M[a:a + len(F.dofs), a:a + len(F.dofs)] for a in starts]
             for block in blocks[1:]:
                 assert np.array_equal(block, blocks[0])
 
