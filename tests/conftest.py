@@ -236,6 +236,19 @@ def deepen_last_subdomain(monkeypatch):
     monkeypatch.setattr(formulations_module, "rooted_forest", faulty)
 
 
+def flip_leaf_sign(monkeypatch):
+    """A subdomain on one tree facet one level deeper in FETI-H's tree: its
+    sign flips, and with it the one tree term it has."""
+    forest = formulations_module.rooted_forest
+
+    def faulty(nodes, tree):
+        parent, depth = forest(nodes, tree)
+        leaf = next(v for v in nodes if sum(v in pair for pair in tree) == 1)
+        return parent, {**depth, leaf: depth[leaf] + 1}
+
+    monkeypatch.setattr(formulations_module, "rooted_forest", faulty)
+
+
 def perturb_exchange_entry(inst):
     X = inst.dual.X.tocoo()
     k = np.flatnonzero(X.row != X.col)[0]

@@ -12,9 +12,9 @@ import scipy.sparse
 import scipy.sparse.linalg
 from click.testing import CliRunner
 
-from conftest import (FAULTS, after_build, conjugate_loss, negate_outgoing_term,
-                      negate_reflection, perturb_exchange_entry, perturb_local_stiffness,
-                      split_vertex_glob, unlink_cross_point)
+from conftest import (FAULTS, after_build, conjugate_loss, flip_leaf_sign,
+                      negate_outgoing_term, negate_reflection, perturb_exchange_entry,
+                      perturb_local_stiffness, split_vertex_glob, unlink_cross_point)
 from schwarzlab import cli, decomp, formulations
 from schwarzlab.cli import (build_instance, execute, interface_checks,
                             load_config, main, validate)
@@ -265,6 +265,15 @@ def test_admissibility_reads_the_checked_system(command, tmp_path, monkeypatch):
     assert {name for name, check in checks.items() if not check["passed"]} == \
         {"admissibility"}
     assert checks["admissibility"]["disconnected"] == 1
+
+
+def test_flipped_fetih_sign_term_exits_four(tmp_path, monkeypatch):
+    flip_leaf_sign(monkeypatch)
+    result = run_cli(["verify", "--preset", "fetih"]
+                     + [f"--set={s}" for s in sized(16, 4)], tmp_path, monkeypatch)
+    assert result.exit_code == 4, result.output
+    assert "FAIL assembling_deviation" in result.output
+    assert result.output.count("FAIL") == 1
 
 
 @pytest.mark.parametrize("preset,p,fault,failing,only", [
