@@ -67,15 +67,22 @@ def _flag(text: str) -> bool:
     return FLAGS[text.lower()]
 
 
+def _finite(text: str) -> float:
+    """A real config value; nan and +-inf are refused."""
+    if not np.isfinite(value := float(text)):
+        raise ValueError(f"{text!r} is not a finite number")
+    return value
+
+
 # section -> key -> (parser, default); every key is explicit in emitted reports
 SCHEMA = {
     "problem": {
         "type": (str, "laplace"),
         "nx": (int, 16),
         "ny": (int, 16),
-        "kappa": (float, 0.0),
-        "eta": (float, 1.0),
-        "absorption": (float, 0.0),
+        "kappa": (_finite, 0.0),
+        "eta": (_finite, 1.0),
+        "absorption": (_finite, 0.0),
         "source": (parse_source, "constant"),
         "boundary": (str, "robin"),
     },
@@ -86,12 +93,12 @@ SCHEMA = {
     "interface": {
         "facets": (str, "globs"),
         "impedance": (str, "lumped_mass"),
-        "sigma": (float, 1.0),
+        "sigma": (_finite, 1.0),
     },
     "solver": {     # IterationConfig holds the defaults and the ranges
         "method": (str, "gmres"),
-        "beta": (float, IterationConfig.beta),
-        "tol": (float, IterationConfig.tol),
+        "beta": (_finite, IterationConfig.beta),
+        "tol": (_finite, IterationConfig.tol),
         "maxit": (int, IterationConfig.maxit),
         "seed": (int, IterationConfig.seed),
     },
@@ -275,7 +282,7 @@ class Instance:
     decomp: Decomposition
     system: object = None
     trace: object = None
-    impedance: object = None
+    impedance: scipy.sparse.csr_array | None = None     # M
     exchange: object = None
     dual: DualSystem | None = None
     fetih: object = None
@@ -305,7 +312,7 @@ def build_instance(cfg: RunConfig) -> Instance:
                                      g("interface", "sigma"))
     inst.redundancy = redundancy_basis(inst.system, inst.trace)
     if kind == "fetih":
-        inst.fetih = fetih_build(decomp, inst.impedance)
+        inst.fetih = fetih_build(decomp, inst.trace, inst.impedance)
     else:
         inst.exchange = build_exchange(inst.trace)
         inst.dual = build_dual_system(decomp, inst.trace, inst.impedance,

@@ -24,7 +24,7 @@ from .decomp import Decomposition
 from .facets import rooted_forest, spanning_forest
 from .linalg import (SingularMatrixError, WeightedInnerProduct, block_diagonal_solver,
                      bordered, column_vdots, factorize, gmres)
-from .traces import ExchangeOperator, ImpedanceOperator, TraceOperator
+from .traces import ExchangeOperator, TraceOperator
 
 __all__ = [
     "AugmentedLocal",
@@ -237,10 +237,10 @@ class DualSystem:
 
 
 def build_dual_system(decomp: Decomposition, trace: TraceOperator,
-                      impedance: ImpedanceOperator, exchange: ExchangeOperator,
+                      M: scipy.sparse.csr_array, exchange: ExchangeOperator,
                       alpha: complex) -> DualSystem:
     """Assemble the dual system from interface operators."""
-    return DualSystem(decomp, trace.matrix, impedance.matrix, exchange.matrix, alpha)
+    return DualSystem(decomp, trace.matrix, M, exchange.matrix, alpha)
 
 
 # -- exceptional one-step reflection ---------------------------------------
@@ -322,7 +322,8 @@ class FetiH:
     f: np.ndarray | None = None
 
 
-def fetih_build(decomp: Decomposition, impedance: ImpedanceOperator) -> FetiH:
+def fetih_build(decomp: Decomposition, trace: TraceOperator,
+                M: scipy.sparse.csr_array) -> FetiH:
     """Sign pattern, regularized operators, and jump for a bilateral system.
 
     A spanning tree of the subdomain adjacency graph fixes an alternating
@@ -334,7 +335,6 @@ def fetih_build(decomp: Decomposition, impedance: ImpedanceOperator) -> FetiH:
     larger one's, and B = J T. Requires loss-free local operators (no
     first-order loss part).
     """
-    trace = impedance.trace
     system = trace.system
     if not system.is_bilateral:
         raise ValueError("the one-sided jump method needs a bilateral facet system")
@@ -356,7 +356,7 @@ def fetih_build(decomp: Decomposition, impedance: ImpedanceOperator) -> FetiH:
     tree_set = set(tree)
     on_tree = [tuple(sorted(F.subdomains)) in tree_set for F in system.facets]
     sigma = [signs[i] * on_tree[fidx] for i, fidx, _k in trace.slots]
-    W = scipy.sparse.diags_array(sigma, dtype=float) @ impedance.matrix
+    W = scipy.sparse.diags_array(sigma, dtype=float) @ M
     aug = AugmentedLocal(decomp, trace.matrix, W, 1j)
 
     # the rows of sides hold their two slots smaller subdomain first

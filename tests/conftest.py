@@ -14,7 +14,7 @@ from schwarzlab.facets import Facet, FacetSystem
 from schwarzlab.formulations import DualSystem, build_dual_system
 from schwarzlab.linalg import factorize
 from schwarzlab.meshfem import assemble, build_mesh
-from schwarzlab.traces import (ExchangeOperator, ImpedanceOperator, TraceOperator,
+from schwarzlab.traces import (ExchangeOperator, TraceOperator,
                                build_exchange, build_impedance, build_trace)
 
 
@@ -47,7 +47,7 @@ def reflection_form(trace, imp, form):
                   T T^T = I.
     """
     dim = trace.dim_lambda
-    M = imp.matrix.toarray()
+    M = imp.toarray()
     facets = trace.system.facets
     groups = [[trace.slot(i, fidx, k) for i in F.subdomains]
               for fidx, F in enumerate(facets) for k in F.dofs]
@@ -152,7 +152,7 @@ class TwinScalar:
     decomp: Decomposition
     system: FacetSystem
     trace: TraceOperator
-    impedance: ImpedanceOperator
+    impedance: scipy.sparse.csr_array
     exchange: ExchangeOperator
     dual: DualSystem
 

@@ -15,7 +15,7 @@ from click.testing import CliRunner
 from conftest import (FAULTS, after_build, conjugate_loss, flip_leaf_sign,
                       negate_outgoing_term, negate_reflection, perturb_exchange_entry,
                       perturb_local_stiffness, split_vertex_glob, unlink_cross_point)
-from schwarzlab import cli, decomp, formulations
+from schwarzlab import cli, decomp, formulations, linalg
 from schwarzlab.cli import (build_instance, execute, interface_checks,
                             load_config, main, validate)
 from schwarzlab.solvers import estimate_gamma, fit_rate
@@ -337,8 +337,7 @@ def test_gamma_allocates_within_the_trace_space(impedance, monkeypatch):
         "problem.kappa": "8", "interface.impedance": impedance}))
     dim, n_u = inst.dual.dim, inst.decomp.offsets[-1]
     # M's widest diagonal block: 1 for a diagonal M, else its widest facet block
-    widest = 1 if inst.dual.M.nnz == dim else max(
-        len(block) for block in inst.impedance.facet_blocks.values())
+    widest = linalg.diagonal_blocks(inst.dual.M)[-1][1].shape[1]
     eigh, widths = np.linalg.eigh, []
 
     def recording_eigh(a, *args, **kwargs):
@@ -520,7 +519,7 @@ def test_every_sparse_operator_is_a_sparse_array(preset):
 def test_interface_operators_are_sparse(preset):
     inst = build_instance(load_config(preset=preset, overrides=dict(
         s.split("=") for s in FAST)))
-    operators = [inst.impedance.matrix]
+    operators = [inst.impedance]
     if inst.dual is not None:
         operators += [inst.exchange.matrix, inst.dual.M, inst.dual.X]
     assert all(isinstance(op, scipy.sparse.csr_array) for op in operators)
@@ -567,7 +566,7 @@ def test_each_operator_is_built_once(preset, monkeypatch):
     # M is never factorized: the dual system applies M^-1 through M's
     # diagonal blocks, the one-step system takes M^-1 = 2 Atilde^-1 from the
     # augmented factor, and FETI-H never solves with M
-    M = inst.impedance.matrix if preset == "fetih" else inst.dual.M
+    M = inst.impedance if preset == "fetih" else inst.dual.M
     assert times_factorized(M) == 0
     # the augmented operator is factorized whole, once
     aug = (inst.fetih if preset == "fetih" else inst.dual).aug
@@ -649,6 +648,20 @@ class TestRunCommand:
                          + [f"--set={s}" for s in FAST], tmp_path, monkeypatch)
         assert result.exit_code == 2, result.output
         assert f"bad value for {setting.partition('=')[0]}" in result.output
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("preset,key", [
+        ("loisel", "problem.kappa"), ("loisel", "problem.eta"),
+        ("loisel", "problem.absorption"), ("loisel", "interface.sigma"),
+        ("complete_comm", "solver.beta"), ("loisel", "solver.tol"),
+    ])
+    def test_non_finite_value_exits_two(self, preset, key, value, tmp_path, monkeypatch):
+        result = run_cli(["run", "--preset", preset, "--set", f"{key}={value}"]
+                         + [f"--set={s}" for s in FAST], tmp_path, monkeypatch)
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert f"bad value for {key}: '{value}' is not a finite number" in result.output
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("p", [2, 4])

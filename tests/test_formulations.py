@@ -38,7 +38,7 @@ class TestAugmented:
         _, _, dec = coercive_2x2
         trace = build_trace(build_facets(dec, "globs"), dec)
         imp = build_impedance(trace, "lumped_mass", 1.0)
-        aug = AugmentedLocal(dec, trace.matrix, imp.matrix, 1.0)
+        aug = AugmentedLocal(dec, trace.matrix, imp, 1.0)
         for block in _blocks(aug, dec):
             assert np.linalg.eigvalsh(block.toarray().real).min() > 0.0
 
@@ -49,10 +49,11 @@ class TestAugmented:
         X = build_exchange(trace)
         _, _, dec_d = make_instance(4, 4, 2, 2, boundary="dirichlet")
         system_d = build_facets(dec_d, "bilateral_non_redundant")
-        imp_d = build_impedance(build_trace(system_d, dec_d), "lumped_mass", 1.0)
+        trace_d = build_trace(system_d, dec_d)
+        imp_d = build_impedance(trace_d, "lumped_mass", 1.0)
         for aug, d in ((build_dual_system(dec, trace, imp, X, prob.alpha).aug, dec),
                        (exceptional_system(dec).aug, dec),
-                       (fetih_build(dec_d, imp_d).aug, dec_d)):
+                       (fetih_build(dec_d, trace_d, imp_d).aug, dec_d)):
             assert isinstance(aug.factor, SparseFactorization)
             assert aug.factor.size == aug.matrix.shape[0] == d.offsets[-1]
 
@@ -66,7 +67,7 @@ def test_sparse_apply_inv_matches_dense(wave, facets, ncols, seed):
                               eta=2.0 if wave else 1.0)
     trace = build_trace(build_facets(dec, facets), dec)
     imp = build_impedance(trace, "lumped_mass", 2.0)
-    aug = AugmentedLocal(dec, trace.matrix, imp.matrix, 1j if wave else 1.0)
+    aug = AugmentedLocal(dec, trace.matrix, imp, 1j if wave else 1.0)
     rng = np.random.default_rng(seed)
     shape = (dec.offsets[-1], ncols) if ncols else (dec.offsets[-1],)
     g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -386,7 +387,7 @@ class TestRobinEquivalence:
         X = build_exchange(trace).matrix
         dim = trace.dim_lambda
         I = np.eye(dim)
-        combined = np.hstack([prob.alpha * imp.matrix @ (I - X), I + X.T])
+        combined = np.hstack([prob.alpha * imp @ (I - X), I + X.T])
         stacked = np.vstack([np.hstack([I - X, np.zeros((dim, dim))]),
                              np.hstack([np.zeros((dim, dim)), I + X.T])])
         def nullity(mat):
@@ -460,7 +461,7 @@ class TestFetiH:
         system = build_facets(dec, variant)
         trace = build_trace(system, dec)
         imp = build_impedance(trace, "lumped_mass", sigma)
-        return fetih_build(dec, imp)
+        return fetih_build(dec, trace, imp)
 
     def test_two_subdomain_signs(self):
         _, _, dec = make_instance(4, 4, 2, 1, boundary="dirichlet")
@@ -488,7 +489,7 @@ class TestFetiH:
                                   wave=wave, kappa=8.0 if wave else 0.0)
         system = build_facets(dec, variant)
         trace = build_trace(system, dec)
-        B = fetih_build(dec, build_impedance(trace, "lumped_mass", 1.0)).B
+        B = fetih_build(dec, trace, build_impedance(trace, "lumped_mass", 1.0)).B
         column = trace.matrix.indices     # the one column each trace row selects
         rows, cols, vals = [], [], []
         for fidx, F in enumerate(system.facets):
@@ -536,4 +537,4 @@ class TestFetiH:
         trace = build_trace(system, dec)
         imp = build_impedance(trace, "lumped_mass", 1.0)
         with pytest.raises(ValueError):
-            fetih_build(dec, imp)
+            fetih_build(dec, trace, imp)

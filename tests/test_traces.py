@@ -100,26 +100,93 @@ class TestTraceOperator:
         assert is_orthonormal(build_trace(build_facets(strip, "bilateral_max"), strip))
 
 
+def reference_impedance(trace, variant, sigma):
+    """M built facet by facet: one dense block per facet filled with
+    np.add.at, sigma * h_min on a dof with no facet-internal edge, the blocks
+    placed by block_diag in per-subdomain, sorted-facet order, and the zeros
+    dropped."""
+    problem, facets = trace.decomp.problem, trace.system.facets
+    tri = problem.dof_map[problem.mesh.triangles]
+    pairs = np.concatenate([tri[:, [0, 1]], tri[:, [1, 2]], tri[:, [0, 2]]])
+    pairs = np.sort(pairs[(pairs >= 0).all(axis=1)], axis=1)
+    coords = problem.mesh.coords[problem.free_nodes]
+    lengths = np.linalg.norm(coords[pairs[:, 1]] - coords[pairs[:, 0]], axis=1)
+    h_min = float(lengths.min())
+    pairs, first = np.unique(pairs, axis=0, return_index=True)
+    lengths = lengths[first]
+    blocks = []
+    for fidx, F in enumerate(facets):
+        n = len(F.dofs)
+        inside = np.isin(pairs, F.dofs).all(axis=1)
+        pos = {k: p for p, k in enumerate(F.dofs)}
+        pa = np.array([pos[a] for a in pairs[inside, 0]], dtype=int)
+        pb = np.array([pos[b] for b in pairs[inside, 1]], dtype=int)
+        length = lengths[inside]
+        if variant == "scalar":
+            block = sigma * np.eye(n)
+        elif variant == "lumped_mass":
+            weight = np.zeros(n)
+            np.add.at(weight, pa, 0.5 * length)
+            np.add.at(weight, pb, 0.5 * length)
+            weight[weight == 0.0] = h_min
+            block = np.diag(sigma * weight)
+        else:
+            block = np.zeros((n, n))
+            np.add.at(block, (pa, pa), sigma * length / 3.0)
+            np.add.at(block, (pb, pb), sigma * length / 3.0)
+            np.add.at(block, (pa, pb), sigma * length / 6.0)
+            np.add.at(block, (pb, pa), sigma * length / 6.0)
+            isolated = np.flatnonzero(np.diagonal(block) == 0.0)
+            block[isolated, isolated] = sigma * h_min
+        blocks.append(block)
+    order = [sorted((fidx for fidx, F in enumerate(facets) if i in F.subdomains),
+                    key=lambda fidx: (facets[fidx].subdomains, min(facets[fidx].dofs)))
+             for i in range(trace.decomp.n_sub)]
+    M = scipy.sparse.csr_array(scipy.sparse.block_diag(
+        [blocks[fidx] for fids in order for fidx in fids]))
+    M.eliminate_zeros()
+    return M
+
+
 class TestImpedance:
+    @pytest.mark.parametrize("boundary", ["robin", "dirichlet"])
+    @pytest.mark.parametrize("nx,px,py", [(8, 2, 2), (12, 3, 3), (16, 4, 4),
+                                          (12, 2, 3), (12, 4, 1)])
+    def test_matches_the_facet_by_facet_build(self, nx, px, py, boundary):
+        # G^T M_F G on one side's slot pairs is bitwise the dense facet blocks
+        dec = make_instance(nx, nx, px, py, boundary=boundary)[2]
+        for facet_variant in VARIANTS:
+            trace = build_trace(build_facets(dec, facet_variant), dec)
+            for variant, sigma in itertools.product(IMPEDANCE_VARIANTS, (1.0, 3.7)):
+                M = build_impedance(trace, variant, sigma)
+                ref = reference_impedance(trace, variant, sigma)
+                assert isinstance(M, scipy.sparse.csr_array)
+                for a, b in ((M.data, ref.data), (M.indices, ref.indices),
+                             (M.indptr, ref.indptr)):
+                    assert np.array_equal(a, b), (facet_variant, variant, sigma)
+
     @pytest.mark.parametrize("variant", IMPEDANCE_VARIANTS)
     def test_spd(self, cross_dec, variant):
-        facet_variant = "globs" if variant == "glob_block" else "bilateral_max"
-        trace = build_trace(build_facets(cross_dec, facet_variant), cross_dec)
-        imp = build_impedance(trace, variant, 2.0)
-        M = imp.matrix.toarray()
-        assert np.max(np.abs(M - M.T)) == 0.0
-        assert np.linalg.eigvalsh(M).min() > 0.0
-        assert np.max(np.abs(M.imag)) if np.iscomplexobj(M) else True
+        for facet_variant in VARIANTS:
+            trace = build_trace(build_facets(cross_dec, facet_variant), cross_dec)
+            M = build_impedance(trace, variant, 2.0).toarray()
+            assert np.max(np.abs(M - M.T)) == 0.0
+            assert np.linalg.eigvalsh(M).min() > 0.0
+            assert np.max(np.abs(M.imag)) if np.iscomplexobj(M) else True
+            # strictly diagonally dominant with a positive diagonal, hence SPD
+            diagonal = np.diagonal(M)
+            assert np.all(diagonal > 0.0)
+            assert np.all(diagonal > np.abs(M).sum(axis=1) - diagonal), facet_variant
 
     def test_scalar_is_sigma_identity(self, cross_dec):
         trace = build_trace(build_facets(cross_dec, "globs"), cross_dec)
-        imp = build_impedance(trace, "scalar", 3.5)
-        assert np.array_equal(imp.matrix.toarray(), 3.5 * np.eye(trace.dim_lambda))
+        M = build_impedance(trace, "scalar", 3.5)
+        assert np.array_equal(M.toarray(), 3.5 * np.eye(trace.dim_lambda))
 
     def test_sides_share_blocks(self, cross_dec):
         system = build_facets(cross_dec, "bilateral_max")
         trace = build_trace(system, cross_dec)
-        M = build_impedance(trace, "lumped_mass", 1.0).matrix.toarray()
+        M = build_impedance(trace, "lumped_mass", 1.0).toarray()
         for fidx, F in enumerate(system.facets):
             starts = [trace.slot(i, fidx, F.dofs[0]) for i in F.subdomains]
             blocks = [M[a:a + len(F.dofs), a:a + len(F.dofs)] for a in starts]
@@ -133,19 +200,22 @@ class TestImpedance:
         dec = make_instance(8, 8, 2, 2)[2]
         system = build_facets(dec, "globs")
         trace = build_trace(system, dec)
-        lumped = build_impedance(trace, "lumped_mass", sigma).facet_blocks
-        mass = build_impedance(trace, "glob_block", sigma).facet_blocks
+        lumped = build_impedance(trace, "lumped_mass", sigma).toarray()
+        mass = build_impedance(trace, "glob_block", sigma).toarray()
         assert sorted(len(F.dofs) for F in system.facets) == [1, 4, 4, 4, 4]
+        consistent = (np.diag([1.0, 2.0, 2.0, 1.0]) / 3.0
+                      + (np.eye(4, k=1) + np.eye(4, k=-1)) / 6.0)
         for fidx, F in enumerate(system.facets):
-            if len(F.dofs) == 1:
-                assert lumped[fidx][0, 0] == mass[fidx][0, 0] == sigma * h
-                continue
-            # dofs ascend along the facet: its ends carry half an edge
-            expected = np.diag([sigma * h / 2, sigma * h, sigma * h, sigma * h / 2])
-            assert np.array_equal(lumped[fidx], expected)
-            consistent = (np.diag([1.0, 2.0, 2.0, 1.0]) / 3.0
-                          + (np.eye(4, k=1) + np.eye(4, k=-1)) / 6.0)
-            assert np.allclose(mass[fidx], sigma * h * consistent, rtol=0, atol=1e-16)
+            for i in F.subdomains:
+                a = trace.slot(i, fidx, F.dofs[0])
+                rows = slice(a, a + len(F.dofs))
+                if len(F.dofs) == 1:
+                    assert lumped[a, a] == mass[a, a] == sigma * h
+                    continue
+                # dofs ascend along the facet: its ends carry half an edge
+                expected = np.diag([sigma * h / 2, sigma * h, sigma * h, sigma * h / 2])
+                assert np.array_equal(lumped[rows, rows], expected)
+                assert np.array_equal(mass[rows, rows], sigma * h * consistent)
 
     def test_invalid_sigma(self, cross_dec):
         trace = build_trace(build_facets(cross_dec, "globs"), cross_dec)
@@ -186,8 +256,7 @@ class TestExchange:
 
     @pytest.mark.parametrize("facet_variant,form", FORM_CASES)
     def test_impedance_isometry(self, cross_dec, facet_variant, form):
-        _, _trace, imp, X = build_form_stack(cross_dec, facet_variant, form)
-        M = imp.matrix
+        _, _trace, M, X = build_form_stack(cross_dec, facet_variant, form)
         scale = np.max(np.abs(M))
         assert np.max(np.abs(X.matrix.T @ M @ X.matrix - M)) <= 1e-10 * scale
         def norm(lam):
@@ -219,7 +288,7 @@ class TestExchange:
         defined = 0
         for dec in (cross_dec, strip):
             for facet_variant in VARIANTS:
-                system, trace, imp, X = build_stack(dec, facet_variant, impedance)
+                system, trace, M, X = build_stack(dec, facet_variant, impedance)
                 X = X.matrix
                 assert isinstance(X, scipy.sparse.csr_array)
                 assert np.all(X.data != 0.0)
@@ -230,9 +299,8 @@ class TestExchange:
                         slots = [trace.slot(i, fidx, k) for i in F.subdomains]
                         expected[np.ix_(slots, slots)] = 2.0 * (1.0 / m) - np.eye(m)
                 assert np.array_equal(X.toarray(), expected)
-                M = imp.matrix
                 assert abs(X.T @ M @ X - M).max() <= 1e-14 * abs(M).max()
-                closed = reflection_form(trace, imp, form)
+                closed = reflection_form(trace, M, form)
                 if closed is not None:
                     defined += 1
                     assert np.max(np.abs(X.toarray() - closed)) <= 1e-12
@@ -249,7 +317,7 @@ def test_every_variant_name_builds_a_distinct_operator(cross_dec):
         assert not (same(t1.matrix.toarray(), t2.matrix.toarray())
                     and same(x1.matrix.toarray(), x2.matrix.toarray()))
     trace = stacks[VARIANTS.index("globs")][1]
-    weights = [build_impedance(trace, variant, 1.0).matrix.toarray()
+    weights = [build_impedance(trace, variant, 1.0).toarray()
                for variant in IMPEDANCE_VARIANTS]
     for M1, M2 in itertools.combinations(weights, 2):
         assert not same(M1, M2)
